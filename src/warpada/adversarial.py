@@ -5,7 +5,8 @@ J = CE(f(x'), y) + me_beta * H(f(x')) - gamma * ||z(x') - z(x)||^2:
 additive amplitude noise (x' = x + P), a temporal warp (x' = warp(x, path)
 with the path built from free parameters), and their combination.  The
 constraint chain lives inside path construction, so ascent iterates are
-admissible by construction and need no projection step.
+admissible by construction and need no projection step.  All three run
+through one ascent loop, which moves a chunk of origins at a time.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 
 from .model import entropy, forward, loss_ce, semantic_distance
 from .signal import TimeSeries, warp_apply
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, op_sum
 from .warp import make_path
 
 __all__ = ["AdvConfig", "AdvSample", "tada_maximize", "ada_maximize",
-           "tadaplus_generate", "maximize_one"]
+           "tadaplus_generate", "maximize_one", "maximize_many"]
 
 MODES = ("erm", "ada", "tada", "tada_plus")
 COMBINE_MODES = ("union", "composed")
@@ -28,6 +29,9 @@ COMBINE_MODES = ("union", "composed")
 # the Jacobian magnitude (~1/scale) of the first ascent steps.  Unit scale
 # keeps eta = 1 steps well-behaved; 0.01 made them overshoot by ~100x.
 PHI_INIT_SCALE = 1.0
+# Origins ascended together on one tape.  Larger chunks stop paying off per
+# origin beyond about 8 while their live (B*N, L) warp arrays keep growing.
+ASCENT_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class AdvConfig:
     me_beta: float = 0.0
     lr: float = 0.05
     batch: int = 32
-    jobs: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -85,8 +88,6 @@ class AdvConfig:
             raise ValueError(f"me_beta must be nonnegative, got {self.me_beta}")
         if self.lr <= 0 or self.batch < 1:
             raise ValueError("lr must be positive and batch at least 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def with_mode(self, mode: str) -> "AdvConfig":
         return replace(self, mode=mode)
@@ -108,111 +109,92 @@ class AdvSample:
 
 
 def _sample_rng(cfg: AdvConfig, origin_id: int) -> np.random.Generator:
-    # per-sample stream so parallel generation matches sequential exactly
+    # per-origin stream, so a sample does not depend on which chunk it ran in
     return np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, origin_id]))
 
 
-def _reference_features(model, x: TimeSeries) -> Tensor:
-    z0, _ = forward(model, x)
-    return Tensor(z0.data.copy())
-
-
-def _objective(model, candidate: TimeSeries, label: int, z_ref: Tensor, cfg: AdvConfig) -> Tensor:
+def _objective_rows(model, candidate: Tensor, labels: np.ndarray, z_ref: Tensor,
+                    cfg: AdvConfig) -> Tensor:
+    """(B, 1) per-origin objectives J_i of a (B, C, N) candidate batch."""
     z, logits = forward(model, candidate)
-    j = loss_ce(logits, label) - semantic_distance(z, z_ref) * cfg.gamma
+    j = loss_ce(logits, labels) - semantic_distance(z, z_ref) * cfg.gamma
     if cfg.me_beta != 0.0:
         j = j + entropy(logits) * cfg.me_beta
     return j
 
 
-def _check_finite(j: Tensor, iteration: int, what: str) -> None:
-    if not np.isfinite(j.data):
-        raise ValueError(f"{what} objective became non-finite at iteration {iteration}")
+def _check_finite(j: Tensor, iteration: int, what: str, origin_ids) -> None:
+    bad = ~np.isfinite(j.data.reshape(-1))
+    if bad.any():
+        raise ValueError(f"{what} objective became non-finite at iteration {iteration} "
+                         f"for origin {origin_ids[int(np.argmax(bad))]}")
 
 
-def _detached(x: TimeSeries) -> TimeSeries:
-    return TimeSeries(Tensor(x.values.data.copy()), label=x.label, domain_tag=x.domain_tag)
+def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
+            family: str) -> list[AdvSample]:
+    """Ascend one chunk of origins together for t_max steps and return one
+    sample per origin, at the final parameters.
+
+    family 'ada' ascends an additive perturbation from zeros, 'tada' the
+    warp parameters, and 'tada_plus' both at once (the composed objective).
+    The chunk shares one tape per iteration with J = sum_i J_i; the model is
+    frozen and every row of the batch depends only on its own parameters,
+    so each origin's parameters receive exactly dJ_i/d(own parameters).
+
+    phi starts as uniform noise drawn from the origin's own stream, not
+    zeros: the all-equal phi is the degenerate fixed point of the path
+    normalization, where the gradient vanishes identically.
+    """
+    values = np.stack([x.values.data for x in xs])
+    labels = np.array([x.label for x in xs])
+    warps, shifts = family != "ada", family != "tada"
+    phi = (np.stack([_sample_rng(cfg, o).uniform(-PHI_INIT_SCALE, PHI_INIT_SCALE,
+                                                 size=values.shape[-1])
+                     for o in origin_ids]) if warps else None)
+    perturbation = np.zeros_like(values) if shifts else None
+    source = Tensor(values)
+    z_ref = Tensor(forward(model, source)[0].data.copy())
+
+    def candidate(phi_t, pert_t):
+        x = source + pert_t if shifts else source
+        if not warps:
+            return x, None
+        path = make_path(phi_t, cfg.phi_max, cfg.m_window)
+        return warp_apply(x, path, cfg.m_window), path
+
+    for iteration in range(cfg.t_max):
+        probe_phi = Tensor(phi, requires_grad=True) if warps else None
+        probe_pert = Tensor(perturbation, requires_grad=True) if shifts else None
+        with Tape() as tape:
+            x_t, _ = candidate(probe_phi, probe_pert)
+            j = _objective_rows(model, x_t, labels, z_ref, cfg)
+            _check_finite(j, iteration, family, origin_ids)
+            tape.backward(op_sum(j))
+        if warps:
+            phi = phi + cfg.eta * probe_phi.grad
+        if shifts:
+            perturbation = perturbation + cfg.eta_ada * probe_pert.grad
+
+    x_t, path = candidate(Tensor(phi) if warps else None,
+                          Tensor(perturbation) if shifts else None)
+    j = _objective_rows(model, x_t, labels, z_ref, cfg)
+    _check_finite(j, cfg.t_max, family, origin_ids)
+    return [AdvSample(series=TimeSeries(Tensor(x_t.data[i].copy()), label=x.label,
+                                        domain_tag=x.domain_tag),
+                      origin_id=o, mode=family, objective=float(j.data[i, 0]),
+                      path=None if path is None else path.displacements.data[i].copy())
+            for i, (x, o) in enumerate(zip(xs, origin_ids))]
 
 
 def tada_maximize(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> AdvSample:
     """Ascend the warp parameters for t_max steps and return the warped
-    sample at the final parameters.
-
-    phi starts as small uniform noise, not zeros: the all-equal phi is the
-    degenerate fixed point of the path normalization, where the gradient
-    vanishes identically.
-    """
-    rng = _sample_rng(cfg, origin_id)
-    phi = rng.uniform(-PHI_INIT_SCALE, PHI_INIT_SCALE, size=x.length)
-    z_ref = _reference_features(model, x)
-
-    for iteration in range(cfg.t_max):
-        probe = Tensor(phi, requires_grad=True)
-        with Tape() as tape:
-            path = make_path(probe, cfg.phi_max, cfg.m_window)
-            warped = warp_apply(x, path, cfg.m_window)
-            j = _objective(model, warped, x.label, z_ref, cfg)
-            _check_finite(j, iteration, "tada")
-            tape.backward(j)
-        phi = phi + cfg.eta * probe.grad
-
-    final_path = make_path(Tensor(phi), cfg.phi_max, cfg.m_window)
-    warped = warp_apply(x, final_path, cfg.m_window)
-    j = _objective(model, warped, x.label, z_ref, cfg)
-    _check_finite(j, cfg.t_max, "tada")
-    return AdvSample(series=_detached(warped), origin_id=origin_id, mode="tada",
-                     objective=float(j.data), path=final_path.displacements.data.copy())
+    sample at the final parameters."""
+    return _ascend(model, [x], cfg, [origin_id], "tada")[0]
 
 
 def ada_maximize(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> AdvSample:
     """Ascend an additive perturbation for t_max steps from zeros."""
-    perturbation = np.zeros_like(x.values.data)
-    z_ref = _reference_features(model, x)
-
-    for iteration in range(cfg.t_max):
-        probe = Tensor(perturbation, requires_grad=True)
-        with Tape() as tape:
-            candidate = TimeSeries(x.values + probe, label=x.label, domain_tag=x.domain_tag)
-            j = _objective(model, candidate, x.label, z_ref, cfg)
-            _check_finite(j, iteration, "ada")
-            tape.backward(j)
-        perturbation = perturbation + cfg.eta_ada * probe.grad
-
-    final = TimeSeries(Tensor(x.values.data + perturbation), label=x.label,
-                       domain_tag=x.domain_tag)
-    j = _objective(model, final, x.label, z_ref, cfg)
-    _check_finite(j, cfg.t_max, "ada")
-    return AdvSample(series=final, origin_id=origin_id, mode="ada", objective=float(j.data))
-
-
-def _composed_maximize(model, x: TimeSeries, cfg: AdvConfig, origin_id: int) -> AdvSample:
-    """Joint ascent over additive and warp parameters at once."""
-    rng = _sample_rng(cfg, origin_id)
-    phi = rng.uniform(-PHI_INIT_SCALE, PHI_INIT_SCALE, size=x.length)
-    perturbation = np.zeros_like(x.values.data)
-    z_ref = _reference_features(model, x)
-
-    for iteration in range(cfg.t_max):
-        probe_phi = Tensor(phi, requires_grad=True)
-        probe_amp = Tensor(perturbation, requires_grad=True)
-        with Tape() as tape:
-            shifted = TimeSeries(x.values + probe_amp, label=x.label, domain_tag=x.domain_tag)
-            warped = warp_apply(shifted, make_path(probe_phi, cfg.phi_max, cfg.m_window),
-                                cfg.m_window)
-            j = _objective(model, warped, x.label, z_ref, cfg)
-            _check_finite(j, iteration, "tada_plus")
-            tape.backward(j)
-        phi = phi + cfg.eta * probe_phi.grad
-        perturbation = perturbation + cfg.eta_ada * probe_amp.grad
-
-    final_path = make_path(Tensor(phi), cfg.phi_max, cfg.m_window)
-    shifted = TimeSeries(Tensor(x.values.data + perturbation), label=x.label,
-                         domain_tag=x.domain_tag)
-    warped = warp_apply(shifted, final_path, cfg.m_window)
-    j = _objective(model, warped, x.label, z_ref, cfg)
-    _check_finite(j, cfg.t_max, "tada_plus")
-    return AdvSample(series=_detached(warped), origin_id=origin_id, mode="tada_plus",
-                     objective=float(j.data), path=final_path.displacements.data.copy())
+    return _ascend(model, [x], cfg, [origin_id], "ada")[0]
 
 
 def tadaplus_generate(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> list[AdvSample]:
@@ -221,18 +203,35 @@ def tadaplus_generate(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) 
     Union (default) returns one sample from each family; composed ascends
     both parameter sets through a single objective and returns one sample.
     """
-    if cfg.combine == "composed":
-        return [_composed_maximize(model, x, cfg, origin_id)]
-    return [ada_maximize(model, x, cfg, origin_id),
-            tada_maximize(model, x, cfg, origin_id)]
+    return maximize_many(model, [x], cfg.with_mode("tada_plus"), [origin_id])
+
+
+def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
+                  origin_ids: list[int] | None = None) -> list[AdvSample]:
+    """Samples for every origin, grouped by origin in input order.
+    ``origin_ids`` defaults to the positions 0..len(xs)-1.
+
+    Origins ascend in chunks of ASCENT_CHUNK, one tape per chunk and
+    iteration.  Each origin keeps its own phi initialisation stream, so
+    results do not depend on the chunking except through the reduction
+    order of the batched arithmetic.
+    """
+    if cfg.mode not in ("ada", "tada", "tada_plus"):
+        raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
+    if cfg.mode != "tada_plus":
+        families = [cfg.mode]
+    else:
+        families = ["tada_plus"] if cfg.combine == "composed" else ["ada", "tada"]
+    if origin_ids is None:
+        origin_ids = list(range(len(xs)))
+    out: list[AdvSample] = []
+    for lo in range(0, len(xs), ASCENT_CHUNK):
+        chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]
+        per_family = [_ascend(model, chunk, cfg, ids, f) for f in families]
+        out.extend(sample for group in zip(*per_family) for sample in group)
+    return out
 
 
 def maximize_one(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> list[AdvSample]:
     """Dispatch on cfg.mode; returns the list of samples generated from x."""
-    if cfg.mode == "ada":
-        return [ada_maximize(model, x, cfg, origin_id)]
-    if cfg.mode == "tada":
-        return [tada_maximize(model, x, cfg, origin_id)]
-    if cfg.mode == "tada_plus":
-        return tadaplus_generate(model, x, cfg, origin_id)
-    raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
+    return maximize_many(model, [x], cfg, [origin_id])

@@ -1,7 +1,7 @@
 """Command-line front-end: config files in, datasets/checkpoints/reports out.
 
-Hyperparameters live in a YAML config file; flags cover only paths, seed,
-mode, and the worker cap.  Every command writes a ``config_echo.yaml`` with
+Hyperparameters live in a YAML config file; flags cover only paths, seed
+and mode.  Every command writes a ``config_echo.yaml`` with
 the fully resolved settings next to its outputs.  Exit codes: 0 success,
 1 check failure, 2 usage or config error.
 """
@@ -55,7 +55,6 @@ class RunConfig:
     me_beta: float = 0.0
     lr: float = 0.05
     batch: int = 32
-    jobs: int = 1
     synth_length: int = 128
     synth_n_per_class: int = 200
     synth_noise_sigma: float = 0.3
@@ -70,7 +69,7 @@ class RunConfig:
                          m_window=self.m_window, phi_max=self.phi_max,
                          mode=self.mode, combine=self.combine,
                          me_beta=self.me_beta, lr=self.lr, batch=self.batch,
-                         jobs=self.jobs, seed=self.seed)
+                         seed=self.seed)
 
     def synth_spec(self):
         base = default_spec(seed=self.seed)
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="override the output directory")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="cap adversarial-generation workers")
 
     sp = sub.add_parser("synth", help="generate the synthetic benchmark")
     common(sp)
@@ -338,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {
         "seed": args.seed,
         "out_dir": args.out,
-        "jobs": args.jobs,
         "mode": getattr(args, "mode", None),
     }
     if args.command == "train" and getattr(args, "manifest", None):

@@ -198,6 +198,41 @@ def _items(rng: np.random.Generator):
 
     add("loss_grad_input", f_loss_input, base.copy())
 
+    # batch-axis paths: a (B, C_in, N) conv with every input differentiable,
+    # the last-axis reductions under the (B, 1) against (B, N) broadcast plus
+    # transpose, and the chunked ascent objective over two rows of phi
+    img_batch = Tensor(rng.uniform(-1, 1, (2, 2, 9)))
+
+    def f_conv_batched(x):
+        k = _tensor.op_reshape(_tensor.op_gather(x, np.arange(18)), (3, 2, 3))
+        b = _tensor.op_gather(x, np.arange(18, 21))
+        img = _tensor.op_reshape(_tensor.op_gather(x, np.arange(21, 57)), (2, 2, 9))
+        out = _tensor.op_conv1d(_tensor.op_add(img, img_batch), k, stride=2, bias=b)
+        return _tensor.op_sum(_tensor.op_mul(out, out))
+
+    add("conv1d_batched", f_conv_batched, rng.uniform(-1, 1, 57))
+
+    w_rows = Tensor(rng.uniform(-1, 1, (3, 4)))
+
+    def f_rows(x):
+        m = _tensor.op_reshape(x, (3, 4))
+        spread = _tensor.op_sub(_tensor.op_max_reduce(m, axis=-1),
+                                _tensor.op_min_reduce(m, axis=-1))
+        centred = _tensor.op_sub(_tensor.op_cumsum(m), _tensor.op_sum(m, axis=-1))
+        weighted = _tensor.op_mul(_tensor.op_mul(centred, spread), w_rows)
+        return _tensor.op_sum(_tensor.op_matmul(_tensor.op_transpose(weighted), weighted))
+
+    add("row_reductions", f_rows, rng.uniform(-1, 1, 12))
+
+    x_rows = Tensor(np.stack([base, base[::-1]]).reshape(2, 1, 64))
+
+    def f_loss_phi_rows(phi):
+        path = _warp.make_path(_tensor.op_reshape(phi, (2, 64)), 8.0, 10)
+        _, logits = _model.forward(clf, _signal.warp_apply(x_rows, path, 10))
+        return _tensor.op_sum(_model.loss_ce(logits, np.array([1, 2])))
+
+    add("loss_grad_phi_batched", f_loss_phi_rows, rng.uniform(-1, 1, 128))
+
     return items
 
 

@@ -9,6 +9,7 @@ serves gradient steps, frozen adversarial generation, and inference.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .signal import TimeSeries
 from .tensor import (
     Tensor,
+    as_batch,
     op_conv1d,
     op_exp,
     op_gather,
@@ -27,6 +29,7 @@ from .tensor import (
     op_reshape,
     op_sub,
     op_sum,
+    op_transpose,
 )
 
 __all__ = [
@@ -103,66 +106,91 @@ class Classifier:
 
 
 def forward(model: Classifier, x, params: dict[str, Tensor] | None = None):
-    """Run the network; returns (z: Tensor[64], logits: Tensor[n_classes]).
+    """Run the network on a (C, N) sample or a (B, C, N) batch.
 
+    Returns (z, logits): (64,) and (n_classes,) for a sample, (B, 64) and
+    (B, n_classes) for a batch, whose rows equal the per-sample results.
     ``params`` substitutes lifted weight tensors (how training gets weight
     gradients); omitted, weights enter as constants and only the input
     stays differentiable.
     """
-    values = x.values if isinstance(x, TimeSeries) else x
-    if not isinstance(values, Tensor):
-        values = Tensor(np.asarray(values, dtype=np.float64))
-    if values.data.ndim != 2 or values.data.shape[0] != model.in_channels:
-        raise ValueError(f"input shape {values.data.shape} does not match "
+    h, single = as_batch(x.values if isinstance(x, TimeSeries) else x, 2)
+    if h.data.shape[1] != model.in_channels:
+        raise ValueError(f"input shape {h.data.shape[1:]} does not match "
                          f"{model.in_channels} input channels")
     if params is None:
         params = model.tensors(requires_grad=False)
 
-    h = values
     for idx in range(1, len(_CONV_CHANNELS) + 1):
         h = op_relu(op_conv1d(h, params[f"conv{idx}.k"], stride=_STRIDE,
                               bias=params[f"conv{idx}.b"]))
-    t = h.data.shape[1]
+    batch, _, t = h.data.shape
     pool = Tensor(np.full((t, 1), 1.0 / t))
-    z = op_reshape(op_matmul(h, pool), (FEATURE_DIM,))
-    logits = op_reshape(op_matmul(params["head.w"], op_reshape(z, (FEATURE_DIM, 1))),
-                        (model.n_classes,)) + params["head.b"]
+    z = op_reshape(op_matmul(op_reshape(h, (batch * FEATURE_DIM, t)), pool),
+                   (batch, FEATURE_DIM))
+    # logits^T = W z^T + b, so the bias is a (K, 1) column against (K, B)
+    logits = op_transpose(op_matmul(params["head.w"], op_transpose(z))
+                          + op_reshape(params["head.b"], (model.n_classes, 1)))
+    if single:
+        return op_reshape(z, (FEATURE_DIM,)), op_reshape(logits, (model.n_classes,))
     return z, logits
 
 
+def _per_row(value: Tensor, single: bool) -> Tensor:
+    """(B, 1) per-row results, or a scalar for a batch of one sample."""
+    return op_reshape(value, ()) if single else value
+
+
 def softmax(logits: Tensor) -> Tensor:
-    """Max-shifted softmax; stays finite for any logit magnitude."""
+    """Max-shifted softmax of a logit vector; stays finite for any logit
+    magnitude."""
     shifted = op_sub(logits, op_max_reduce(logits))
     e = op_exp(shifted)
     return e / op_sum(e)
 
 
-def loss_ce(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy -log softmax(logits)[label], computed in log space."""
-    n = logits.data.shape[0]
-    label = int(label)
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    shifted = op_sub(logits, op_max_reduce(logits))
-    log_norm = op_log(op_sum(op_exp(shifted)))
-    return op_sub(log_norm, op_gather(shifted, np.asarray(label)))
+def loss_ce(logits: Tensor, label) -> Tensor:
+    """Cross-entropy -log softmax(logits)[label], computed in log space.
+
+    A (K,) vector with an int label gives a scalar; (B, K) logits with B
+    labels give the (B, 1) per-row losses.
+    """
+    rows, single = as_batch(logits, 1)
+    batch, n = rows.data.shape
+    labels = np.asarray(label).reshape(-1)
+    if labels.shape != (batch,):
+        raise ValueError(f"{labels.size} labels for {batch} rows of logits")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} out of range for {n} classes")
+    shifted = op_sub(rows, op_max_reduce(rows, axis=-1))
+    log_norm = op_log(op_sum(op_exp(shifted), axis=-1))
+    picked = op_gather(op_reshape(shifted, (batch * n,)),
+                       (np.arange(batch) * n + labels).reshape(batch, 1))
+    return _per_row(op_sub(log_norm, picked), single)
 
 
 def entropy(logits: Tensor) -> Tensor:
-    """Predictive entropy H = -sum_k p_k log p_k of softmax(logits)."""
-    shifted = op_sub(logits, op_max_reduce(logits))
+    """Predictive entropy H = -sum_k p_k log p_k of softmax(logits), per
+    row for (B, K) logits ((B, 1) out), a scalar for a vector."""
+    rows, single = as_batch(logits, 1)
+    shifted = op_sub(rows, op_max_reduce(rows, axis=-1))
     e = op_exp(shifted)
-    norm = op_sum(e)
+    norm = op_sum(e, axis=-1)
     # H = log Z - sum p * shifted, avoiding log of near-zero probabilities
-    return op_sub(op_log(norm), op_sum(op_mul(e / norm, shifted)))
+    h = op_sub(op_log(norm), op_sum(op_mul(e / norm, shifted), axis=-1))
+    return _per_row(h, single)
 
 
 def semantic_distance(z_a: Tensor, z_b: Tensor) -> Tensor:
-    """Squared Euclidean distance between two feature vectors."""
+    """Squared Euclidean distance between two feature vectors, or between
+    matching rows of two (B, D) batches ((B, 1) out)."""
     if z_a.data.shape != z_b.data.shape:
         raise ValueError(f"feature dims differ: {z_a.data.shape} vs {z_b.data.shape}")
-    diff = op_sub(z_a, z_b)
-    return op_sum(op_mul(diff, diff))
+    diff, single = as_batch(op_sub(z_a, z_b), 1)
+    return _per_row(op_sum(op_mul(diff, diff), axis=-1), single)
 
 
 def save_checkpoint(model: Classifier, path) -> None:
@@ -183,32 +211,51 @@ def save_checkpoint(model: Classifier, path) -> None:
 
 
 def load_checkpoint(path) -> Classifier:
+    """Read a checkpoint written by save_checkpoint.
+
+    Any malformed file (bad magic or version, cut short in the header or a
+    payload, undecodable layer name, bytes past the last layer, layers that
+    do not fit the architecture) raises ValueError naming ``path``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
     offset = len(CHECKPOINT_MAGIC)
-    version, in_channels, n_classes, seed = struct.unpack_from("<IIIq", blob, offset)
-    offset += struct.calcsize("<IIIq")
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                             f"needs at least {offset + size})")
+        offset += size
+        return blob[offset - size:offset]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    version, in_channels, n_classes, seed = unpack("<IIIq")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    model = Classifier(in_channels, n_classes, seed)
+    (count,) = unpack("<I")
+    try:
+        model = Classifier(in_channels, n_classes, seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        n_bytes = 8 * int(np.prod(shape)) if ndim else 8
-        arr = np.frombuffer(blob[offset:offset + n_bytes], dtype="<f8").reshape(shape)
-        offset += n_bytes
+        (name_len,) = unpack("<H")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: layer name is not UTF-8") from None
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        payload = take(8 * math.prod(shape))
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
         loaded[name] = np.ascontiguousarray(arr, dtype=np.float64)
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last layer")
     if set(loaded) != set(model.weights):
         raise ValueError(f"{path}: checkpoint layers {sorted(loaded)} do not match "
                          f"architecture layers {sorted(model.weights)}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    op_concat,
+    as_batch,
     op_cos,
     op_gather,
     op_matmul,
@@ -199,53 +199,60 @@ def center_extract(frame: SpectrumFrame, length: int | None = None) -> Tensor:
     return acc * (1.0 / length)
 
 
-def _path_vector(path) -> Tensor:
-    displacements = getattr(path, "displacements", path)
-    if not isinstance(displacements, Tensor):
-        displacements = Tensor(np.asarray(displacements, dtype=np.float64))
-    if displacements.data.ndim != 1:
-        raise ValueError(f"path must be a vector, got shape {displacements.data.shape}")
-    return displacements
-
-
-def warp_apply(x: TimeSeries, path, half_width: int) -> TimeSeries:
+def warp_apply(x, path, half_width: int):
     """Warp every channel of ``x`` along ``path``: output index i carries the
     phase-shifted, center-extracted segment around i, i.e. the band-limited
     sample of x at position i + path_i.
 
-    Implemented batched: one (N, L) gather per channel, DFT and resynthesis
-    as matrix products, so the tape stays short regardless of N.
+    ``x`` is a TimeSeries with a path vector (returns a TimeSeries), or a
+    (B, C, N) tensor with (B, N) paths, one per row (returns a tensor).
+    Implemented batched: one (B*C*N, L) gather of all segments, DFT and
+    resynthesis as matrix products, so the tape length depends on neither
+    B, C nor N.
     """
-    delta = _path_vector(path)
-    n = x.length
+    series = x if isinstance(x, TimeSeries) else None
+    values = x.values if series is not None else x
+    if series is not None:
+        values = op_reshape(values, (1,) + values.data.shape)
+    if values.data.ndim != 3:
+        raise ValueError(f"expected a series or a (B, C, N) tensor, got shape {values.data.shape}")
+    delta, _ = as_batch(getattr(path, "displacements", path), 1)
+    batch, channels, n = values.data.shape
     length = 2 * half_width + 1
     if n < length:
         raise ValueError(f"series length {n} shorter than window {length}")
-    if delta.data.shape[0] != n:
-        raise ValueError(f"path length {delta.data.shape[0]} != series length {n}")
-    worst = float(np.max(np.abs(delta.data))) if n else 0.0
+    if delta.data.shape[1] != n:
+        raise ValueError(f"path length {delta.data.shape[1]} != series length {n}")
+    if delta.data.shape[0] != batch:
+        raise ValueError(f"{delta.data.shape[0]} paths for {batch} series")
+    worst = float(np.max(np.abs(delta.data)))
     if worst > half_width + 1e-9:  # slack absorbs constraint-chain rounding
         raise ValueError(f"path displacement {worst} exceeds window half-width {half_width}")
 
     cos_kn, sin_kn, center_cos, center_sin, signed = _dft_tables(length)
-    idx = _segment_indices(n, half_width)
-    # theta[i, k] = (2 pi / L) * delta_i * k~_k, as an outer product
-    theta = op_matmul(op_reshape(delta, (n, 1)),
-                      Tensor((2.0 * np.pi / length) * signed.reshape(1, length)))
+    rows = batch * channels * n
+    # segment matrix row (b, c, i) holds x[b, c, clamp(i - M .. i + M)]
+    series_start = (np.arange(batch * channels) * n)[:, None, None]
+    seg_idx = (series_start + _segment_indices(n, half_width)[None]).reshape(rows, length)
+    seg = op_gather(op_reshape(values, (rows,)), seg_idx)
+    shifts = op_reshape(delta, (batch * n, 1))
+    if channels > 1:  # every channel of a series shares its path
+        path_index = np.arange(batch * n).reshape(batch, 1, n)
+        shifts = op_gather(op_reshape(delta, (batch * n,)),
+                           np.repeat(path_index, channels, axis=1).reshape(rows, 1))
+    # theta[r, k] = (2 pi / L) * delta_r * k~_k, as an outer product
+    theta = op_matmul(shifts, Tensor((2.0 * np.pi / length) * signed.reshape(1, length)))
     cos_t, sin_t = op_cos(theta), op_sin(theta)
-
-    warped_rows = []
-    for row in _channel_rows(x):
-        seg = op_gather(row, idx)                      # (N, L) segment matrix
-        re = op_matmul(seg, Tensor(cos_kn.T))          # cos_kn symmetric; .T for clarity
-        im = op_matmul(seg, Tensor(-sin_kn.T))
-        re_s = op_sub(op_mul(re, cos_t), op_mul(im, sin_t))
-        im_s = op_mul(re, sin_t) + op_mul(im, cos_t)
-        col = op_matmul(re_s, Tensor(center_cos)) - op_matmul(im_s, Tensor(center_sin))
-        warped_rows.append(op_reshape(col * (1.0 / length), (n,)))
-
-    stacked = op_reshape(op_concat(warped_rows), (x.channels, n))
-    return TimeSeries(stacked, label=x.label, domain_tag=x.domain_tag)
+    re = op_matmul(seg, Tensor(cos_kn.T))          # cos_kn symmetric; .T for clarity
+    im = op_matmul(seg, Tensor(-sin_kn.T))
+    re_s = op_sub(op_mul(re, cos_t), op_mul(im, sin_t))
+    im_s = op_mul(re, sin_t) + op_mul(im, cos_t)
+    col = op_matmul(re_s, Tensor(center_cos)) - op_matmul(im_s, Tensor(center_sin))
+    warped = op_reshape(col * (1.0 / length), (batch, channels, n))
+    if series is None:
+        return warped
+    return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,
+                      domain_tag=series.domain_tag)
 
 
 def integer_warp_oracle(x: TimeSeries, path) -> TimeSeries:

@@ -6,8 +6,11 @@ rule.  The tape is rebuilt on every forward pass (define-by-run), so graph
 topology may depend on runtime shapes.  A tape and the tensors recorded on it
 belong to one thread; separate threads use separate tapes.
 
-Elementwise binary ops require equal shapes or a rank-0 operand; there is no
-general broadcasting.  All data is float64.
+Elementwise binary ops require equal shapes, a rank-0 operand, or one
+(B, 1) operand against a (B, N) one, which carries a per-row value across
+its row.  There is no other broadcasting.  A leading batch axis runs
+through conv1d, the last-axis reductions and cumsum, so a whole minibatch
+is one node per op.  All data is float64.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "Tape",
     "TapeNode",
     "active_tape",
+    "as_batch",
     "set_checked",
     "checked",
     "op_add",
@@ -29,6 +33,7 @@ __all__ = [
     "op_mul",
     "op_div",
     "op_matmul",
+    "op_transpose",
     "op_conv1d",
     "op_relu",
     "op_cos",
@@ -188,10 +193,12 @@ class Tape:
         the tape.
 
         Visits nodes exactly once, in reverse recording order.  Returns a map
-        from tensor to gradient array and also stores each requires_grad
-        tensor's gradient on ``tensor.grad``.  Buffers are freshly allocated,
-        so repeating an identical forward+backward reproduces gradients
-        bitwise.
+        from each leaf tensor (one no recorded op produced) to its gradient
+        array and also stores each requires_grad leaf's gradient on
+        ``tensor.grad``.  An op output's gradient is dropped as soon as its
+        node's rules have run, since every consumer was recorded later and
+        has already been visited.  Buffers are freshly allocated, so
+        repeating an identical forward+backward reproduces gradients bitwise.
         """
         if root.data.shape != ():
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -199,7 +206,7 @@ class Tape:
             raise ValueError("backward on an empty tape")
         grads: dict[Tensor, np.ndarray] = {root: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
-            out_grad = grads.get(node.out)
+            out_grad = grads.pop(node.out, None)
             if out_grad is None:
                 continue
             for tensor, rule in node.rules:
@@ -229,17 +236,40 @@ def _record(out: Tensor, rules: list[tuple[Tensor, Callable[[np.ndarray], np.nda
     return out
 
 
+def as_batch(x, rank: int) -> tuple[Tensor, bool]:
+    """``x`` with a leading batch axis, and whether one was added: a
+    rank-``rank`` tensor becomes a batch of one (a recorded reshape), a
+    rank-``rank + 1`` tensor already is a batch."""
+    x = _lift(x)
+    if x.data.ndim == rank:
+        return op_reshape(x, (1,) + x.data.shape), True
+    if x.data.ndim != rank + 1:
+        raise ValueError(f"expected a rank-{rank} tensor or a batch of them, "
+                         f"got shape {x.data.shape}")
+    return x, False
+
+
+def _row_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
+    """True for (B, 1) against (B, N), in either order."""
+    return (len(sa) == len(sb) == 2 and sa[0] == sb[0]
+            and (sa[1] == 1 or sb[1] == 1))
+
+
 def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape and a.data.shape != () and b.data.shape != ():
-        raise ValueError(f"{name}: shape mismatch {a.data.shape} vs {b.data.shape} "
-                         "(shapes must match, or one operand must be a scalar)")
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and sa != () and sb != () and not _row_broadcast(sa, sb):
+        raise ValueError(f"{name}: shape mismatch {sa} vs {sb} (shapes must match, "
+                         "one operand must be a scalar, or be (B, 1) against (B, N))")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Undo rank-0 broadcasting: a scalar operand receives the summed gradient.
+    # Undo broadcasting: a scalar operand receives the summed gradient, a
+    # (B, 1) operand the sum over each row.
     if grad.shape == shape:
         return grad
-    return np.asarray(grad.sum(), dtype=np.float64)
+    if shape == ():
+        return np.asarray(grad.sum(), dtype=np.float64)
+    return grad.sum(axis=1, keepdims=True)
 
 
 def op_add(a, b) -> Tensor:
@@ -308,17 +338,32 @@ def op_matmul(a, b) -> Tensor:
     return _record(out, rules)
 
 
+def op_transpose(x) -> Tensor:
+    """Swap the two axes of a rank-2 tensor."""
+    x = _lift(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"transpose: expected rank-2 tensor, got shape {x.data.shape}")
+    out = Tensor(x.data.T, requires_grad=x.requires_grad)
+    rules = []
+    if x.requires_grad:
+        rules.append((x, lambda g: np.ascontiguousarray(g.T)))
+    return _record(out, rules)
+
+
 def op_conv1d(x, kernels, stride: int = 1, pad: int | None = None, bias=None) -> Tensor:
-    """1-D cross-correlation of (C_in, N) with kernels (C_out, C_in, W).
+    """1-D cross-correlation of (B, C_in, N) with kernels (C_out, C_in, W),
+    giving (B, C_out, N_out).  A (C_in, N) input is a batch of one and gives
+    (C_out, N_out).
 
     ``pad=None`` applies (W-1)//2 zeros each side ("same" length at stride 1).
     ``bias`` is an optional (C_out,) tensor added per output channel.
     """
     x, kernels = _lift(x), _lift(kernels)
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ValueError(f"conv1d: expected (C_in, N) input and (C_out, C_in, W) kernels, "
-                         f"got {x.data.shape} and {kernels.data.shape}")
-    c_in, n = x.data.shape
+    if x.data.ndim not in (2, 3) or kernels.data.ndim != 3:
+        raise ValueError(f"conv1d: expected (B, C_in, N) or (C_in, N) input and "
+                         f"(C_out, C_in, W) kernels, got {x.data.shape} and {kernels.data.shape}")
+    xb = x.data.reshape((-1,) + x.data.shape[-2:])
+    batch, c_in, n = xb.shape
     c_out, kc_in, width = kernels.data.shape
     if kc_in != c_in:
         raise ValueError(f"conv1d: kernel expects {kc_in} input channels, input has {c_in}")
@@ -329,35 +374,43 @@ def op_conv1d(x, kernels, stride: int = 1, pad: int | None = None, bias=None) ->
     if width > n + 2 * pad:
         raise ValueError(f"conv1d: kernel width {width} exceeds padded length {n + 2 * pad}")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
     n_out = (n + 2 * pad - width) // stride + 1
-    # im2col: cols[ci*W + w, t] = xp[ci, t*stride + w]
-    gather_idx = (np.arange(n_out) * stride)[None, :] + np.arange(width)[:, None]
-    cols = xp[:, gather_idx].reshape(c_in * width, n_out)
+    span = stride * (n_out - 1) + 1
+    xp = np.zeros((batch, c_in, n + 2 * pad))
+    xp[:, :, pad:pad + n] = xb
+    # im2col: cols[b, ci, w, t] = xp[b, ci, t*stride + w], one strided slice per tap
+    cols = np.empty((batch, c_in, width, n_out))
+    for w in range(width):
+        cols[:, :, w, :] = xp[:, :, w:w + span:stride]
+    cols = cols.reshape(batch, c_in * width, n_out)
     kmat = kernels.data.reshape(c_out, c_in * width)
-    out_data = kmat @ cols
+    out_data = np.matmul(kmat, cols)
 
     bias_t = None
     if bias is not None:
         bias_t = _lift(bias)
         if bias_t.data.shape != (c_out,):
             raise ValueError(f"conv1d: bias shape {bias_t.data.shape} != ({c_out},)")
-        out_data = out_data + bias_t.data[:, None]
+        out_data += bias_t.data[:, None]
+    out_shape = x.data.shape[:-2] + (c_out, n_out)
 
     requires = x.requires_grad or kernels.requires_grad or (bias_t is not None and bias_t.requires_grad)
-    out = Tensor(out_data, requires_grad=requires)
+    out = Tensor(out_data.reshape(out_shape), requires_grad=requires)
     rules = []
+    gshape = (batch, c_out, n_out)
     if kernels.requires_grad:
-        rules.append((kernels, lambda g, c=cols, sh=kernels.data.shape: (g @ c.T).reshape(sh)))
+        rules.append((kernels, lambda g, c=cols, sh=kernels.data.shape:
+                      np.tensordot(g.reshape(gshape), c, axes=([0, 2], [0, 2])).reshape(sh)))
     if x.requires_grad:
-        def _dx(g, km=kmat, idx=gather_idx, ci=c_in, w=width, npad=pad, nlen=n):
-            dcols = (km.T @ g).reshape(ci, w, -1)
-            dxp = np.zeros((ci, nlen + 2 * npad))
-            np.add.at(dxp, (slice(None), idx), dcols)
-            return dxp[:, npad:npad + nlen] if npad else dxp
+        def _dx(g, km=kmat, xshape=x.data.shape):
+            dcols = np.matmul(km.T, g.reshape(gshape)).reshape(batch, c_in, width, n_out)
+            dxp = np.zeros((batch, c_in, n + 2 * pad))
+            for w in range(width):  # col2im: the adjoint of the im2col slices
+                dxp[:, :, w:w + span:stride] += dcols[:, :, w, :]
+            return np.ascontiguousarray(dxp[:, :, pad:pad + n]).reshape(xshape)
         rules.append((x, _dx))
     if bias_t is not None and bias_t.requires_grad:
-        rules.append((bias_t, lambda g: g.sum(axis=1)))
+        rules.append((bias_t, lambda g: g.reshape(gshape).sum(axis=(0, 2))))
     return _record(out, rules)
 
 
@@ -419,12 +472,22 @@ def op_abs(x) -> Tensor:
     return _record(out, rules)
 
 
-def op_sum(x) -> Tensor:
+def _check_axis(axis) -> None:
+    if axis not in (None, -1):
+        raise ValueError(f"reductions run over all elements (axis=None) or the "
+                         f"last axis (axis=-1), got axis={axis!r}")
+
+
+def op_sum(x, axis: int | None = None) -> Tensor:
+    """Sum of all elements, or with ``axis=-1`` of each row along the last
+    axis, keeping it as length 1 ((B, N) -> (B, 1))."""
     x = _lift(x)
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
+    _check_axis(axis)
+    out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None),
+                 requires_grad=x.requires_grad)
     rules = []
     if x.requires_grad:
-        rules.append((x, lambda g, sh=x.data.shape: np.full(sh, float(g))))
+        rules.append((x, lambda g, sh=x.data.shape: np.broadcast_to(g, sh).copy()))
     return _record(out, rules)
 
 
@@ -439,49 +502,58 @@ def op_mean(x) -> Tensor:
     return _record(out, rules)
 
 
-def _extremum(x, pick) -> Tensor:
+def _extremum(x, pick, axis) -> Tensor:
     x = _lift(x)
+    _check_axis(axis)
     if x.data.size == 0:
         raise ValueError("extremum of empty tensor")
-    flat_index = int(pick(x.data))  # first attaining index, row-major
-    out = Tensor(x.data.flat[flat_index], requires_grad=x.requires_grad)
+    # one row per reduction; first attaining index, row-major
+    source = x.data.reshape(1, -1) if axis is None else x.data.reshape(-1, x.data.shape[-1])
+    rows = np.arange(source.shape[0])
+    index = pick(source, axis=1)
+    out_shape = () if axis is None else x.data.shape[:-1] + (1,)
+    out = Tensor(source[rows, index].reshape(out_shape), requires_grad=x.requires_grad)
     rules = []
     if x.requires_grad:
-        def _route(g, sh=x.data.shape, i=flat_index):
+        def _route(g, sh=source.shape):
             grad = np.zeros(sh)
-            grad.flat[i] = float(g)
-            return grad
+            grad[rows, index] = np.reshape(g, -1)
+            return grad.reshape(x.data.shape)
         rules.append((x, _route))
     return _record(out, rules)
 
 
-def op_min_reduce(x) -> Tensor:
-    """Minimum over all elements; gradient routes to the first attaining index."""
-    return _extremum(x, np.argmin)
+def op_min_reduce(x, axis: int | None = None) -> Tensor:
+    """Minimum over all elements, or with ``axis=-1`` of each row (kept as
+    length 1); gradient routes to the first attaining index."""
+    return _extremum(x, np.argmin, axis)
 
 
-def op_max_reduce(x) -> Tensor:
-    """Maximum over all elements; gradient routes to the first attaining index."""
-    return _extremum(x, np.argmax)
+def op_max_reduce(x, axis: int | None = None) -> Tensor:
+    """Maximum over all elements, or with ``axis=-1`` of each row (kept as
+    length 1); gradient routes to the first attaining index."""
+    return _extremum(x, np.argmax, axis)
 
 
 def op_cumsum(x) -> Tensor:
+    """Running sum along the last axis of a rank-1 or rank-2 tensor."""
     x = _lift(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"cumsum: expected rank-1 tensor, got shape {x.data.shape}")
+    if x.data.ndim not in (1, 2):
+        raise ValueError(f"cumsum: expected rank-1 or rank-2 tensor, got shape {x.data.shape}")
     if x.data.size == 0:
         raise ValueError("cumsum of empty tensor")
-    out = Tensor(np.cumsum(x.data), requires_grad=x.requires_grad)
+    out = Tensor(np.cumsum(x.data, axis=-1), requires_grad=x.requires_grad)
     rules = []
     if x.requires_grad:
-        rules.append((x, lambda g: np.cumsum(g[::-1])[::-1]))
+        rules.append((x, lambda g: np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]))
     return _record(out, rules)
 
 
 def op_gather(x, indices) -> Tensor:
     """Index a rank-1 tensor with an integer array; output takes the index shape.
 
-    Backward scatter-adds, so repeated indices accumulate.
+    Backward scatter-adds (a weighted bincount), so repeated indices
+    accumulate.
     """
     x = _lift(x)
     if x.data.ndim != 1:
@@ -495,11 +567,8 @@ def op_gather(x, indices) -> Tensor:
     out = Tensor(x.data[idx], requires_grad=x.requires_grad)
     rules = []
     if x.requires_grad:
-        def _scatter(g, i=idx, m=n):
-            grad = np.zeros(m)
-            np.add.at(grad, i, g)
-            return grad
-        rules.append((x, _scatter))
+        rules.append((x, lambda g, i=idx.ravel(), m=n:
+                      np.bincount(i, weights=np.ravel(g), minlength=m)))
     return _record(out, rules)
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from warpada import tensor
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
     ada_maximize,
+    maximize_many,
     maximize_one,
     tada_maximize,
     tadaplus_generate,
@@ -186,6 +188,20 @@ class TestDispatch:
         assert len(maximize_one(model, x, toy_cfg(mode="ada"))) == 1
         assert len(maximize_one(model, x, toy_cfg(mode="tada"))) == 1
         assert len(maximize_one(model, x, toy_cfg(mode="tada_plus"))) == 2
+
+    def test_nonfinite_objective_names_its_origin(self):
+        # unchecked mode lets the inf through the ops, so the per-origin
+        # objective check is what catches it
+        model = Classifier(1, 3, seed=12)
+        previous = tensor.set_checked(False)
+        try:
+            xs = [toy_sample(20), TimeSeries(Tensor(np.full(64, np.inf)), label=0),
+                  toy_sample(22)]
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="iteration 0 for origin 41"):
+                maximize_many(model, xs, toy_cfg(mode="tada"), [40, 41, 42])
+        finally:
+            tensor.set_checked(previous)
 
     def test_erm_mode_rejected(self):
         model = Classifier(1, 3, seed=12)

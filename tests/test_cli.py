@@ -98,8 +98,8 @@ class TestLoadConfig:
 
     def test_int_field_rejects_bool(self, tmp_path):
         p = tmp_path / "c.yaml"
-        p.write_text("jobs: true\n")
-        with pytest.raises(ConfigError, match="jobs"):
+        p.write_text("batch: true\n")
+        with pytest.raises(ConfigError, match="batch"):
             load_config(str(p))
 
 
@@ -245,6 +245,15 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "ev"), workspace["source"]])
         assert code == 2
         assert "/nope/ck.bin" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_2(self, workspace, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        with open(workspace["checkpoint"], "rb") as fh:
+            cut.write_bytes(fh.read()[:10])  # ends inside the header
+        code = main(["eval", "--checkpoint", str(cut),
+                     "--out", str(tmp_path / "ev"), workspace["source"]])
+        assert code == 2
+        assert str(cut) in capsys.readouterr().err
 
 
 class TestExportFeaturesCommand:

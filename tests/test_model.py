@@ -91,6 +91,16 @@ class TestForward:
                                 Tensor(model.weights["conv1.k"].ravel()[:10].copy()))
         assert err < 1e-4
 
+    def test_batched_rows_equal_single_sample(self):
+        model = Classifier(2, 3, seed=5)
+        batch = np.random.default_rng(15).normal(size=(5, 2, 64))
+        z_b, logits_b = forward(model, Tensor(batch))
+        assert z_b.data.shape == (5, 64) and logits_b.data.shape == (5, 3)
+        for i in range(5):
+            z, logits = forward(model, Tensor(batch[i]))
+            np.testing.assert_allclose(z_b.data[i], z.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits_b.data[i], logits.data, rtol=0, atol=1e-12)
+
     def test_input_gradient_nonzero(self):
         model = Classifier(1, 3, seed=4)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 64)), requires_grad=True)
@@ -162,6 +172,28 @@ class TestLosses:
             assert semantic_distance(a, b).item() == pytest.approx(
                 semantic_distance(b, a).item(), abs=1e-12)
 
+    def test_per_row_losses_match_vectors(self):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(scale=3.0, size=(6, 4))
+        labels = rng.integers(0, 4, size=6)
+        z_a, z_b = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
+        ce = loss_ce(Tensor(logits), labels).data
+        h = entropy(Tensor(logits)).data
+        dist = semantic_distance(Tensor(z_a), Tensor(z_b)).data
+        assert ce.shape == h.shape == dist.shape == (6, 1)
+        for i in range(6):
+            assert ce[i, 0] == pytest.approx(loss_ce(Tensor(logits[i]), int(labels[i])).item(),
+                                             abs=1e-12)
+            assert h[i, 0] == pytest.approx(entropy(Tensor(logits[i])).item(), abs=1e-12)
+            assert dist[i, 0] == pytest.approx(
+                semantic_distance(Tensor(z_a[i]), Tensor(z_b[i])).item(), abs=1e-12)
+
+    def test_ce_label_vector_checked(self):
+        with pytest.raises(ValueError, match="labels"):
+            loss_ce(Tensor(np.zeros((3, 2))), np.array([0, 1]))
+        with pytest.raises(ValueError, match="range"):
+            loss_ce(Tensor(np.zeros((2, 2))), np.array([0, 2]))
+
     def test_semantic_distance_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             semantic_distance(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -196,3 +228,16 @@ class TestCheckpoint:
         path.write_bytes(b"NOTIT" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage,match", [
+        (lambda blob: blob[:12], "truncated"),         # inside the header
+        (lambda blob: blob[:-20], "truncated"),        # inside the last payload
+        (lambda blob: blob + b"\x00" * 3, "trailing"),  # bytes after the last layer
+    ], ids=["header_cut", "payload_cut", "trailing_bytes"])
+    def test_damaged_file_names_path(self, tmp_path, damage, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Classifier(1, 3, seed=0), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=match) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

@@ -211,12 +211,24 @@ class TestWarpApply:
         out = warp_apply(x2, path, 3)
         np.testing.assert_allclose(out.values.data[1], 2.0 * out.values.data[0], atol=1e-9)
 
+    def test_batched_rows_equal_single_series(self):
+        rng = np.random.default_rng(14)
+        values = rng.normal(size=(3, 2, 30))
+        paths = rng.uniform(-3.0, 3.0, size=(3, 30))
+        out = warp_apply(Tensor(values), paths, 4)
+        assert out.data.shape == (3, 2, 30)
+        for i in range(3):
+            single = warp_apply(TimeSeries(Tensor(values[i])), paths[i], 4).values.data
+            np.testing.assert_allclose(out.data[i], single, rtol=0, atol=1e-12)
+
     def test_path_validation(self):
         x = TimeSeries(Tensor(np.zeros(16) + 1.0))
         with pytest.raises(ValueError, match="length"):
             warp_apply(x, np.zeros(8), 3)
         with pytest.raises(ValueError, match="exceeds"):
             warp_apply(x, np.full(16, 4.0), 3)
+        with pytest.raises(ValueError, match="2 paths for 3 series"):
+            warp_apply(Tensor(np.ones((3, 1, 16))), np.zeros((2, 16)), 3)
 
 
 class TestIntegerOracle:

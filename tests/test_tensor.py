@@ -47,6 +47,22 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
         assert c.grad == pytest.approx(6.0)  # sum of x
 
+    def test_row_broadcast_and_its_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        col = Tensor([[1.0], [10.0]], requires_grad=True)
+        with Tape() as tape:
+            y = T.op_mul(x, col)
+            tape.backward(T.op_sum(T.op_add(col, y)))
+        np.testing.assert_array_equal(y.data, [[0.0, 1.0, 2.0], [30.0, 40.0, 50.0]])
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0], [10.0, 10.0, 10.0]])
+        # the column collects its row sums, plus 3 from the add
+        np.testing.assert_array_equal(col.grad, [[6.0], [15.0]])
+
+    def test_no_other_broadcasting(self):
+        for a, b in (((1, 3), (2, 3)), ((2, 1), (3, 4)), ((3,), (2, 3)), ((2, 1, 3), (2, 1, 1))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                T.op_add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(ValueError, match="finite"):
             Tensor([1.0, np.inf])
@@ -98,6 +114,23 @@ class TestReductions:
     def test_cumsum_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
             T.op_cumsum(Tensor([]))
+
+    def test_last_axis_reductions_per_row(self):
+        data = np.array([[3.0, 1.0, 1.0, 2.0], [0.0, 5.0, -2.0, 5.0]])
+        np.testing.assert_array_equal(T.op_sum(Tensor(data), axis=-1).data, [[7.0], [8.0]])
+        np.testing.assert_array_equal(T.op_min_reduce(Tensor(data), axis=-1).data,
+                                      [[1.0], [-2.0]])
+        np.testing.assert_array_equal(T.op_max_reduce(Tensor(data), axis=-1).data,
+                                      [[3.0], [5.0]])
+        np.testing.assert_array_equal(T.op_cumsum(Tensor(data)).data,
+                                      np.cumsum(data, axis=1))
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.op_sum(T.op_max_reduce(x, axis=-1)))
+        # first attaining index per row
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="axis"):
+            T.op_sum(Tensor(data), axis=0)
 
     def test_cumsum_backward_is_reverse_cumsum(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -167,6 +200,18 @@ class TestConv1d:
         err = finite_diff_check(lambda k: T.op_sum(T.op_conv1d(x, k)),
                                 Tensor(rng.normal(size=(3, 2, 3))))
         assert err < 1e-5
+
+    def test_batch_rows_equal_single_inputs(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 2, 13))
+        kernels = Tensor(rng.normal(size=(3, 2, 5)))
+        bias = Tensor(rng.normal(size=3))
+        out = T.op_conv1d(Tensor(x), kernels, stride=2, bias=bias).data
+        assert out.shape == (4, 3, 7)
+        for i in range(4):
+            np.testing.assert_allclose(
+                out[i], T.op_conv1d(Tensor(x[i]), kernels, stride=2, bias=bias).data,
+                rtol=0, atol=1e-12)
 
     def test_gradient_with_stride_and_bias(self):
         rng = np.random.default_rng(2)

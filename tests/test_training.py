@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from warpada import adversarial, training
 from warpada.adversarial import AdvConfig
-from warpada.model import Classifier, forward
+from warpada.model import Classifier, forward, loss_ce
 from warpada.signal import TimeSeries
-from warpada.tensor import Tensor
+from warpada.tensor import Tape, Tensor
 from warpada.training import (
     Dataset,
     TrainReport,
@@ -85,6 +86,43 @@ class TestMinimize:
             np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
 
 
+class TestBatchedStep:
+    def test_gradient_equals_summed_per_sample_gradients(self):
+        ds = toy_dataset(n_per_class=8)
+        batch = ds.samples[3:13]
+        model = Classifier(1, 2, seed=4)
+        params = model.tensors(requires_grad=True)
+        with Tape() as tape:
+            total = None
+            for s in batch:
+                _, logits = forward(model, s, params)
+                ce = loss_ce(logits, s.label)
+                total = ce if total is None else total + ce
+            tape.backward(total * (1.0 / len(batch)))
+        lr = 0.05
+        stepped = model.frozen_copy()
+        training._sgd_step(stepped, batch, lr)
+        for name, p in params.items():
+            # the step is w - lr * grad; recover the batched gradient from it
+            batched = (model.weights[name] - stepped.weights[name]) / lr
+            np.testing.assert_allclose(batched, p.grad, rtol=0, atol=1e-12)
+
+    def test_node_count_independent_of_batch_size(self, monkeypatch):
+        counts = []
+
+        class CountingTape(Tape):
+            def backward(self, root):
+                counts.append(len(self.nodes))
+                return super().backward(root)
+
+        monkeypatch.setattr(training, "Tape", CountingTape)
+        ds = toy_dataset(n_per_class=16)
+        model = Classifier(1, 2, seed=0)
+        training._sgd_step(model, ds.samples[:1], 0.05)
+        training._sgd_step(model, ds.samples[:32], 0.05)
+        assert counts[0] == counts[1] > 0
+
+
 class TestMaximize:
     def test_tada_yields_one_sample_per_origin(self):
         ds = toy_dataset(n_per_class=3)
@@ -102,15 +140,25 @@ class TestMaximize:
         modes = {s.mode for s in out}
         assert modes == {"ada", "tada"}
 
-    def test_parallel_matches_sequential(self):
-        ds = toy_dataset(n_per_class=3)
+    def test_chunk_size_does_not_change_samples(self, monkeypatch):
+        default = adversarial.ASCENT_CHUNK
+        ds = toy_dataset(n_per_class=5)
+        assert default < len(ds) < 2 * default  # a full chunk and a partial one
         model = Classifier(1, 2, seed=0)
-        seq = maximize_phase(model, ds, small_cfg(mode="tada", jobs=1))
-        par = maximize_phase(model, ds, small_cfg(mode="tada", jobs=4))
-        assert len(seq) == len(par)
-        for a, b in zip(seq, par):
-            assert a.origin_id == b.origin_id
-            np.testing.assert_array_equal(a.series.values.data, b.series.values.data)
+        for mode, combine in (("tada", "union"), ("ada", "union"),
+                              ("tada_plus", "union"), ("tada_plus", "composed")):
+            cfg = small_cfg(mode=mode, combine=combine)
+            monkeypatch.setattr(adversarial, "ASCENT_CHUNK", default)
+            chunked = maximize_phase(model, ds, cfg)
+            monkeypatch.setattr(adversarial, "ASCENT_CHUNK", 1)
+            single = maximize_phase(model, ds, cfg)
+            per_origin = 2 if (mode, combine) == ("tada_plus", "union") else 1
+            assert len(chunked) == len(single) == per_origin * len(ds)
+            for a, b in zip(chunked, single):
+                assert (a.origin_id, a.mode) == (b.origin_id, b.mode)
+                np.testing.assert_allclose(a.series.values.data, b.series.values.data,
+                                           rtol=0, atol=1e-10)
+                assert a.objective == pytest.approx(b.objective, rel=0, abs=1e-10)
 
     def test_leaves_model_weights_untouched(self):
         ds = toy_dataset(n_per_class=2)

@@ -135,6 +135,28 @@ class TestMakePath:
         phi2[0] += 1e-5
         np.testing.assert_array_equal(make_path(Tensor(phi2), 4.0).displacements.data, base)
 
+    def test_batched_rows_equal_single_paths(self):
+        rng = np.random.default_rng(9)
+        phi = rng.normal(size=(5, 40))
+        phi[2] = 0.75  # a degenerate row among ordinary ones
+        rows = make_path(Tensor(phi), 5.0).displacements.data
+        assert rows.shape == (5, 40)
+        for i in range(5):
+            np.testing.assert_array_equal(rows[i],
+                                          make_path(Tensor(phi[i]), 5.0).displacements.data)
+        np.testing.assert_array_equal(rows[2], np.zeros(40))
+
+    def test_degenerate_row_takes_zero_gradient(self):
+        rng = np.random.default_rng(10)
+        phi_data = rng.normal(size=(3, 24))
+        phi_data[1] = -0.3
+        phi = Tensor(phi_data, requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 24)))
+        with Tape() as tape:
+            tape.backward(op_sum(make_path(phi, 4.0).displacements * w))
+        np.testing.assert_array_equal(phi.grad[1], np.zeros(24))
+        assert np.any(phi.grad[0] != 0.0) and np.any(phi.grad[2] != 0.0)
+
     def test_gradient_reaches_phi(self):
         rng = np.random.default_rng(6)
         phi = Tensor(rng.normal(size=24), requires_grad=True)
