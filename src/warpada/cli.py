@@ -28,33 +28,37 @@ class ConfigError(ValueError):
     """Bad config file, bad flag combination, or missing input path."""
 
 
+_ADV = AdvConfig()  # AdvConfig holds the one copy of each hyperparameter default
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one command invocation.
 
     Every field has a working default, so an empty config file is valid.
+    Each AdvConfig field is a key here, with AdvConfig's default.
     Seed precedence: --seed flag, then WARPADA_SEED, then the config file,
     then the default.
     """
 
-    seed: int = 0
+    seed: int = _ADV.seed
     out_dir: str = "runs/out"
     train_manifest: str = ""  # empty: train on the synthetic source domain
     eval_manifests: tuple[str, ...] = ()
-    mode: str = "tada"
-    combine: str = "union"
-    gamma: float = 0.1
-    eta: float = 1.0
-    eta_ada: float = 1.0
-    t_max: int = 10
-    t_min: int = 10
-    k_rounds: int = 2
-    t_final: int = 10
-    m_window: int = 10
-    phi_max: float = 8.0
-    me_beta: float = 0.0
-    lr: float = 0.05
-    batch: int = 32
+    mode: str = _ADV.mode
+    combine: str = _ADV.combine
+    gamma: float = _ADV.gamma
+    eta: float = _ADV.eta
+    eta_ada: float = _ADV.eta_ada
+    t_max: int = _ADV.t_max
+    t_min: int = _ADV.t_min
+    k_rounds: int = _ADV.k_rounds
+    t_final: int = _ADV.t_final
+    m_window: int = _ADV.m_window
+    phi_max: float = _ADV.phi_max
+    me_beta: float = _ADV.me_beta
+    lr: float = _ADV.lr
+    batch: int = _ADV.batch
     synth_length: int = 128
     synth_n_per_class: int = 200
     synth_noise_sigma: float = 0.3
@@ -63,13 +67,7 @@ class RunConfig:
     synth_warp_d: float = 8.0
 
     def adv_config(self) -> AdvConfig:
-        return AdvConfig(gamma=self.gamma, eta=self.eta, eta_ada=self.eta_ada,
-                         t_max=self.t_max, t_min=self.t_min,
-                         k_rounds=self.k_rounds, t_final=self.t_final,
-                         m_window=self.m_window, phi_max=self.phi_max,
-                         mode=self.mode, combine=self.combine,
-                         me_beta=self.me_beta, lr=self.lr, batch=self.batch,
-                         seed=self.seed)
+        return AdvConfig(**{f.name: getattr(self, f.name) for f in fields(AdvConfig)})
 
     def synth_spec(self):
         base = default_spec(seed=self.seed)
@@ -253,15 +251,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "f1.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
-    embeddings = os.path.join(cfg.out_dir, "embeddings.csv")
-    with open(embeddings, "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
         for i, domain in enumerate(domains):
-            part = os.path.join(cfg.out_dir, f".embeddings.{i}.tmp")
-            export_features(model, domain, part)
-            with open(part, "r", encoding="utf-8") as pf:
-                rows = pf.readlines()
-            os.remove(part)
-            fh.writelines(rows if i == 0 else rows[1:])
+            export_features(model, domain, fh, header=i == 0)
     _write_echo(cfg, cfg.out_dir)
     return 0
 

@@ -211,27 +211,37 @@ def _manifest_error(path: str, line_no: int, message: str) -> ValueError:
 
 
 def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                if line_no == 1:
-                    continue  # optional header
-                raise _manifest_error(path, line_no, f"non-numeric row: {line!r}") from None
-            if rows and len(row) != len(rows[0]):
-                raise _manifest_error(path, line_no,
-                                      f"ragged row: {len(row)} columns, "
-                                      f"expected {len(rows[0])}")
-            rows.append(row)
+    line_nos: list[int] = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            if line_no == 1:
+                continue  # optional header
+            raise _manifest_error(path, line_no, f"non-numeric row: {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise _manifest_error(path, line_no,
+                                  f"ragged row: {len(row)} columns, "
+                                  f"expected {len(rows[0])}")
+        rows.append(row)
+        line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64).T  # back to (channels, length)
+    arr = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise _manifest_error(path, line_nos[int(np.argmin(finite))], "non-finite value")
+    arr = arr.T  # back to (channels, length)
     if arr.shape != (channels, length):
         raise ValueError(f"{path}: series shape {arr.shape}, manifest says "
                          f"({channels},{length})")

@@ -35,7 +35,6 @@ from .tensor import (
 __all__ = [
     "Classifier",
     "forward",
-    "softmax",
     "loss_ce",
     "entropy",
     "semantic_distance",
@@ -139,14 +138,6 @@ def forward(model: Classifier, x, params: dict[str, Tensor] | None = None):
 def _per_row(value: Tensor, single: bool) -> Tensor:
     """(B, 1) per-row results, or a scalar for a batch of one sample."""
     return op_reshape(value, ()) if single else value
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Max-shifted softmax of a logit vector; stays finite for any logit
-    magnitude."""
-    shifted = op_sub(logits, op_max_reduce(logits))
-    e = op_exp(shifted)
-    return e / op_sum(e)
 
 
 def loss_ce(logits: Tensor, label) -> Tensor:

@@ -36,8 +36,7 @@ __all__ = [
     "op_transpose",
     "op_conv1d",
     "op_relu",
-    "op_cos",
-    "op_sin",
+    "op_dirichlet",
     "op_exp",
     "op_log",
     "op_abs",
@@ -424,21 +423,67 @@ def op_relu(x) -> Tensor:
     return _record(out, rules)
 
 
-def op_cos(x) -> Tensor:
-    x = _lift(x)
-    out = Tensor(np.cos(x.data), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, d=-np.sin(x.data): g * d))
-    return _record(out, rules)
+# Below this |t| the Dirichlet kernel is evaluated by its Taylor series: the
+# closed-form derivative cancels catastrophically near the removable
+# singularity at 0, while two series terms of it are exact to ~1e-12 here.
+DIRICHLET_SERIES_BELOW = 1e-4
 
 
-def op_sin(x) -> Tensor:
-    x = _lift(x)
-    out = Tensor(np.sin(x.data), requires_grad=x.requires_grad)
+def _dirichlet_series(length: int) -> tuple[float, float]:
+    """(a, b) with D(t) = 1 - a t^2 + b t^4 + O(t^6), the Taylor series of
+    the cosine sum D(t) = (1/L) sum_{k=-M..M} cos(2 pi k t / L)."""
+    sq = length * length
+    return (np.pi ** 2 * (sq - 1) / (6.0 * sq),
+            np.pi ** 4 * (sq - 1) * (3 * sq - 7) / (360.0 * sq * sq))
+
+
+def _dirichlet(t: np.ndarray, length: int):
+    """D(t) elementwise, and the pieces its derivative reuses: the mask of
+    series entries, t with those entries set to a safe 1 (keeping 0 / 0 out
+    of the closed form), and sin(pi t / L) at the safe t."""
+    small = np.abs(t) < DIRICHLET_SERIES_BELOW
+    safe = t.copy()
+    safe[small] = 1.0
+    s_half = np.sin(np.pi / length * safe)
+    value = np.divide(np.sin(np.pi * safe), length * s_half, out=np.empty_like(safe))
+    a, b = _dirichlet_series(length)
+    t2 = t[small] ** 2
+    value[small] = 1.0 - t2 * (a - b * t2)
+    return value, (small, safe, s_half)
+
+
+def _dirichlet_slope(t: np.ndarray, length: int, value: np.ndarray, small: np.ndarray,
+                     safe: np.ndarray, s_half: np.ndarray) -> np.ndarray:
+    """D'(t) = pi / (L sin(pi t / L)) * (cos(pi t) - D cos(pi t / L)), and
+    -2 a t + 4 b t^3 on the series entries."""
+    slope = np.multiply(np.pi / (length * s_half),
+                        np.cos(np.pi * safe) - value * np.cos(np.pi / length * safe),
+                        out=np.empty_like(safe))
+    a, b = _dirichlet_series(length)
+    ts = t[small]
+    slope[small] = ts * (4.0 * b * ts * ts - 2.0 * a)
+    return slope
+
+
+def op_dirichlet(t, length: int) -> Tensor:
+    """Periodic sinc D(t) = sin(pi t) / (L sin(pi t / L)) for odd L, the
+    centre tap of an L-point DFT phase shift by t; D(0) = 1.
+
+    Defined here for |t| < L, where 0 is its only (removable) singularity.
+    The forward pass evaluates D only; the derivative's cosines are
+    computed inside the backward rule.
+    """
+    t = _lift(t)
+    length = int(length)
+    if length < 1 or length % 2 == 0:
+        raise ValueError(f"dirichlet: length must be odd and positive, got {length}")
+    if _checked and t.data.size and np.max(np.abs(t.data)) >= length:
+        raise ValueError(f"dirichlet: |t| must stay below L = {length}")
+    value, parts = _dirichlet(t.data, length)
+    out = Tensor(value, requires_grad=t.requires_grad)
     rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, d=np.cos(x.data): g * d))
+    if t.requires_grad:
+        rules.append((t, lambda g, at=t.data: g * _dirichlet_slope(at, length, value, *parts)))
     return _record(out, rules)
 
 
@@ -601,9 +646,11 @@ def op_reshape(x, shape: tuple[int, ...] | list[int]) -> Tensor:
     return _record(out, rules)
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
+                      coords: Iterable[int] | None = None) -> float:
     """Max relative error between the tape gradient of ``f`` at ``x`` and a
-    central finite difference with step ``h``.
+    central finite difference with step ``h``, over the flat coordinates
+    ``coords`` (every coordinate when None).
 
     The relative error per coordinate is |analytic - numeric| divided by
     max(|analytic|, |numeric|, 1e-8).  ``f`` must map a tensor to a scalar
@@ -616,18 +663,15 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     analytic = grads.get(probe)
     if analytic is None:
         analytic = np.zeros_like(probe.data)
-    analytic = np.asarray(analytic, dtype=np.float64).reshape(probe.data.shape)
+    analytic = np.asarray(analytic, dtype=np.float64).reshape(-1)
 
-    numeric = np.zeros_like(probe.data)
-    flat_numeric = numeric.ravel()
-    for i in range(probe.data.size):
+    errors = []
+    for i in range(probe.data.size) if coords is None else coords:
         forward = probe.data.copy()
         forward.flat[i] += h
         backward = probe.data.copy()
         backward.flat[i] -= h
-        f_plus = float(f(Tensor(forward)).data)
-        f_minus = float(f(Tensor(backward)).data)
-        flat_numeric[i] = (f_plus - f_minus) / (2.0 * h)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+        numeric = (float(f(Tensor(forward)).data) - float(f(Tensor(backward)).data)) / (2.0 * h)
+        ana = float(analytic[i])
+        errors.append(abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8))
+    return float(np.max(errors))

@@ -9,6 +9,7 @@ dataset.  Evaluation reports macro-F1 per held-out domain.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -229,12 +230,20 @@ def evaluate(model: Classifier, domains: list[Dataset]) -> tuple[dict[str, float
     return per_domain, float(np.mean(list(per_domain.values())))
 
 
-def export_features(model: Classifier, dataset: Dataset, path) -> None:
-    """CSV of pooled features: origin_id, domain_tag, label, then 64 values."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("origin_id,domain_tag,label,"
-                 + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
-        z, _ = _inference(model, dataset.samples)
-        for i, sample in enumerate(dataset.samples):
-            feats = ",".join(f"{v:.12g}" for v in z[i])
-            fh.write(f"{i},{sample.domain_tag},{sample.label},{feats}\n")
+def export_features(model: Classifier, dataset: Dataset, out, header: bool = True) -> None:
+    """CSV of pooled features: origin_id, domain_tag, label, then 64 values.
+
+    ``out`` is a path to write, or an open text file to append the rows to
+    (with ``header`` False, after the first dataset of several).
+    """
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", encoding="utf-8") as fh:
+            export_features(model, dataset, fh, header)
+        return
+    if header:
+        out.write("origin_id,domain_tag,label,"
+                  + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
+    z, _ = _inference(model, dataset.samples)
+    for i, sample in enumerate(dataset.samples):
+        feats = ",".join(f"{v:.12g}" for v in z[i])
+        out.write(f"{i},{sample.domain_tag},{sample.label},{feats}\n")

@@ -25,7 +25,7 @@ from .tensor import (
     op_sub,
 )
 
-__all__ = ["WarpParams", "WarpPath", "h1_monotone", "h2_boundary", "h3_clip", "make_path"]
+__all__ = ["WarpParams", "WarpPath", "h3_clip", "make_path"]
 
 DEGENERATE_EPS = 1e-12
 
@@ -80,47 +80,6 @@ class WarpPath:
         return {"monotone": mono, "boundary": boundary, "bound": bound}
 
 
-def _as_phi(params) -> Tensor:
-    phi = getattr(params, "phi", params)
-    if not isinstance(phi, Tensor):
-        phi = Tensor(np.asarray(phi, dtype=np.float64))
-    if phi.data.ndim != 1:
-        raise ValueError(f"phi must be a vector, got shape {phi.data.shape}")
-    return phi
-
-
-def h1_monotone(phi: Tensor) -> Tensor:
-    """Nondecreasing cumulative path: out_t = sum_{i<=t} (phi_i - min(phi)).
-
-    Every increment is nonnegative after the min subtraction, so the output
-    is monotone for any input.
-    """
-    phi = _as_phi(phi)
-    if phi.data.shape[0] < 2:
-        raise ValueError(f"need at least 2 entries, got {phi.data.shape[0]}")
-    return op_cumsum(op_sub(phi, op_min_reduce(phi)))
-
-
-def h2_boundary(cum: Tensor) -> Tensor:
-    """Normalize a monotone cumulative path onto [0, N-1] and convert to
-    displacements: out_i = (cum_i - min) / (max - min) * (N-1) - i.
-
-    Both endpoints land exactly on 0 and N-1, so both boundary
-    displacements are zero.  A flat input (max - min below 1e-12) would
-    divide by zero; it maps to the identity path instead.
-    """
-    cum = _as_phi(cum)
-    n = cum.data.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 entries, got {n}")
-    lo = op_min_reduce(cum)
-    hi = op_max_reduce(cum)
-    if float(hi.data - lo.data) < DEGENERATE_EPS:
-        return Tensor(np.zeros(n))
-    warped = (cum - lo) * float(n - 1) / op_sub(hi, lo)
-    return warped - Tensor(np.arange(n, dtype=np.float64))
-
-
 def h3_clip(delta: Tensor, phi_max: float) -> WarpPath:
     """Globally rescale so the sup-norm is at most phi_max:
     out = delta * min(phi_max / max|delta|, 1), per row for (B, N) input.
@@ -147,14 +106,16 @@ def make_path(params, phi_max: float, half_width: int | None = None) -> WarpPath
     """Full chain phi -> monotone cumulative -> boundary-pinned -> bounded,
     for a phi vector or for each row of (B, N) phi.
 
-    Mathematically this is h3_clip(h2_boundary(h1_monotone(phi))), but the
-    normalization only ever uses cumulative DIFFERENCES, so the composition
-    here accumulates only the increments at indices 1..N-1 (column 0 is
-    zeroed before the cumsum, which therefore starts at an exact 0).  That
-    makes the cancellation of phi_0's uniform contribution exact in floating
-    point: when index 0 is not the argmin, the output is bitwise independent
-    of phi_0, matching the true zero derivative instead of leaving ~1e-16
-    residue that finite-difference checks amplify.
+    Mathematically it is h3_clip of the boundary-pinned path
+    (cum_i - min cum) / (max cum - min cum) * (N-1) - i, where
+    cum = cumsum(phi - min phi) is monotone.  The normalization only ever
+    uses cumulative DIFFERENCES, so the chain here accumulates only the
+    increments at indices 1..N-1 (column 0 is zeroed before the cumsum,
+    which therefore starts at an exact 0).  That makes the cancellation of
+    phi_0's uniform contribution exact in floating point: when index 0 is
+    not the argmin, the output is bitwise independent of phi_0, matching
+    the true zero derivative instead of leaving ~1e-16 residue that
+    finite-difference checks amplify.
 
     A row whose tail spread is below DEGENERATE_EPS (all-equal phi) would
     divide by ~0; it maps to the identity path, with zero gradient.

@@ -1,10 +1,13 @@
+import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 
 from warpada import tensor
+from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
 from warpada.model import load_checkpoint
 from warpada.tensor import Tensor
@@ -49,6 +52,13 @@ class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg == RunConfig()
+
+    def test_every_adv_field_is_a_key_with_its_default(self):
+        keys = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(AdvConfig):
+            assert f.name in keys
+            assert keys[f.name] == f.default and type(keys[f.name]) is type(f.default)
+        assert RunConfig().adv_config() == AdvConfig()
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -137,19 +147,17 @@ class TestGradcheckCommand:
         assert report.count("\n") >= 13  # at least 12 items plus header
 
     def test_sign_flipped_backward_exits_1(self, tmp_path, monkeypatch):
-        real_sin = tensor.op_sin
+        real_dirichlet = tensor.op_dirichlet
 
-        def flipped_sin(x):
-            x = tensor._lift(x)
-            out = Tensor(np.sin(x.data), requires_grad=x.requires_grad)
-            rules = []
-            if x.requires_grad:
-                rules.append((x, lambda g, d=np.cos(x.data): g * -d))
-            return tensor._record(out, rules)
+        def flipped_dirichlet(t, length):
+            d = real_dirichlet(t, length)
+            return tensor.op_sub(Tensor(2.0 * d.data), d)  # same values, -D'
 
-        monkeypatch.setattr(tensor, "op_sin", flipped_sin)
+        monkeypatch.setattr(tensor, "op_dirichlet", flipped_dirichlet)
         assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == 1
-        monkeypatch.setattr(tensor, "op_sin", real_sin)
+        report = (tmp_path / "gc" / "gradcheck_report.txt").read_text()
+        assert [line.split()[-1] for line in report.splitlines()
+                if line.startswith("dirichlet ")] == ["FAIL"]
 
 
 class TestAugmentCommand:
@@ -239,6 +247,31 @@ class TestEvalCommand:
         header = lines[0].split(",")
         assert len(header) == 3 + 64
         assert len(lines) == 1 + 18 + 18
+
+    def test_embeddings_are_the_domains_features_in_order(self, workspace, tmp_path):
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out", str(out),
+                     workspace["source"], workspace["amp"]]) == 0
+        parts = []
+        for name in ("source", "amp"):
+            assert main(["export-features", "--checkpoint", workspace["checkpoint"],
+                         "--manifest", workspace[name], "--out", str(tmp_path / name)]) == 0
+            lines = (tmp_path / name / "features.csv").read_text().splitlines(keepends=True)
+            parts.extend(lines if not parts else lines[1:])
+        assert (out / "embeddings.csv").read_text() == "".join(parts)
+        assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+    def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(workspace["amp"]), data)
+        series = data / "amp" / "00004.csv"
+        rows = series.read_text().splitlines()
+        rows[2] = "nan"
+        series.write_text("\n".join(rows) + "\n")
+        code = main(["eval", "--checkpoint", workspace["checkpoint"],
+                     "--out", str(tmp_path / "ev"), str(data / "amp.manifest")])
+        assert code == 2
+        assert f"{series}:3: non-finite value" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, workspace, tmp_path, capsys):
         code = main(["eval", "--checkpoint", "/nope/ck.bin",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpada.data import (
     Component,
     DomainShift,
+    _load_series_csv,
     SynthSpec,
     default_spec,
     load_manifest,
@@ -168,8 +171,45 @@ class TestRoundTrip:
         loaded = load_manifest(manifest)
         np.testing.assert_allclose(loaded.samples[0].values.data[0], np.arange(8.0))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, cell):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "nf")
+        series = tmp_path / "nf" / "00000.csv"
+        rows = series.read_text().splitlines()
+        rows[5] = cell
+        series.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"{series}:6: non-finite value"):
+            load_manifest(manifest)
+
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        series = tmp_path / "bad.csv"
+        series.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        with pytest.raises(ValueError, match=f"{series}: not valid UTF-8"):
+            _load_series_csv(str(series), 1, 2)
+
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "x.manifest"
         bad.write_text("NOT-A-MANIFEST\n")
         with pytest.raises(ValueError, match="header"):
             load_manifest(str(bad))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=200),
+                 st.lists(st.sampled_from(["1.5", "-2", "nan", "inf", "1e999", "x", "",
+                                           ",", " ", "\n", "\r", "\ufeff", "\x00", "\xff"]),
+                          max_size=30).map(lambda parts: "".join(parts).encode("utf-8"))))
+def test_fuzz_series_csv_is_valid_or_names_its_file(tmp_path, raw):
+    # arbitrary bytes give a finite (channels, length) array, or a
+    # ValueError that names the file; never another exception type
+    series = tmp_path / "fuzz.csv"
+    series.write_bytes(raw)
+    for channels, length in ((1, 1), (1, 2), (2, 1)):
+        try:
+            arr = _load_series_csv(str(series), channels, length)
+        except ValueError as exc:
+            assert str(series) in str(exc)
+        else:
+            assert arr.shape == (channels, length) and np.isfinite(arr).all()

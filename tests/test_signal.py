@@ -3,135 +3,157 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpada.signal import (
-    SpectrumFrame,
-    TimeSeries,
-    center_extract,
-    dft_forward,
-    integer_warp_oracle,
-    phase_shift,
-    segment,
-    warp_apply,
-)
+from warpada import tensor
+from warpada.model import Classifier, forward, loss_ce
+from warpada.signal import TimeSeries, integer_warp_oracle, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
+from warpada.warp import make_path
 
 
-def naive_inverse_dft(frame: SpectrumFrame) -> np.ndarray:
-    length = frame.length
-    coeff = frame.re.data + 1j * frame.im.data
-    n = np.arange(length)
-    k = np.arange(length)
-    basis = np.exp(2j * np.pi * np.outer(n, k) / length)
-    return (basis @ coeff).real / length
+def dft_warp_oracle(values, delta, half_width, derivative=False):
+    """The paper's construction in plain numpy, for (B, C, N) values and
+    (B, N) displacements: np.fft of the clamped length L = 2M+1 segment
+    around every index, a phase rotation by exp(+j 2 pi k~ delta / L) with
+    signed bins k~, and the inverse DFT evaluated at the centre sample only.
+
+    With ``derivative`` also returns d out / d delta, the same centre
+    sample of the rotated spectrum times j 2 pi k~ / L.
+    """
+    n = values.shape[-1]
+    length = 2 * half_width + 1
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-half_width, half_width + 1), 0, n - 1)
+    spectrum = np.fft.fft(values[:, :, idx], axis=-1)           # (B, C, N, L)
+    signed = np.fft.fftfreq(length, d=1.0 / length)              # 0..M, -M..-1
+    rotated = spectrum * np.exp(2j * np.pi * signed * delta[:, None, :, None] / length)
+    centre = np.exp(2j * np.pi * signed * half_width / length) / length
+    out = (rotated @ centre).real
+    if not derivative:
+        return out
+    return out, ((rotated * (2j * np.pi * signed / length)) @ centre).real
+
+
+def dft_warp_op(values: Tensor, delta: Tensor, half_width: int) -> Tensor:
+    """``dft_warp_oracle`` as a tape op.  The warp is linear in the values,
+    so their gradient goes through the oracle's Jacobian, built column by
+    column from unit impulses; the displacement gradient is the oracle's own
+    derivative."""
+    batch, _, n = values.data.shape
+    out, slope = dft_warp_oracle(values.data, delta.data, half_width, derivative=True)
+    # jac[b, i, j] = d out[b, c, i] / d values[b, c, j], the same for every channel
+    impulses = np.broadcast_to(np.eye(n)[None], (batch, n, n)).reshape(batch * n, 1, n)
+    jac = dft_warp_oracle(impulses, np.repeat(delta.data, n, axis=0), half_width)
+    jac = jac.reshape(batch, n, n).transpose(0, 2, 1)
+    rules = [(values, lambda g: np.einsum("bij,bci->bcj", jac, g)),
+             (delta, lambda g: (g * slope).sum(axis=1))]
+    return tensor._record(Tensor(out, requires_grad=True), rules)
 
 
 class TestSegment:
+    """Output index i reads only its clamped segment x[clamp(i-M .. i+M)],
+    checked through warp_apply."""
+
     def test_interior_slice(self):
         x = TimeSeries(Tensor([1.0, 2.0, 3.0, 4.0, 5.0]))
-        np.testing.assert_array_equal(segment(x, 1)[2].data, [2.0, 3.0, 4.0])
+        for d, want in ((-1.0, 2.0), (0.0, 3.0), (1.0, 4.0)):
+            path = np.zeros(5)
+            path[2] = d
+            assert warp_apply(x, path, 1).values.data[0, 2] == pytest.approx(want, abs=1e-12)
 
     def test_edge_replication(self):
         x = TimeSeries(Tensor([1.0, 2.0, 3.0, 4.0, 5.0]))
-        np.testing.assert_array_equal(segment(x, 1)[0].data, [1.0, 1.0, 2.0])
-        np.testing.assert_array_equal(segment(x, 1)[4].data, [4.0, 5.0, 5.0])
+        out = warp_apply(x, np.array([-1.0, 0.0, 0.0, 0.0, 1.0]), 1).values.data[0]
+        np.testing.assert_allclose(out, [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
 
     def test_count_and_length(self):
+        # an interior output depends on exactly the L = 21 samples around it
         rng = np.random.default_rng(0)
-        x = TimeSeries(Tensor(rng.normal(size=256)))
-        segs = segment(x, 10)
-        assert len(segs) == 256
-        assert all(s.data.shape == (21,) for s in segs)
+        x = Tensor(rng.normal(size=(1, 256)), requires_grad=True)
+        with Tape() as tape:
+            out = warp_apply(TimeSeries(x), rng.uniform(-9.0, 9.0, size=256), 10)
+            assert out.values.data.shape == (1, 256)
+            tape.backward(op_sum(out.values * Tensor(np.eye(256)[100].reshape(1, 256))))
+        np.testing.assert_array_equal(np.flatnonzero(x.grad[0]), np.arange(90, 111))
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="shorter"):
-            segment(TimeSeries(Tensor([1.0, 2.0])), 1)
+            warp_apply(TimeSeries(Tensor([1.0, 2.0])), np.zeros(2), 1)
 
     def test_second_channel(self):
         x = TimeSeries(Tensor([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
-        np.testing.assert_array_equal(segment(x, 1, channel=1)[1].data, [10.0, 20.0, 30.0])
-
-
-class TestDft:
-    def test_dc_signal(self):
-        frame = dft_forward(Tensor(np.full(7, 3.0)))
-        assert frame.re.data[0] == pytest.approx(21.0, abs=1e-10)
-        np.testing.assert_allclose(frame.re.data[1:], 0.0, atol=1e-10)
-        np.testing.assert_allclose(frame.im.data, 0.0, atol=1e-10)
-
-    def test_unit_impulse(self):
-        frame = dft_forward(Tensor([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(frame.re.data, 1.0, atol=1e-12)
-        np.testing.assert_allclose(frame.im.data, 0.0, atol=1e-12)
-
-    def test_round_trip_against_naive_inverse(self):
-        rng = np.random.default_rng(1)
-        s = rng.normal(size=21)
-        np.testing.assert_allclose(naive_inverse_dft(dft_forward(Tensor(s))), s, atol=1e-10)
-
-    def test_matches_numpy_fft(self):
-        rng = np.random.default_rng(2)
-        s = rng.normal(size=21)
-        frame = dft_forward(Tensor(s))
-        ref = np.fft.fft(s)
-        np.testing.assert_allclose(frame.re.data, ref.real, atol=1e-10)
-        np.testing.assert_allclose(frame.im.data, ref.imag, atol=1e-10)
-
-    def test_conjugate_symmetry_for_real_input(self):
-        rng = np.random.default_rng(3)
-        frame = dft_forward(Tensor(rng.normal(size=9)))
-        coeff = frame.re.data + 1j * frame.im.data
-        for k in range(1, 9):
-            assert abs(coeff[k] - np.conj(coeff[(9 - k) % 9])) < 1e-10
+        out = warp_apply(x, np.array([0.0, 1.0, 0.0]), 1).values.data
+        np.testing.assert_allclose(out[:, 1], [3.0, 30.0], atol=1e-12)
 
 
 class TestPhaseShiftAndCenter:
+    """The numpy DFT construction is the reference the closed-form warp is
+    held to; these pin the oracle itself."""
+
     def test_zero_delta_is_identity(self):
         rng = np.random.default_rng(4)
-        frame = dft_forward(Tensor(rng.normal(size=11)))
-        shifted = phase_shift(frame, Tensor(0.0))
-        np.testing.assert_allclose(shifted.re.data, frame.re.data, atol=1e-12)
-        np.testing.assert_allclose(shifted.im.data, frame.im.data, atol=1e-12)
+        x = rng.normal(size=(2, 2, 33))
+        np.testing.assert_allclose(dft_warp_oracle(x, np.zeros((2, 33)), 5), x, atol=1e-12)
 
     def test_integer_shift_moves_center(self):
-        seg = np.array([11.0, 5.0, -3.0, 7.0, 2.0])  # L=5, center index 2
-        frame = dft_forward(Tensor(seg))
-        out = center_extract(phase_shift(frame, Tensor(2.0)))
-        # positive delta advances: center reads index 2+2 (circularly)
-        assert out.item() == pytest.approx(seg[4], abs=1e-10)
-        out = center_extract(phase_shift(frame, Tensor(-1.0)))
-        assert out.item() == pytest.approx(seg[1], abs=1e-10)
-
-    def test_center_round_trip(self):
-        rng = np.random.default_rng(5)
-        s = rng.normal(size=21)
-        got = center_extract(dft_forward(Tensor(s)))
-        assert got.item() == pytest.approx(s[10], abs=1e-10)
-
-    def test_zero_frame_extracts_zero(self):
-        frame = SpectrumFrame(Tensor(np.zeros(5)), Tensor(np.zeros(5)))
-        assert center_extract(frame).item() == 0.0
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 1, 40))
+        paths = rng.integers(-4, 5, size=(2, 40)).astype(float)
+        out = dft_warp_oracle(x, paths, 4)
+        for b in range(2):
+            want = integer_warp_oracle(TimeSeries(Tensor(x[b])), paths[b]).values.data
+            np.testing.assert_allclose(out[b], want, atol=1e-12)
 
     def test_center_matches_naive_inverse(self):
+        # the centre sample of the full inverse DFT of the rotated spectrum
         rng = np.random.default_rng(6)
-        frame = dft_forward(Tensor(rng.normal(size=21)))
-        shifted = phase_shift(frame, Tensor(0.37))
-        assert center_extract(shifted).item() == pytest.approx(
-            naive_inverse_dft(shifted)[10], abs=1e-10)
+        seg = rng.normal(size=21)
+        x = np.concatenate([seg, rng.normal(size=11)])[None, None]  # index 10 reads seg
+        delta = np.zeros((1, 32))
+        delta[0, 10] = 0.37
+        k = np.arange(21)
+        signed = np.where(k <= 10, k, k - 21)
+        rotated = np.fft.fft(seg) * np.exp(2j * np.pi * signed * 0.37 / 21)
+        naive = (np.exp(2j * np.pi * np.outer(k, k) / 21) @ rotated).real / 21
+        assert dft_warp_oracle(x, delta, 10)[0, 0, 10] == pytest.approx(naive[10], abs=1e-12)
 
     def test_gradient_wrt_delta(self):
-        rng = np.random.default_rng(7)
-        seg = rng.normal(size=21)
-        def center_at(delta):
-            return center_extract(phase_shift(dft_forward(Tensor(seg)), delta))
-        assert finite_diff_check(center_at, Tensor(0.0)) < 1e-5
-        assert finite_diff_check(center_at, Tensor(1.3)) < 1e-5
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(1, 2, 30))
+        paths = rng.uniform(-3.0, 3.0, size=(1, 30))
+        _, slope = dft_warp_oracle(x, paths, 4, derivative=True)
+        h = 1e-6
+        numeric = (dft_warp_oracle(x, paths + h, 4) - dft_warp_oracle(x, paths - h, 4)) / (2 * h)
+        np.testing.assert_allclose(slope, numeric, atol=1e-7)
 
-    def test_length_mismatch_raises(self):
-        frame = dft_forward(Tensor(np.zeros(5) + 1.0))
-        with pytest.raises(ValueError, match="length"):
-            phase_shift(frame, Tensor(1.0), length=7)
-        with pytest.raises(ValueError, match="length"):
-            center_extract(frame, length=9)
+
+class TestClosedFormAgainstDft:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_values_match_dft_oracle(self, channels):
+        rng = np.random.default_rng(20 + channels)
+        x = rng.normal(size=(8, channels, 128))
+        paths = make_path(Tensor(rng.normal(size=(8, 128))), 8.0, 10).displacements.data
+        got = warp_apply(Tensor(x), paths, 10).data
+        assert np.max(np.abs(got - dft_warp_oracle(x, paths, 10))) < 1e-12
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_classifier_gradients_match_dft_oracle(self, channels):
+        rng = np.random.default_rng(30 + channels)
+        x = rng.normal(size=(8, channels, 128))
+        phi = rng.normal(size=(8, 128))
+        labels = rng.integers(0, 3, size=8)
+        clf = Classifier(channels, 3, seed=channels)
+
+        def grads(warp):
+            xt, pt = Tensor(x, requires_grad=True), Tensor(phi, requires_grad=True)
+            with Tape() as tape:
+                path = make_path(pt, 8.0, 10).displacements
+                _, logits = forward(clf, warp(xt, path, 10))
+                tape.backward(op_sum(loss_ce(logits, labels)))
+            return xt.grad, pt.grad
+
+        gx, gphi = grads(warp_apply)
+        gx_dft, gphi_dft = grads(dft_warp_op)
+        assert np.max(np.abs(gx - gx_dft)) < 1e-10
+        assert np.max(np.abs(gphi - gphi_dft)) < 1e-10
 
 
 class TestWarpApply:
