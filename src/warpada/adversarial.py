@@ -182,7 +182,7 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
     return [AdvSample(series=TimeSeries(Tensor(x_t.data[i].copy()), label=x.label,
                                         domain_tag=x.domain_tag),
                       origin_id=o, mode=family, objective=float(j.data[i, 0]),
-                      path=None if path is None else path.displacements.data[i].copy())
+                      path=None if path is None else path.data[i].copy())
             for i, (x, o) in enumerate(zip(xs, origin_ids))]
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import yaml
 
 from .adversarial import AdvConfig
-from .data import DomainShift, default_spec, load_manifest, save_dataset, synth_generate
+from .data import default_spec, load_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import load_checkpoint, save_checkpoint
 from .training import Dataset, evaluate, export_features, maximize_phase, run
@@ -29,6 +29,8 @@ class ConfigError(ValueError):
 
 
 _ADV = AdvConfig()  # AdvConfig holds the one copy of each hyperparameter default
+_SYNTH = default_spec()  # and default_spec the one copy of each benchmark default
+_SHIFT = {t.kind: t for t in _SYNTH.targets}
 
 
 @dataclass(frozen=True)
@@ -59,37 +61,34 @@ class RunConfig:
     me_beta: float = _ADV.me_beta
     lr: float = _ADV.lr
     batch: int = _ADV.batch
-    synth_length: int = 128
-    synth_n_per_class: int = 200
-    synth_noise_sigma: float = 0.3
-    synth_amp_scale: float = 1.5
-    synth_amp_offset: float = 0.6
-    synth_warp_d: float = 8.0
+    synth_length: int = _SYNTH.length
+    synth_n_per_class: int = _SYNTH.n_per_class
+    synth_noise_sigma: float = _SYNTH.noise_sigma
+    synth_amp_scale: float = _SHIFT["amplitude"].scale
+    synth_amp_offset: float = _SHIFT["amplitude"].offset
+    synth_warp_d: float = _SHIFT["warp"].warp_d
 
     def adv_config(self) -> AdvConfig:
         return AdvConfig(**{f.name: getattr(self, f.name) for f in fields(AdvConfig)})
 
     def synth_spec(self):
+        """default_spec with the synth_* keys applied to it and its targets."""
+        def retarget(shift):
+            changes = {}
+            if shift.kind in ("amplitude", "both"):
+                changes.update(scale=self.synth_amp_scale, offset=self.synth_amp_offset)
+            if shift.kind in ("warp", "both"):
+                changes.update(warp_d=self.synth_warp_d)
+            return replace(shift, **changes)
+
         base = default_spec(seed=self.seed)
-        targets = (
-            DomainShift(kind="amplitude", tag="amp",
-                        scale=self.synth_amp_scale, offset=self.synth_amp_offset),
-            DomainShift(kind="warp", tag="warp", warp_d=self.synth_warp_d),
-            DomainShift(kind="both", tag="both",
-                        scale=self.synth_amp_scale, offset=self.synth_amp_offset,
-                        warp_d=self.synth_warp_d),
-        )
         return replace(base, length=self.synth_length,
                        n_per_class=self.synth_n_per_class,
                        noise_sigma=self.synth_noise_sigma,
-                       targets=targets, seed=self.seed)
+                       targets=tuple(retarget(t) for t in base.targets))
 
 
 def _coerce(name: str, value, default):
-    if isinstance(default, bool):  # no bool fields today; guard anyway
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {name!r} must be a boolean, got {value!r}")
-        return value
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
@@ -97,6 +96,8 @@ def _coerce(name: str, value, default):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond float range
+            raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -122,7 +123,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 loaded = yaml.safe_load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except yaml.YAMLError as exc:
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int too long to parse
             raise ConfigError(f"{path}: not valid YAML ({exc})")
         if loaded is None:
             loaded = {}

@@ -136,7 +136,7 @@ def _smooth_integer_path(n: int, max_d: float, rng: np.random.Generator) -> np.n
     preserves monotonicity, boundary zeros, and the bound)."""
     if max_d < 0.5:
         return np.zeros(n)
-    path = make_path(Tensor(rng.normal(size=n)), float(max_d)).displacements.data
+    path = make_path(Tensor(rng.normal(size=n)), float(max_d)).data
     return np.round(path)
 
 
@@ -210,12 +210,16 @@ def _manifest_error(path: str, line_no: int, message: str) -> ValueError:
     return ValueError(f"{path}:{line_no}: {message}")
 
 
-def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
+    lines = _read_text(path).split("\n")
     rows: list[list[float]] = []
     line_nos: list[int] = []
     for line_no, line in enumerate(lines, start=1):
@@ -249,12 +253,12 @@ def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
 
 
 def load_manifest(path: str) -> Dataset:
-    """Read a manifest plus every series it references."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a manifest plus every series it references.  A malformed file
+    raises ValueError naming it, and its line where there is one."""
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise ValueError(f"{path}:1: expected header {MANIFEST_HEADER!r}")
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[int, str]] = {}
     entries: list[tuple[int, str]] = []
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -262,14 +266,24 @@ def load_manifest(path: str) -> Dataset:
             continue
         if ":" in line and "," not in line:
             key, _, value = line.partition(":")
-            meta[key.strip()] = value.strip()
+            meta[key.strip()] = (line_no, value.strip())
         else:
             entries.append((line_no, line))
     for key in ("channels", "length", "classes"):
         if key not in meta:
             raise ValueError(f"{path}: manifest is missing the {key!r} field")
-    channels, length = int(meta["channels"]), int(meta["length"])
-    class_names = meta["classes"].split()
+
+    def positive_int(key: str) -> int:
+        line_no, value = meta[key]
+        try:
+            if int(value) >= 1:
+                return int(value)
+        except ValueError:
+            pass
+        raise _manifest_error(path, line_no, f"{key} must be a positive integer, got {value!r}")
+
+    channels, length = positive_int("channels"), positive_int("length")
+    class_names = meta["classes"][1].split()
     label_of = {name: i for i, name in enumerate(class_names)}
     if not entries:
         raise ValueError(f"{path}: manifest lists no series")
@@ -287,7 +301,7 @@ def load_manifest(path: str) -> Dataset:
                                   f"unknown label {label_name!r}; "
                                   f"declared classes: {class_names}")
         series_path = os.path.join(base, rel)
-        if not os.path.exists(series_path):
+        if not os.path.isfile(series_path):
             raise _manifest_error(path, line_no, f"series file not found: {series_path}")
         values = _load_series_csv(series_path, channels, length)
         samples.append(TimeSeries(Tensor(values), label=label_of[label_name],

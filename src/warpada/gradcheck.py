@@ -140,11 +140,9 @@ def _items(rng: np.random.Generator):
 
     w32 = Tensor(rng.uniform(-1, 1, 32))
 
-    def f_path_chain(x):
-        path = _warp.make_path(x, 5.0)
-        return _tensor.op_sum(_tensor.op_mul(path.displacements, w32))
-
-    add("warp_path_chain", f_path_chain, rng.uniform(-1, 1, 32))
+    add("warp_path_chain",
+        lambda x: _tensor.op_sum(_tensor.op_mul(_warp.make_path(x, 5.0), w32)),
+        rng.uniform(-1, 1, 32))
 
     clf = Classifier(1, 3, seed=7)
     base = (np.sin(2 * np.pi * 3 * np.arange(64) / 64)

@@ -52,6 +52,22 @@ _KERNEL_WIDTH = 5
 _STRIDE = 2
 
 
+def _layer_shapes(in_channels: int, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight array, in checkpoint order."""
+    if in_channels < 1 or n_classes < 2:
+        raise ValueError(f"need in_channels >= 1 and n_classes >= 2, "
+                         f"got {in_channels}, {n_classes}")
+    shapes: dict[str, tuple[int, ...]] = {}
+    prev = in_channels
+    for idx, ch in enumerate(_CONV_CHANNELS, start=1):
+        shapes[f"conv{idx}.k"] = (ch, prev, _KERNEL_WIDTH)
+        shapes[f"conv{idx}.b"] = (ch,)
+        prev = ch
+    shapes["head.w"] = (n_classes, FEATURE_DIM)
+    shapes["head.b"] = (n_classes,)
+    return shapes
+
+
 class Classifier:
     """conv(C->16)-relu-conv(16->32)-relu-conv(32->64)-relu-GAP-affine.
 
@@ -60,32 +76,18 @@ class Classifier:
     """
 
     def __init__(self, in_channels: int, n_classes: int, seed: int = 0):
-        if in_channels < 1 or n_classes < 2:
-            raise ValueError(f"need in_channels >= 1 and n_classes >= 2, "
-                             f"got {in_channels}, {n_classes}")
         self.in_channels = int(in_channels)
         self.n_classes = int(n_classes)
         self.seed = int(seed)
+        shapes = _layer_shapes(self.in_channels, self.n_classes)
         rng = np.random.default_rng(self.seed)
         self.weights: dict[str, np.ndarray] = {}
-        prev = self.in_channels
-        for idx, ch in enumerate(_CONV_CHANNELS, start=1):
-            fan_in = prev * _KERNEL_WIDTH
-            bound = np.sqrt(6.0 / fan_in)
-            self.weights[f"conv{idx}.k"] = rng.uniform(-bound, bound, size=(ch, prev, _KERNEL_WIDTH))
-            self.weights[f"conv{idx}.b"] = np.zeros(ch)
-            prev = ch
-        head_bound = np.sqrt(6.0 / FEATURE_DIM)
-        self.weights["head.w"] = rng.uniform(-head_bound, head_bound,
-                                             size=(self.n_classes, FEATURE_DIM))
-        self.weights["head.b"] = np.zeros(self.n_classes)
-
-    @property
-    def param_names(self) -> list[str]:
-        return list(self.weights.keys())
-
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights.values())
+        for name, shape in shapes.items():
+            if name.endswith(".b"):
+                self.weights[name] = np.zeros(shape)
+            else:  # uniform in +-sqrt(6 / fan_in)
+                bound = np.sqrt(6.0 / math.prod(shape[1:]))
+                self.weights[name] = rng.uniform(-bound, bound, size=shape)
 
     def tensors(self, requires_grad: bool = False) -> dict[str, Tensor]:
         """Lift current weights to tensors (one fresh Tensor per array)."""
@@ -186,7 +188,11 @@ def semantic_distance(z_a: Tensor, z_b: Tensor) -> Tensor:
 
 def save_checkpoint(model: Classifier, path) -> None:
     """Write magic, version, architecture ints, then every weight array as
-    (name, shape, little-endian float64 payload) in a fixed order."""
+    (name, shape, little-endian float64 payload) in a fixed order.  A layer
+    holding nan or inf raises ValueError naming it, and nothing is written."""
+    for name, arr in model.weights.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: not written, layer {name} holds non-finite values")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIIq", CHECKPOINT_VERSION, model.in_channels,
@@ -206,7 +212,9 @@ def load_checkpoint(path) -> Classifier:
 
     Any malformed file (bad magic or version, cut short in the header or a
     payload, undecodable layer name, bytes past the last layer, layers that
-    do not fit the architecture) raises ValueError naming ``path``.
+    do not fit the architecture, non-finite weights) raises ValueError
+    naming ``path``.  Layer shapes are compared with the header before
+    anything is allocated for them.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -230,7 +238,7 @@ def load_checkpoint(path) -> Classifier:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (count,) = unpack("<I")
     try:
-        model = Classifier(in_channels, n_classes, seed)
+        expected = _layer_shapes(in_channels, n_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     loaded: dict[str, np.ndarray] = {}
@@ -242,17 +250,22 @@ def load_checkpoint(path) -> Classifier:
             raise ValueError(f"{path}: layer name is not UTF-8") from None
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
+        if name in expected and shape != expected[name]:
+            raise ValueError(f"{path}: layer {name} has shape {shape}, "
+                             f"expected {expected[name]}")
         payload = take(8 * math.prod(shape))
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: layer {name} holds non-finite values")
         loaded[name] = np.ascontiguousarray(arr, dtype=np.float64)
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last layer")
-    if set(loaded) != set(model.weights):
+    if set(loaded) != set(expected):
         raise ValueError(f"{path}: checkpoint layers {sorted(loaded)} do not match "
-                         f"architecture layers {sorted(model.weights)}")
-    for name, arr in loaded.items():
-        if arr.shape != model.weights[name].shape:
-            raise ValueError(f"{path}: layer {name} has shape {arr.shape}, "
-                             f"expected {model.weights[name].shape}")
+                         f"architecture layers {sorted(expected)}")
+    try:
+        model = Classifier(in_channels, n_classes, seed)
+    except ValueError as exc:  # a seed numpy rejects
+        raise ValueError(f"{path}: {exc}") from None
     model.weights = loaded
     return model

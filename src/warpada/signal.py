@@ -76,7 +76,7 @@ def warp_apply(x, path, half_width: int):
         values = op_reshape(values, (1,) + values.data.shape)
     if values.data.ndim != 3:
         raise ValueError(f"expected a series or a (B, C, N) tensor, got shape {values.data.shape}")
-    delta, _ = as_batch(getattr(path, "displacements", path), 1)
+    delta, _ = as_batch(path, 1)
     batch, channels, n = values.data.shape
     length = 2 * half_width + 1
     if n < length:
@@ -114,10 +114,8 @@ def integer_warp_oracle(x: TimeSeries, path) -> TimeSeries:
 
     Reference implementation for integer paths; not differentiable.
     """
-    displacements = getattr(path, "displacements", path)
-    if isinstance(displacements, Tensor):
-        displacements = displacements.data
-    displacements = np.asarray(displacements, dtype=np.float64)
+    displacements = np.asarray(path.data if isinstance(path, Tensor) else path,
+                               dtype=np.float64)
     if displacements.ndim != 1 or displacements.shape[0] != x.length:
         raise ValueError(f"path shape {displacements.shape} does not match series length {x.length}")
     if not np.all(displacements == np.round(displacements)):

@@ -11,6 +11,10 @@ Elementwise binary ops require equal shapes, a rank-0 operand, or one
 its row.  There is no other broadcasting.  A leading batch axis runs
 through conv1d, the last-axis reductions and cumsum, so a whole minibatch
 is one node per op.  All data is float64.
+
+Ops never scan values for finiteness; values are validated where they enter
+the program and where a step yields a loss or an objective.  Ops raise only
+on a zero divisor, a nonpositive log argument, or a Dirichlet |t| >= L.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ __all__ = [
     "TapeNode",
     "active_tape",
     "as_batch",
-    "set_checked",
-    "checked",
     "op_add",
     "op_sub",
     "op_mul",
@@ -52,24 +54,6 @@ __all__ = [
 ]
 
 _tls = threading.local()
-
-# Checked mode validates tensor contents (finiteness, div-by-zero, log domain)
-# at construction / op time.  Global, not per-tape; toggling it mid-run from
-# another thread is not supported.
-_checked = True
-
-
-def set_checked(flag: bool) -> bool:
-    """Enable or disable checked mode; returns the previous setting."""
-    global _checked
-    previous = _checked
-    _checked = bool(flag)
-    return previous
-
-
-def checked() -> bool:
-    return _checked
-
 
 def _tape_stack() -> list["Tape"]:
     stack = getattr(_tls, "stack", None)
@@ -98,8 +82,6 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if _checked and arr.size and not np.isfinite(arr).all():
-            raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -114,10 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detached(self) -> "Tensor":
-        """A copy that shares no history and takes no gradients."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -310,7 +288,7 @@ def op_mul(a, b) -> Tensor:
 def op_div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes("div", a, b)
-    if _checked and np.any(b.data == 0.0):
+    if np.any(b.data == 0.0):
         raise ValueError("div: divisor contains zero")
     out = Tensor(a.data / b.data, requires_grad=a.requires_grad or b.requires_grad)
     rules = []
@@ -477,7 +455,7 @@ def op_dirichlet(t, length: int) -> Tensor:
     length = int(length)
     if length < 1 or length % 2 == 0:
         raise ValueError(f"dirichlet: length must be odd and positive, got {length}")
-    if _checked and t.data.size and np.max(np.abs(t.data)) >= length:
+    if t.data.size and np.max(np.abs(t.data)) >= length:
         raise ValueError(f"dirichlet: |t| must stay below L = {length}")
     value, parts = _dirichlet(t.data, length)
     out = Tensor(value, requires_grad=t.requires_grad)
@@ -498,7 +476,7 @@ def op_exp(x) -> Tensor:
 
 def op_log(x) -> Tensor:
     x = _lift(x)
-    if _checked and np.any(x.data <= 0.0):
+    if np.any(x.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
     out = Tensor(np.log(x.data), requires_grad=x.requires_grad)
     rules = []

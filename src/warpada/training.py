@@ -126,13 +126,16 @@ def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float) -> float:
 def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
                    batch: int, rng: np.random.Generator) -> tuple[Classifier, list[float]]:
     """t_min SGD steps on uniformly drawn minibatches; mutates the model
-    in place and returns it with the per-step mean losses."""
+    in place and returns it with the per-step mean losses.  A non-finite
+    minibatch loss raises ValueError naming its step."""
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")
     losses = []
-    for _ in range(t_min):
+    for step in range(t_min):
         idx = rng.integers(0, len(dataset), size=min(batch, len(dataset)))
         losses.append(_sgd_step(model, [dataset.samples[i] for i in idx], lr))
+        if not np.isfinite(losses[-1]):
+            raise ValueError(f"minibatch loss became non-finite at SGD step {step}")
     return model, losses
 
 

@@ -9,8 +9,6 @@ gradient-ascent trajectory over phi can leave the admissible set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
@@ -25,62 +23,12 @@ from .tensor import (
     op_sub,
 )
 
-__all__ = ["WarpParams", "WarpPath", "h3_clip", "make_path"]
+__all__ = ["h3_clip", "make_path"]
 
 DEGENERATE_EPS = 1e-12
 
 
-@dataclass
-class WarpParams:
-    """Unconstrained per-index parameters the ascent optimizes."""
-
-    phi: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.phi, Tensor):
-            self.phi = Tensor(np.asarray(self.phi, dtype=np.float64), requires_grad=True)
-        if self.phi.data.ndim != 1:
-            raise ValueError(f"phi must be a vector, got shape {self.phi.data.shape}")
-
-
-@dataclass
-class WarpPath:
-    """Per-index displacements: entry i moves index i to i + displacements_i.
-
-    A (B, N) array holds one path per row.
-    """
-
-    displacements: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.displacements, Tensor):
-            self.displacements = Tensor(np.asarray(self.displacements, dtype=np.float64))
-        if self.displacements.data.ndim not in (1, 2):
-            raise ValueError(f"displacements must be a vector or (B, N) rows, "
-                             f"got shape {self.displacements.data.shape}")
-
-    def __len__(self) -> int:
-        return self.displacements.data.shape[-1]
-
-    def violations(self, phi_max: float) -> dict[str, float]:
-        """Worst-case breach of each path condition (all ~0 for valid paths),
-        over every row.
-
-        Keys: 'monotone' (largest decrease of i + d_i), 'boundary' (larger
-        endpoint magnitude), 'bound' (sup-norm excess over phi_max).
-        """
-        d = self.displacements.data
-        n = d.shape[-1]
-        if n == 0:
-            return {"monotone": 0.0, "boundary": 0.0, "bound": 0.0}
-        warped = np.arange(n) + d
-        mono = float(max(0.0, np.max(-np.diff(warped, axis=-1)))) if n > 1 else 0.0
-        boundary = float(max(np.max(np.abs(d[..., 0])), np.max(np.abs(d[..., -1]))))
-        bound = float(max(0.0, np.max(np.abs(d)) - phi_max))
-        return {"monotone": mono, "boundary": boundary, "bound": bound}
-
-
-def h3_clip(delta: Tensor, phi_max: float) -> WarpPath:
+def h3_clip(delta: Tensor, phi_max: float) -> Tensor:
     """Globally rescale so the sup-norm is at most phi_max:
     out = delta * min(phi_max / max|delta|, 1), per row for (B, N) input.
 
@@ -99,12 +47,13 @@ def h3_clip(delta: Tensor, phi_max: float) -> WarpPath:
     binds = (peak.data >= phi_max).astype(np.float64)
     cap = peak * Tensor(binds) + Tensor(phi_max * (1.0 - binds))
     out = rows * (Tensor(phi_max) / cap)
-    return WarpPath(op_reshape(out, (out.data.shape[1],)) if single else out)
+    return op_reshape(out, (out.data.shape[1],)) if single else out
 
 
-def make_path(params, phi_max: float, half_width: int | None = None) -> WarpPath:
+def make_path(phi, phi_max: float, half_width: int | None = None) -> Tensor:
     """Full chain phi -> monotone cumulative -> boundary-pinned -> bounded,
-    for a phi vector or for each row of (B, N) phi.
+    for a phi vector or for each row of (B, N) phi.  Returns the path as
+    displacements of the same shape: entry i moves index i to i + d_i.
 
     Mathematically it is h3_clip of the boundary-pinned path
     (cum_i - min cum) / (max cum - min cum) * (N-1) - i, where
@@ -124,7 +73,7 @@ def make_path(params, phi_max: float, half_width: int | None = None) -> WarpPath
     headroom inside the analysis window, so fractional displacements stay
     on segment support.
     """
-    phi, single = as_batch(getattr(params, "phi", params), 1)
+    phi, single = as_batch(phi, 1)
     batch, n = phi.data.shape
     if n < 2:
         raise ValueError(f"need at least 2 entries, got {n}")
@@ -145,4 +94,4 @@ def make_path(params, phi_max: float, half_width: int | None = None) -> WarpPath
     warped = tail * Tensor(float(n - 1) * keep) / (spread + Tensor(1.0 - keep))
     delta = warped - Tensor(np.arange(n, dtype=np.float64) * keep)
     path = h3_clip(delta, phi_max)
-    return WarpPath(op_reshape(path.displacements, (n,))) if single else path
+    return op_reshape(path, (n,)) if single else path

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from warpada import tensor
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
@@ -14,7 +13,9 @@ from warpada.adversarial import (
 from warpada.model import Classifier, forward, loss_ce, semantic_distance
 from warpada.signal import TimeSeries, warp_apply
 from warpada.tensor import Tape, Tensor
-from warpada.warp import WarpPath, make_path
+from warpada.warp import make_path
+
+from test_warp import path_violations
 
 
 def toy_sample(seed=0, n=64, label=1):
@@ -76,7 +77,7 @@ class TestTadaMaximize:
         for origin in range(200):
             x = toy_sample(origin + 100, n=32)
             out = tada_maximize(model, x, cfg, origin_id=origin)
-            v = WarpPath(Tensor(out.path)).violations(cfg.phi_max)
+            v = path_violations(out.path, cfg.phi_max)
             assert v["monotone"] < 1e-9
             assert v["boundary"] < 1e-9
             assert v["bound"] < 1e-9
@@ -190,18 +191,14 @@ class TestDispatch:
         assert len(maximize_one(model, x, toy_cfg(mode="tada_plus"))) == 2
 
     def test_nonfinite_objective_names_its_origin(self):
-        # unchecked mode lets the inf through the ops, so the per-origin
-        # objective check is what catches it
+        # ops let the inf through, so the per-origin objective check is
+        # what catches it
         model = Classifier(1, 3, seed=12)
-        previous = tensor.set_checked(False)
-        try:
-            xs = [toy_sample(20), TimeSeries(Tensor(np.full(64, np.inf)), label=0),
-                  toy_sample(22)]
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(ValueError, match="iteration 0 for origin 41"):
-                maximize_many(model, xs, toy_cfg(mode="tada"), [40, 41, 42])
-        finally:
-            tensor.set_checked(previous)
+        xs = [toy_sample(20), TimeSeries(Tensor(np.full(64, np.inf)), label=0),
+              toy_sample(22)]
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="iteration 0 for origin 41"):
+            maximize_many(model, xs, toy_cfg(mode="tada"), [40, 41, 42])
 
     def test_erm_mode_rejected(self):
         model = Classifier(1, 3, seed=12)

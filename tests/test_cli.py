@@ -1,17 +1,22 @@
 import dataclasses
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpada import tensor
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
+from warpada.data import default_spec
 from warpada.model import load_checkpoint
 from warpada.tensor import Tensor
-from warpada.warp import WarpPath
+
+from test_warp import path_violations
 
 SMALL = {
     "synth_n_per_class": 6,
@@ -112,6 +117,55 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="batch"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("line", ["lr: .nan", "gamma: .inf", "eta: -.inf",
+                                      "synth_warp_d: 1.0e+400", "lr: 1" + "0" * 400],
+                             ids=["nan", "inf", "minus_inf", "float_overflow", "int_overflow"])
+    def test_non_finite_float_names_its_key(self, tmp_path, capsys, line):
+        key = line.split(":")[0]
+        p = tmp_path / "c.yaml"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
+            load_config(str(p))
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,problem", [(b"lr: 0.1\nmode: \xff\n", "not valid UTF-8"),
+                                             (b"batch: " + b"9" * 5000, "not valid YAML")],
+                             ids=["undecodable", "int_too_long"])
+    def test_unreadable_config_names_file(self, tmp_path, raw, problem):
+        p = tmp_path / "c.yaml"
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"{p}: {problem}"):
+            load_config(str(p))
+
+    def test_synth_defaults_are_default_spec(self):
+        assert RunConfig().synth_spec() == default_spec(0)
+        spec = RunConfig(seed=4, synth_amp_scale=2.0, synth_warp_d=3.0).synth_spec()
+        assert spec.seed == 4
+        assert [(t.kind, t.scale, t.offset, t.warp_d) for t in spec.targets] == [
+            ("amplitude", 2.0, 0.6, 0.0), ("warp", 1.0, 0.0, 3.0), ("both", 2.0, 0.6, 3.0)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.sampled_from(["lr: ", "gamma: ", "batch: ", "mode: ", "eval_manifests: ",
+                              "bogus: ", ".nan", ".inf", "1e999", "1.0e+999", "9" * 400,
+                              "9" * 4400, "0.5",
+                              "3", "true", "[a, 1]", "{x: 1}", "- ", "'s'", "&a ", "*a",
+                              "\n", "  ", ":", "\t", "\xff", "\x00"]),
+             max_size=20).map(lambda parts: "".join(parts).encode("utf-8"))))
+def test_fuzz_config_is_valid_or_a_config_error(tmp_path, raw):
+    # arbitrary bytes load, or raise a ConfigError naming the file or the
+    # key; never another exception type
+    p = tmp_path / "fuzz.yaml"
+    p.write_bytes(raw)
+    try:
+        load_config(str(p))
+    except ConfigError as exc:
+        assert str(p) in str(exc) or "config key" in str(exc)
+
 
 class TestSynth:
     def test_writes_four_manifests_and_echo(self, workspace):
@@ -189,8 +243,7 @@ class TestAugmentCommand:
               "--manifest", workspace["source"]])
         for line in (out / "paths.csv").read_text().strip().split("\n"):
             values = np.array([float(v) for v in line.split(",")[2:]])
-            path = WarpPath(Tensor(values))
-            worst = max(path.violations(8.0).values())
+            worst = max(path_violations(values, 8.0).values())
             assert worst < 1e-9
 
     def test_erm_mode_rejected(self, workspace, tmp_path, capsys):
@@ -278,6 +331,17 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "ev"), workspace["source"]])
         assert code == 2
         assert "/nope/ck.bin" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exit_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.bin"
+        with open(workspace["checkpoint"], "rb") as fh:
+            blob = fh.read()  # head.b, the last layer, ends the file
+        bad.write_bytes(blob[:-8] + struct.pack("<d", np.nan))
+        for argv in (["eval", "--checkpoint", str(bad), workspace["source"]],
+                     ["augment", "--config", workspace["config"], "--checkpoint", str(bad),
+                      "--manifest", workspace["source"]]):
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 2
+            assert f"{bad}: layer head.b holds non-finite values" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exit_2(self, workspace, tmp_path, capsys):
         cut = tmp_path / "cut.bin"

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from warpada.data import (
+    MANIFEST_HEADER,
     Component,
     DomainShift,
     _load_series_csv,
@@ -16,7 +19,6 @@ from warpada.data import (
 from warpada.signal import TimeSeries
 from warpada.tensor import Tensor
 from warpada.training import Dataset
-from warpada.warp import WarpPath
 
 
 def tiny_spec(**kw):
@@ -188,6 +190,26 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=f"{series}: not valid UTF-8"):
             _load_series_csv(str(series), 1, 2)
 
+    @pytest.mark.parametrize("line,field,value", [(2, "channels", "abc"), (3, "length", "0"),
+                                                  (3, "length", "-4"), (2, "channels", "1.5")])
+    def test_bad_int_field_names_file_and_line(self, tmp_path, line, field, value):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "num")
+        lines = (tmp_path / "num.manifest").read_text().splitlines()
+        lines[line - 1] = f"{field}: {value}"
+        (tmp_path / "num.manifest").write_text("\n".join(lines) + "\n")
+        want = f"{manifest}:{line}: {field} must be a positive integer, got '{value}'"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_manifest(manifest)
+
+    def test_undecodable_manifest_names_file(self, tmp_path):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "utf")
+        text = (tmp_path / "utf.manifest").read_bytes()
+        (tmp_path / "utf.manifest").write_bytes(text.replace(b"class1", b"class\xff"))
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}: not valid UTF-8")):
+            load_manifest(manifest)
+
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "x.manifest"
         bad.write_text("NOT-A-MANIFEST\n")
@@ -213,3 +235,26 @@ def test_fuzz_series_csv_is_valid_or_names_its_file(tmp_path, raw):
             assert str(series) in str(exc)
         else:
             assert arr.shape == (channels, length) and np.isfinite(arr).all()
+
+
+_MANIFEST_LINES = [MANIFEST_HEADER, "channels: 1", "channels: abc", "channels: 0", "length: 2",
+                   "length: 1e3", "classes: a b", "classes:", "# note", "", "fuzz.manifest,a,d",
+                   "x.csv,a,d", ".,a,d", ",b,d", "\x00,a,d", "a,b", "x.csv,c,d", ":", ","]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.lists(st.one_of(st.sampled_from(_MANIFEST_LINES), st.text(max_size=12)),
+                       max_size=8),
+              st.binary(max_size=8)).map(
+        lambda parts: "\n".join([MANIFEST_HEADER] + parts[0]).encode("utf-8") + parts[1])))
+def test_fuzz_manifest_names_its_file(tmp_path, raw):
+    # no input here is a loadable dataset (the only file beside it is the
+    # manifest itself), so each raises a ValueError naming the manifest
+    manifest = tmp_path / "fuzz.manifest"
+    manifest.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        load_manifest(str(manifest))
+    assert str(manifest) in str(err.value)

@@ -1,7 +1,13 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpada.model import (
+    CHECKPOINT_MAGIC,
     Classifier,
     entropy,
     forward,
@@ -226,7 +232,8 @@ class TestCheckpoint:
         (lambda blob: blob[:12], "truncated"),         # inside the header
         (lambda blob: blob[:-20], "truncated"),        # inside the last payload
         (lambda blob: blob + b"\x00" * 3, "trailing"),  # bytes after the last layer
-    ], ids=["header_cut", "payload_cut", "trailing_bytes"])
+        (lambda blob: blob[:17] + struct.pack("<q", -1) + blob[25:], "non-negative"),
+    ], ids=["header_cut", "payload_cut", "trailing_bytes", "negative_seed"])
     def test_damaged_file_names_path(self, tmp_path, damage, match):
         path = tmp_path / "model.ckpt"
         save_checkpoint(Classifier(1, 3, seed=0), path)
@@ -234,3 +241,72 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_nonfinite_weight_on_load_names_file_and_layer(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Classifier(1, 3, seed=0), path)
+        blob = path.read_bytes()  # head.b, the last layer, ends the file
+        path.write_bytes(blob[:-8] + struct.pack("<d", np.nan))
+        with pytest.raises(ValueError, match="layer head.b holds non-finite") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_is_not_saved(self, tmp_path, bad):
+        model = Classifier(1, 3, seed=0)
+        model.weights["conv2.k"][3, 1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="layer conv2.k holds non-finite"):
+            save_checkpoint(model, path)
+        assert not path.exists()
+
+    def test_header_is_checked_before_allocating(self, tmp_path):
+        # a 29-byte file claiming 100,000 input channels and no layers;
+        # building that architecture would take 64 MB of conv1 weights
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIIqI", 1, 100_000, 3, 0, 0))
+        assert path.stat().st_size == 29
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(err.value)
+        assert peak < 8 * 2 ** 20
+
+
+def _checkpoint_bytes():
+    """Random bytes after the magic: sometimes a valid header, then
+    sometimes well-formed layer records of random name, shape and values."""
+    header = st.tuples(st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 100_000]),
+                       st.sampled_from([0, 1, 3, 100_000]), st.integers(-2, 2),
+                       st.integers(0, 9)).map(lambda h: struct.pack("<IIIqI", *h))
+    name = st.one_of(st.sampled_from(["conv1.k", "conv1.b", "head.w", "head.b"]),
+                     st.text(max_size=8)).map(lambda n: n.encode("utf-8"))
+
+    def record(parts):
+        name, dims, values = parts
+        payload = struct.pack(f"<{len(values)}d", *values)
+        return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+                + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+    layer = st.tuples(name, st.lists(st.integers(0, 20), max_size=3),
+                      st.lists(st.floats(), max_size=6)).map(record)
+    structured = st.tuples(header, st.lists(layer, max_size=4), st.binary(max_size=16)).map(
+        lambda parts: parts[0] + b"".join(parts[1]) + parts[2])
+    return st.one_of(st.binary(max_size=200), structured)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_checkpoint_bytes())
+def test_fuzz_checkpoint_names_its_file(tmp_path, raw):
+    # none of these is a whole checkpoint (at most 4 of its 8 layers), so
+    # each raises a ValueError that names the file; never another type
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + raw)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)

@@ -85,6 +85,19 @@ class TestMinimize:
         for k in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
 
+    def test_nonfinite_loss_names_its_step(self):
+        ds = toy_dataset()
+        bad = 5
+        ds.samples[bad] = TimeSeries(Tensor(np.full(48, np.inf)), label=0)
+        replay = np.random.default_rng(7)
+        step = next(k for k in range(100)
+                    if bad in replay.integers(0, len(ds), size=4))
+        assert step > 0  # the steps before it ran on finite data
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match=f"non-finite at SGD step {step}$"):
+            minimize_phase(Classifier(1, 2, seed=0), ds, t_min=100, lr=0.1,
+                           batch=4, rng=np.random.default_rng(7))
+
 
 class TestBatchedStep:
     def test_gradient_equals_summed_per_sample_gradients(self):

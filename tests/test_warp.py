@@ -5,11 +5,27 @@ from hypothesis import strategies as st
 
 from warpada.signal import TimeSeries, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
-from warpada.warp import WarpParams, WarpPath, h3_clip, make_path
+from warpada.warp import h3_clip, make_path
 
 
-# The first two maps of the path chain, stated separately in plain numpy:
-# the oracle that make_path's fused composition is compared against.
+# The path conditions and the first two maps of the path chain, stated
+# separately in plain numpy: the oracles make_path is checked against.
+
+def path_violations(d, phi_max: float) -> dict[str, float]:
+    """Worst-case breach of each path condition (all ~0 for valid paths)
+    over every row of displacements ``d`` (an (N,) or (B, N) array or
+    Tensor).
+
+    Keys: 'monotone' (largest decrease of i + d_i), 'boundary' (larger
+    endpoint magnitude), 'bound' (sup-norm excess over phi_max).
+    """
+    d = np.asarray(d.data if isinstance(d, Tensor) else d, dtype=np.float64)
+    warped = np.arange(d.shape[-1]) + d
+    mono = float(max(0.0, np.max(-np.diff(warped, axis=-1)))) if d.shape[-1] > 1 else 0.0
+    boundary = float(max(np.max(np.abs(d[..., 0])), np.max(np.abs(d[..., -1]))))
+    bound = float(max(0.0, np.max(np.abs(d)) - phi_max))
+    return {"monotone": mono, "boundary": boundary, "bound": bound}
+
 
 def h1_monotone(phi: np.ndarray) -> np.ndarray:
     """Nondecreasing cumulative path: out_t = sum_{i<=t} (phi_i - min(phi)).
@@ -37,6 +53,14 @@ def h2_boundary(cum: np.ndarray) -> np.ndarray:
     if hi - lo < 1e-12:
         return np.zeros(n)
     return (cum - lo) * float(n - 1) / (hi - lo) - np.arange(n)
+
+
+def test_path_violations_measures_each_breach():
+    # i + d = [0.5, -1, 11, 3]: drops of 1.5 and 8, endpoint 0.5, peak 9 > 8
+    v = path_violations(np.array([0.5, -2.0, 9.0, 0.0]), 8.0)
+    assert v == {"monotone": 8.0, "boundary": 0.5, "bound": 1.0}
+    assert path_violations(Tensor(np.zeros((2, 5))), 1.0) == {
+        "monotone": 0.0, "boundary": 0.0, "bound": 0.0}
 
 
 class TestH1:
@@ -82,15 +106,15 @@ class TestH2:
 class TestH3:
     def test_within_bound_unchanged(self):
         path = h3_clip(Tensor([0.0, -1.0, 1.0, 0.0]), 10.0)
-        np.testing.assert_allclose(path.displacements.data, [0.0, -1.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(path.data, [0.0, -1.0, 1.0, 0.0], atol=1e-12)
 
     def test_rescale_by_half(self):
         path = h3_clip(Tensor([0.0, 20.0, 0.0]), 10.0)
-        np.testing.assert_allclose(path.displacements.data, [0.0, 10.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(path.data, [0.0, 10.0, 0.0], atol=1e-12)
 
     def test_zero_delta_scale_one(self):
         path = h3_clip(Tensor([0.0, 0.0, 0.0]), 3.0)
-        np.testing.assert_array_equal(path.displacements.data, np.zeros(3))
+        np.testing.assert_array_equal(path.data, np.zeros(3))
 
     def test_nonpositive_phi_max_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -100,22 +124,22 @@ class TestH3:
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=8))
         def f(delta):
-            return op_sum(h3_clip(delta, 2.0).displacements * w)
+            return op_sum(h3_clip(delta, 2.0) * w)
         err = finite_diff_check(f, Tensor(rng.uniform(3.0, 6.0, size=8)))
         assert err < 1e-5
 
 
 class TestMakePath:
     def test_constant_phi_gives_zero_path(self):
-        path = make_path(WarpParams(Tensor(np.full(16, 2.5))), 5.0)
-        np.testing.assert_allclose(path.displacements.data, np.zeros(16), atol=1e-12)
+        path = make_path(Tensor(np.full(16, 2.5)), 5.0)
+        np.testing.assert_allclose(path.data, np.zeros(16), atol=1e-12)
 
     def test_invariants_over_1000_draws(self):
         rng = np.random.default_rng(3)
         worst = {"monotone": 0.0, "boundary": 0.0, "bound": 0.0}
         for _ in range(1000):
             path = make_path(Tensor(rng.normal(size=64)), 5.0)
-            v = path.violations(5.0)
+            v = path_violations(path, 5.0)
             worst = {k: max(worst[k], v[k]) for k in worst}
         assert worst["monotone"] < 1e-9
         assert worst["boundary"] < 1e-9
@@ -139,9 +163,9 @@ class TestMakePath:
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=48)
-        base = make_path(Tensor(phi), 5.0).displacements.data
+        base = make_path(Tensor(phi), 5.0).data
         for shift in (-100.0, 0.37, 42.0):
-            out = make_path(Tensor(phi + shift), 5.0).displacements.data
+            out = make_path(Tensor(phi + shift), 5.0).data
             np.testing.assert_allclose(out, base, atol=1e-9)
 
     def test_equals_composed_chain(self):
@@ -150,8 +174,8 @@ class TestMakePath:
         rng = np.random.default_rng(7)
         for _ in range(50):
             phi = rng.normal(size=40)
-            fused = make_path(Tensor(phi), 5.0).displacements.data
-            composed = h3_clip(h2_boundary(h1_monotone(phi)), 5.0).displacements.data
+            fused = make_path(Tensor(phi), 5.0).data
+            composed = h3_clip(h2_boundary(h1_monotone(phi)), 5.0).data
             np.testing.assert_allclose(fused, composed, atol=1e-9)
 
     def test_bitwise_independent_of_first_coordinate(self):
@@ -161,20 +185,20 @@ class TestMakePath:
         rng = np.random.default_rng(8)
         phi = rng.normal(size=24)
         phi[0] = abs(phi[0]) + 1.0  # keep it away from the argmin
-        base = make_path(Tensor(phi), 4.0).displacements.data
+        base = make_path(Tensor(phi), 4.0).data
         phi2 = phi.copy()
         phi2[0] += 1e-5
-        np.testing.assert_array_equal(make_path(Tensor(phi2), 4.0).displacements.data, base)
+        np.testing.assert_array_equal(make_path(Tensor(phi2), 4.0).data, base)
 
     def test_batched_rows_equal_single_paths(self):
         rng = np.random.default_rng(9)
         phi = rng.normal(size=(5, 40))
         phi[2] = 0.75  # a degenerate row among ordinary ones
-        rows = make_path(Tensor(phi), 5.0).displacements.data
+        rows = make_path(Tensor(phi), 5.0).data
         assert rows.shape == (5, 40)
         for i in range(5):
             np.testing.assert_array_equal(rows[i],
-                                          make_path(Tensor(phi[i]), 5.0).displacements.data)
+                                          make_path(Tensor(phi[i]), 5.0).data)
         np.testing.assert_array_equal(rows[2], np.zeros(40))
 
     def test_degenerate_row_takes_zero_gradient(self):
@@ -184,7 +208,7 @@ class TestMakePath:
         phi = Tensor(phi_data, requires_grad=True)
         w = Tensor(rng.normal(size=(3, 24)))
         with Tape() as tape:
-            tape.backward(op_sum(make_path(phi, 4.0).displacements * w))
+            tape.backward(op_sum(make_path(phi, 4.0) * w))
         np.testing.assert_array_equal(phi.grad[1], np.zeros(24))
         assert np.any(phi.grad[0] != 0.0) and np.any(phi.grad[2] != 0.0)
 
@@ -193,7 +217,7 @@ class TestMakePath:
         phi = Tensor(rng.normal(size=24), requires_grad=True)
         with Tape() as tape:
             path = make_path(phi, 4.0)
-            tape.backward(op_sum(path.displacements * Tensor(rng.normal(size=24))))
+            tape.backward(op_sum(path * Tensor(rng.normal(size=24))))
         assert phi.grad is not None and np.any(phi.grad != 0.0)
 
 
@@ -205,7 +229,7 @@ def test_prop_all_paths_admissible(seed, phi_max, n):
     rng = np.random.default_rng(seed)
     phi = rng.normal(scale=float(rng.uniform(0.01, 10.0)), size=n)
     path = make_path(Tensor(phi), phi_max)
-    v = path.violations(phi_max)
+    v = path_violations(path, phi_max)
     assert v["monotone"] < 1e-9
     assert v["boundary"] < 1e-9
     assert v["bound"] < 1e-9
