@@ -103,10 +103,22 @@ def _items(rng: np.random.Generator):
         return lambda x: _tensor.op_sum(op(x))
 
     add("relu", unary(_tensor.op_relu), _away_from_zero(rng, 8))
-    # the warp's kernel at L = 21 across the |t| <= 2M it is read at, plus
-    # both sides of its series branch near the removable singularity at 0
-    add("dirichlet", lambda x: _tensor.op_sum(_tensor.op_dirichlet(x, 21)),
-        np.concatenate([rng.uniform(-20, 20, 6), [1e-6, -3e-4]]))
+    # the warp's fused filter at L = 21, in the source values and the shifts:
+    # exact integers, both sides of the series branch at the tap w = k,
+    # +-(M - 1), whose edge taps read |t| = 2M - 1, and two plainly
+    # fractional shifts (integer rows are nearly one-hot, so only these give
+    # every source value a gradient well above rounding)
+    filter_index = (np.arange(21) + 3 * np.arange(10)[:, None]) % 10
+
+    def f_dirichlet(x):
+        source = _tensor.op_gather(x, np.arange(10))
+        shifts = _tensor.op_reshape(_tensor.op_gather(x, np.arange(10, 20)), (10, 1))
+        return _tensor.op_sum(_tensor.op_dirichlet_filter(source, filter_index, shifts, 21))
+
+    add("dirichlet", f_dirichlet,
+        np.concatenate([rng.uniform(-1, 1, 10),
+                        [0.0, 3.0, -7.0, 2.0 + 1e-6, -5.0 - 1e-6, 4.0 - 3e-4, 9.0, -9.0],
+                        rng.uniform(-10, 10, 2)]))
     add("exp", unary(_tensor.op_exp), rng.uniform(-1, 1, 8))
     add("log", unary(_tensor.op_log), rng.uniform(0.5, 1.5, 8))
     add("abs", unary(_tensor.op_abs), _away_from_zero(rng, 8))
@@ -126,12 +138,6 @@ def _items(rng: np.random.Generator):
         lambda x: _tensor.op_sum(
             _tensor.op_mul(_tensor.op_gather(x, repeats), w6)),
         rng.uniform(-1, 1, 8))
-
-    def f_concat(x):
-        a, b = halves(x)
-        return _tensor.op_sum(_tensor.op_mul(_tensor.op_concat([a, b]), w6))
-
-    add("concat", f_concat, rng.uniform(-1, 1, 6))
 
     w24 = Tensor(rng.uniform(-1, 1, (2, 4)))
     add("reshape",

@@ -4,11 +4,11 @@ The warp reads every index from the length L = 2M+1 segment centred on it
 (edges replicated), as if the segment's DFT were rotated in phase by the
 index's displacement and only the centre sample were resynthesized.  That
 construction collapses to a periodic-sinc (Dirichlet kernel) weighting of
-the segment, the band-limited fractional-delay interpolator, which is what
-runs here.  For integer displacements it reproduces plain index shifting;
-fractional displacements interpolate band-limitedly.  Everything runs
-through tensor ops, so the result is differentiable in both the signal and
-the path.
+the segment, the band-limited fractional-delay interpolator, which runs as
+one fused tensor op (``op_dirichlet_filter``) with a handful of sines and
+cosines per output index rather than per tap.  For integer displacements it
+reproduces plain index shifting; fractional displacements interpolate
+band-limitedly.  The op is differentiable in both the signal and the path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_batch, op_dirichlet, op_gather, op_mul, op_reshape, op_sub, op_sum
+from .tensor import Tensor, as_batch, op_dirichlet_filter, op_gather, op_reshape
 
 __all__ = ["TimeSeries", "warp_apply", "integer_warp_oracle"]
 
@@ -62,13 +62,16 @@ def warp_apply(x, path, half_width: int):
 
     Phase-shifting the segment's DFT by path_i and reading back its centre
     sample collapses to one sum, out[i] = sum_{w=-M..M} x[clamp(i+w)] *
-    D(path_i - w), with D the periodic sinc of ``op_dirichlet``.  Integer
-    displacements reproduce plain index shifting.
+    D(path_i - w), with D the periodic sinc, evaluated for all B*C*N output
+    indices by one ``op_dirichlet_filter``.  Integer displacements reproduce
+    plain index shifting.
 
     ``x`` is a TimeSeries with a path vector (returns a TimeSeries), or a
     (B, C, N) tensor with (B, N) paths, one per row (returns a tensor).
-    Every channel of a series shares its path.  One (B*C*N, L) gather of
-    all segments, so the tape length depends on neither B, C nor N.
+    Every channel of a series shares its path.  The tape length depends on
+    neither B nor N: three nodes for one channel and a path that needs
+    gradients (reshape, filter, reshape), one more each for several
+    channels and for a signal that needs gradients.
     """
     series = x if isinstance(x, TimeSeries) else None
     values = x.values if series is not None else x
@@ -91,18 +94,17 @@ def warp_apply(x, path, half_width: int):
 
     rows = batch * channels * n
     window = np.arange(-half_width, half_width + 1)
-    # segment matrix row (b, c, i) holds x[b, c, clamp(i - M .. i + M)]
+    # index row (b, c, i) reads x[b, c, clamp(i - M .. i + M)]
     series_start = (np.arange(batch * channels) * n)[:, None, None]
     seg_idx = np.clip(np.arange(n)[:, None] + window, 0, n - 1)
-    seg = op_gather(op_reshape(values, (rows,)), (series_start + seg_idx).reshape(rows, length))
+    index = (series_start + seg_idx).reshape(rows, length)
     shifts = op_reshape(delta, (batch * n, 1))
     if channels > 1:
         path_index = np.arange(batch * n).reshape(batch, 1, n)
         shifts = op_gather(op_reshape(delta, (batch * n,)),
                            np.repeat(path_index, channels, axis=1).reshape(rows, 1))
-    # kernel[r, w] = D(delta_r - w)
-    kernel = op_dirichlet(op_sub(shifts, Tensor(np.broadcast_to(window, (rows, length)))), length)
-    warped = op_reshape(op_sum(op_mul(seg, kernel), axis=-1), (batch, channels, n))
+    warped = op_reshape(op_dirichlet_filter(op_reshape(values, (rows,)), index, shifts, length),
+                        (batch, channels, n))
     if series is None:
         return warped
     return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,

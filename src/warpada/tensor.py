@@ -13,14 +13,15 @@ through conv1d, the last-axis reductions and cumsum, so a whole minibatch
 is one node per op.  All data is float64.
 
 Ops never scan values for finiteness; values are validated where they enter
-the program and where a step yields a loss or an objective.  Ops raise only
-on a zero divisor, a nonpositive log argument, or a Dirichlet |t| >= L.
+the program and where a step yields a loss or an objective.  Beyond shape
+and index checks, ops raise only on a zero divisor, a nonpositive log
+argument, or a Dirichlet-filter shift with |shift| + M >= L.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
     "op_transpose",
     "op_conv1d",
     "op_relu",
-    "op_dirichlet",
+    "op_dirichlet_filter",
     "op_exp",
     "op_log",
     "op_abs",
@@ -48,7 +49,6 @@ __all__ = [
     "op_max_reduce",
     "op_cumsum",
     "op_gather",
-    "op_concat",
     "op_reshape",
     "finite_diff_check",
 ]
@@ -415,53 +415,100 @@ def _dirichlet_series(length: int) -> tuple[float, float]:
             np.pi ** 4 * (sq - 1) * (3 * sq - 7) / (360.0 * sq * sq))
 
 
-def _dirichlet(t: np.ndarray, length: int):
-    """D(t) elementwise, and the pieces its derivative reuses: the mask of
-    series entries, t with those entries set to a safe 1 (keeping 0 / 0 out
-    of the closed form), and sin(pi t / L) at the safe t."""
-    small = np.abs(t) < DIRICHLET_SERIES_BELOW
-    safe = t.copy()
-    safe[small] = 1.0
-    s_half = np.sin(np.pi / length * safe)
-    value = np.divide(np.sin(np.pi * safe), length * s_half, out=np.empty_like(safe))
-    a, b = _dirichlet_series(length)
-    t2 = t[small] ** 2
-    value[small] = 1.0 - t2 * (a - b * t2)
-    return value, (small, safe, s_half)
+def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The (R, L) rows D(delta_r - w), w = -M..M, of the periodic sinc
+    D(t) = sin(pi t) / (L sin(pi t / L)), and a function computing their
+    slopes D', with transcendentals evaluated per row, not per tap.
 
-
-def _dirichlet_slope(t: np.ndarray, length: int, value: np.ndarray, small: np.ndarray,
-                     safe: np.ndarray, s_half: np.ndarray) -> np.ndarray:
-    """D'(t) = pi / (L sin(pi t / L)) * (cos(pi t) - D cos(pi t / L)), and
-    -2 a t + 4 b t^3 on the series entries."""
-    slope = np.multiply(np.pi / (length * s_half),
-                        np.cos(np.pi * safe) - value * np.cos(np.pi / length * safe),
-                        out=np.empty_like(safe))
-    a, b = _dirichlet_series(length)
-    ts = t[small]
-    slope[small] = ts * (4.0 * b * ts * ts - 2.0 * a)
-    return slope
-
-
-def op_dirichlet(t, length: int) -> Tensor:
-    """Periodic sinc D(t) = sin(pi t) / (L sin(pi t / L)) for odd L, the
-    centre tap of an L-point DFT phase shift by t; D(0) = 1.
-
-    Defined here for |t| < L, where 0 is its only (removable) singularity.
-    The forward pass evaluates D only; the derivative's cosines are
-    computed inside the backward rule.
+    With k = rint(delta) and f = delta - k (exact, |f| <= 1/2), integer w
+    gives sin(pi t) = (-1)^(k+w) sin(pi f) and cos(pi t) likewise, and angle
+    addition gives (-1)^w sin(pi t / L) and (-1)^w cos(pi t / L) from the
+    row's sin and cos of pi delta / L and per-tap constants: one (R, 2) by
+    (2, L) product.  The signs (-1)^w cancel in D and D'.  Every tap but
+    w = k has |t| >= 1/2, and |t| <= L - 1/2 while |delta| <= M + 1/2 (as
+    in the warp), so sin(pi t / L) stays clear of 0.  At w = k the angle
+    addition cancels, so that tap is evaluated from f directly, by the
+    Taylor series below DIRICHLET_SERIES_BELOW.
     """
-    t = _lift(t)
+    half = length // 2
+    ang = np.pi / length
+    taps = np.arange(-half, half + 1)
+    tap_trig = (-1.0) ** taps * np.stack([np.cos(ang * taps), np.sin(ang * taps)])
+    k = np.rint(delta)
+    f = delta - k
+    sign = 1.0 - 2.0 * (k - 2.0 * np.floor(0.5 * k))  # (-1)^k, exact in floats
+    sin_row, cos_row = np.sin(ang * delta), np.cos(ang * delta)
+    numer = sign * np.sin(np.pi * f) / length  # (-1)^(k+w) sin(pi t) / L
+    s_half = np.stack([sin_row, -cos_row], axis=1) @ tap_trig  # (-1)^w sin(pi t / L)
+    # the tap w = k of every row whose k lies inside the window; series rows
+    # get a safe f, keeping 0 / 0 out, and their values are overwritten
+    rows = np.flatnonzero(np.abs(k) <= half)
+    cols = (k[rows] + half).astype(np.intp)
+    fc = f[rows]
+    small = np.abs(fc) < DIRICHLET_SERIES_BELOW
+    safe = np.where(small, 0.5, fc)
+    s_centre = np.sin(ang * safe)
+    s_half[rows, cols] = sign[rows] * s_centre
+    value = numer[:, None] / s_half
+    a, b = _dirichlet_series(length)
+    f2 = fc * fc
+    value[rows, cols] = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
+
+    def slope() -> np.ndarray:
+        # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
+        # / sin(pi t / L)^2, whose numerator is again one angle addition; at
+        # w = k, D'(f) = pi / (L sin(pi f / L)) (cos(pi f) - D cos(pi f / L))
+        cos_t = sign * np.cos(np.pi * f)
+        coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
+                               -(cos_t * cos_row + numer * sin_row)], axis=1)
+        out = (coef @ tap_trig) / (s_half * s_half)
+        centre = ang / s_centre * (np.cos(np.pi * safe) - value[rows, cols] * np.cos(ang * safe))
+        out[rows, cols] = np.where(small, fc * (4.0 * b * f2 - 2.0 * a), centre)
+        return out
+
+    return value, slope
+
+
+def op_dirichlet_filter(x, index, shifts, length: int) -> Tensor:
+    """Rows out[r] = sum_{w=-M..M} x[index[r, M + w]] * D(shifts[r] - w)
+    with the periodic sinc D(t) = sin(pi t) / (L sin(pi t / L)), D(0) = 1,
+    for odd L = 2M+1: each gathered segment delayed band-limitedly by its
+    row's shift.
+
+    ``x`` is rank-1, ``index`` an (R, L) integer array into it and
+    ``shifts`` (R, 1); the result is (R, 1).  Defined for |shift| + M < L,
+    where every tap stays inside the kernel's period and 0 is its only
+    (removable) singularity.  The backward rule scatter-adds g * D into x
+    and gives each shift g * sum_w x[index[r, M + w]] * D'(shift - w); the
+    slopes are computed inside it.
+    """
+    x, shifts = _lift(x), _lift(shifts)
     length = int(length)
     if length < 1 or length % 2 == 0:
-        raise ValueError(f"dirichlet: length must be odd and positive, got {length}")
-    if t.data.size and np.max(np.abs(t.data)) >= length:
-        raise ValueError(f"dirichlet: |t| must stay below L = {length}")
-    value, parts = _dirichlet(t.data, length)
-    out = Tensor(value, requires_grad=t.requires_grad)
+        raise ValueError(f"dirichlet_filter: length must be odd and positive, got {length}")
+    if x.data.ndim != 1:
+        raise ValueError(f"dirichlet_filter: expected rank-1 source, got shape {x.data.shape}")
+    idx = np.asarray(index)
+    if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 2 or idx.shape[1] != length:
+        raise ValueError(f"dirichlet_filter: index must be an (R, {length}) integer array, "
+                         f"got {idx.dtype} {idx.shape}")
+    n, rows = x.data.shape[0], idx.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"dirichlet_filter: index out of range for length {n}")
+    if shifts.data.shape != (rows, 1):
+        raise ValueError(f"dirichlet_filter: shifts shape {shifts.data.shape} != ({rows}, 1)")
+    if rows and np.max(np.abs(shifts.data)) + length // 2 >= length:
+        raise ValueError(f"dirichlet_filter: |shift| + M must stay below L = {length}")
+    seg = x.data[idx]
+    kernel, slope = _dirichlet_rows(shifts.data[:, 0], length)
+    out = Tensor(np.einsum("rw,rw->r", seg, kernel)[:, None],
+                 requires_grad=x.requires_grad or shifts.requires_grad)
     rules = []
-    if t.requires_grad:
-        rules.append((t, lambda g, at=t.data: g * _dirichlet_slope(at, length, value, *parts)))
+    if x.requires_grad:
+        rules.append((x, lambda g: np.bincount(idx.ravel(), weights=(g * kernel).ravel(),
+                                               minlength=n)))
+    if shifts.requires_grad:
+        rules.append((shifts, lambda g: g * np.einsum("rw,rw->r", seg, slope())[:, None]))
     return _record(out, rules)
 
 
@@ -592,25 +639,6 @@ def op_gather(x, indices) -> Tensor:
     if x.requires_grad:
         rules.append((x, lambda g, i=idx.ravel(), m=n:
                       np.bincount(i, weights=np.ravel(g), minlength=m)))
-    return _record(out, rules)
-
-
-def op_concat(parts: Sequence) -> Tensor:
-    """Concatenate rank-1 tensors."""
-    tensors = [_lift(p) for p in parts]
-    if not tensors:
-        raise ValueError("concat of no tensors")
-    for t in tensors:
-        if t.data.ndim != 1:
-            raise ValueError(f"concat: expected rank-1 parts, got shape {t.data.shape}")
-    out = Tensor(np.concatenate([t.data for t in tensors]),
-                 requires_grad=any(t.requires_grad for t in tensors))
-    rules = []
-    offset = 0
-    for t in tensors:
-        if t.requires_grad:
-            rules.append((t, lambda g, lo=offset, hi=offset + t.data.size: g[lo:hi]))
-        offset += t.data.size
     return _record(out, rules)
 
 

@@ -152,7 +152,8 @@ def run(d0: Dataset, cfg: AdvConfig,
     K rounds of (fit on current data, expand with adversarial samples),
     then t_final epochs on the expanded dataset.  mode="erm" skips the
     rounds entirely.  Identical (data, cfg) reproduce the report exactly,
-    wall clock aside.
+    wall clock aside.  A non-finite minibatch loss raises ValueError naming
+    the round or final epoch (both counted from 1) and the step.
     """
     start = time.perf_counter()
     model = model_init if model_init is not None else Classifier(
@@ -160,19 +161,24 @@ def run(d0: Dataset, cfg: AdvConfig,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5D]))
     report = TrainReport(seed=cfg.seed, config=asdict(cfg), dataset_sizes=[len(d0)])
 
+    def fit(stage: str, dataset: Dataset, steps: int) -> list[float]:
+        try:
+            return minimize_phase(model, dataset, steps, cfg.lr, cfg.batch, rng)[1]
+        except ValueError as exc:
+            raise ValueError(f"{stage}: {exc}") from exc
+
     current = d0
     rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
-    for _ in range(rounds):
-        _, losses = minimize_phase(model, current, cfg.t_min, cfg.lr, cfg.batch, rng)
-        report.round_losses.append(losses)
+    for k in range(1, rounds + 1):
+        report.round_losses.append(fit(f"round {k}", current, cfg.t_min))
         adv = maximize_phase(model, d0, cfg)
         current = current.extended([a.series for a in adv])
         report.dataset_sizes.append(len(current))
 
     steps_per_epoch = max(1, (len(current) + cfg.batch - 1) // cfg.batch)
-    for _ in range(cfg.t_final):
-        _, losses = minimize_phase(model, current, steps_per_epoch, cfg.lr, cfg.batch, rng)
-        report.final_losses.append(float(np.mean(losses)))
+    for e in range(1, cfg.t_final + 1):
+        report.final_losses.append(float(np.mean(fit(f"final epoch {e}", current,
+                                                     steps_per_epoch))))
 
     report.wall_clock = time.perf_counter() - start
     return model, report

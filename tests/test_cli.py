@@ -201,13 +201,13 @@ class TestGradcheckCommand:
         assert report.count("\n") >= 13  # at least 12 items plus header
 
     def test_sign_flipped_backward_exits_1(self, tmp_path, monkeypatch):
-        real_dirichlet = tensor.op_dirichlet
+        real_filter = tensor.op_dirichlet_filter
 
-        def flipped_dirichlet(t, length):
-            d = real_dirichlet(t, length)
-            return tensor.op_sub(Tensor(2.0 * d.data), d)  # same values, -D'
+        def flipped_filter(x, index, shifts, length):
+            mirrored = tensor.op_sub(Tensor(2.0 * shifts.data), shifts)  # same shifts, -D'
+            return real_filter(x, index, mirrored, length)
 
-        monkeypatch.setattr(tensor, "op_dirichlet", flipped_dirichlet)
+        monkeypatch.setattr(tensor, "op_dirichlet_filter", flipped_filter)
         assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == 1
         report = (tmp_path / "gc" / "gradcheck_report.txt").read_text()
         assert [line.split()[-1] for line in report.splitlines()

@@ -17,7 +17,7 @@ from warpada.model import (
     semantic_distance,
 )
 from warpada.signal import TimeSeries
-from warpada.tensor import Tape, Tensor, finite_diff_check, op_concat, op_gather, op_reshape
+from warpada.tensor import Tape, Tensor, finite_diff_check, op_gather, op_reshape
 
 
 def small_input(seed=0, channels=1, length=64):
@@ -68,33 +68,31 @@ class TestForward:
     def test_weight_gradient_matches_finite_differences(self):
         model = Classifier(1, 3, seed=2)
         x = small_input(2, length=32)
-        rest_flat = model.weights["head.w"].ravel()[10:].copy()
         shape = model.weights["head.w"].shape
 
-        def loss_of_slice(w10):
+        def loss_of(w):
             params = model.tensors()
-            params["head.w"] = op_reshape(op_concat([w10, Tensor(rest_flat)]), shape)
+            params["head.w"] = op_reshape(w, shape)
             _, logits = forward(model, x, params)
             return loss_ce(logits, 1)
 
-        err = finite_diff_check(loss_of_slice,
-                                Tensor(model.weights["head.w"].ravel()[:10].copy()))
+        err = finite_diff_check(loss_of, Tensor(model.weights["head.w"].ravel().copy()),
+                                coords=range(10))
         assert err < 1e-4
 
     def test_conv_weight_gradient_slice(self):
         model = Classifier(1, 3, seed=3)
         x = small_input(4, length=32)
-        rest_flat = model.weights["conv1.k"].ravel()[10:].copy()
         shape = model.weights["conv1.k"].shape
 
-        def loss_of_slice(w10):
+        def loss_of(w):
             params = model.tensors()
-            params["conv1.k"] = op_reshape(op_concat([w10, Tensor(rest_flat)]), shape)
+            params["conv1.k"] = op_reshape(w, shape)
             _, logits = forward(model, x, params)
             return loss_ce(logits, 0)
 
-        err = finite_diff_check(loss_of_slice,
-                                Tensor(model.weights["conv1.k"].ravel()[:10].copy()))
+        err = finite_diff_check(loss_of, Tensor(model.weights["conv1.k"].ravel().copy()),
+                                coords=range(10))
         assert err < 1e-4
 
     def test_batched_rows_equal_single_sample(self):

@@ -243,6 +243,19 @@ class TestWarpApply:
             single = warp_apply(TimeSeries(Tensor(values[i])), paths[i], 4).values.data
             np.testing.assert_allclose(out.data[i], single, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_tape_node_count(self, batch, n):
+        # reshape, fused filter, reshape for one channel and a path that needs
+        # gradients, whatever B and N; one more for a signal that needs them
+        rng = np.random.default_rng(15)
+        for x_grad, want in ((False, 3), (True, 4)):
+            x = Tensor(rng.normal(size=(batch, 1, n)), requires_grad=x_grad)
+            path = Tensor(rng.uniform(-3.0, 3.0, size=(batch, n)), requires_grad=True)
+            with Tape() as tape:
+                warp_apply(x, path, 4)
+            assert len(tape.nodes) == want
+
     def test_path_validation(self):
         x = TimeSeries(Tensor(np.zeros(16) + 1.0))
         with pytest.raises(ValueError, match="length"):

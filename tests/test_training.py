@@ -99,6 +99,19 @@ class TestMinimize:
                            batch=4, rng=np.random.default_rng(7))
 
 
+class TestRunErrors:
+    @pytest.mark.parametrize("mode, stage", [("tada", "round 1"), ("erm", "final epoch 1")])
+    def test_nonfinite_loss_names_round_or_final_epoch(self, mode, stage):
+        # every sample non-finite, so the first step of the first stage fails
+        ds = toy_dataset(n_per_class=4)
+        for sample in ds.samples:
+            sample.values.data[:] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match=f"^{stage}: minibatch loss became "
+                                                "non-finite at SGD step 0$"):
+            run(ds, small_cfg(mode=mode))
+
+
 class TestBatchedStep:
     def test_gradient_equals_summed_per_sample_gradients(self):
         ds = toy_dataset(n_per_class=8)
