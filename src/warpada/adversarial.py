@@ -20,8 +20,7 @@ from .signal import TimeSeries, warp_apply
 from .tensor import Tape, Tensor, op_sum
 from .warp import make_path
 
-__all__ = ["AdvConfig", "AdvSample", "tada_maximize", "ada_maximize",
-           "tadaplus_generate", "maximize_one", "maximize_many"]
+__all__ = ["AdvConfig", "AdvSample", "maximize_one", "maximize_many"]
 
 MODES = ("erm", "ada", "tada", "tada_plus")
 COMBINE_MODES = ("union", "composed")
@@ -184,26 +183,6 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
                       origin_id=o, mode=family, objective=float(j.data[i, 0]),
                       path=None if path is None else path.data[i].copy())
             for i, (x, o) in enumerate(zip(xs, origin_ids))]
-
-
-def tada_maximize(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> AdvSample:
-    """Ascend the warp parameters for t_max steps and return the warped
-    sample at the final parameters."""
-    return _ascend(model, [x], cfg, [origin_id], "tada")[0]
-
-
-def ada_maximize(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> AdvSample:
-    """Ascend an additive perturbation for t_max steps from zeros."""
-    return _ascend(model, [x], cfg, [origin_id], "ada")[0]
-
-
-def tadaplus_generate(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> list[AdvSample]:
-    """Combined amplitude + temporal generation.
-
-    Union (default) returns one sample from each family; composed ascends
-    both parameter sets through a single objective and returns one sample.
-    """
-    return maximize_many(model, [x], cfg.with_mode("tada_plus"), [origin_id])
 
 
 def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,

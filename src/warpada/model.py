@@ -158,7 +158,7 @@ def loss_ce(logits: Tensor, label) -> Tensor:
     bad = labels[(labels < 0) | (labels >= n)]
     if bad.size:
         raise ValueError(f"label {int(bad[0])} out of range for {n} classes")
-    shifted = op_sub(rows, op_max_reduce(rows, axis=-1))
+    shifted = op_sub(rows, op_max_reduce(rows))
     log_norm = op_log(op_sum(op_exp(shifted), axis=-1))
     picked = op_gather(op_reshape(shifted, (batch * n,)),
                        (np.arange(batch) * n + labels).reshape(batch, 1))
@@ -169,7 +169,7 @@ def entropy(logits: Tensor) -> Tensor:
     """Predictive entropy H = -sum_k p_k log p_k of softmax(logits), per
     row for (B, K) logits ((B, 1) out), a scalar for a vector."""
     rows, single = as_batch(logits, 1)
-    shifted = op_sub(rows, op_max_reduce(rows, axis=-1))
+    shifted = op_sub(rows, op_max_reduce(rows))
     e = op_exp(shifted)
     norm = op_sum(e, axis=-1)
     # H = log Z - sum p * shifted, avoiding log of near-zero probabilities

@@ -9,8 +9,8 @@ belong to one thread; separate threads use separate tapes.
 Elementwise binary ops require equal shapes, a rank-0 operand, or one
 (B, 1) operand against a (B, N) one, which carries a per-row value across
 its row.  There is no other broadcasting.  A leading batch axis runs
-through conv1d, the last-axis reductions and cumsum, so a whole minibatch
-is one node per op.  All data is float64.
+through conv1d and the last-axis reductions, so a whole minibatch is one
+node per op.  All data is float64.
 
 Ops never scan values for finiteness; values are validated where they enter
 the program and where a step yields a loss or an objective.  Beyond shape
@@ -28,8 +28,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "TapeNode",
-    "active_tape",
     "as_batch",
     "op_add",
     "op_sub",
@@ -42,12 +40,8 @@ __all__ = [
     "op_dirichlet_filter",
     "op_exp",
     "op_log",
-    "op_abs",
     "op_sum",
-    "op_mean",
-    "op_min_reduce",
     "op_max_reduce",
-    "op_cumsum",
     "op_gather",
     "op_reshape",
     "finite_diff_check",
@@ -532,27 +526,13 @@ def op_log(x) -> Tensor:
     return _record(out, rules)
 
 
-def op_abs(x) -> Tensor:
-    x = _lift(x)
-    out = Tensor(np.abs(x.data), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        # subgradient 0 at exactly 0
-        rules.append((x, lambda g, s=np.sign(x.data): g * s))
-    return _record(out, rules)
-
-
-def _check_axis(axis) -> None:
-    if axis not in (None, -1):
-        raise ValueError(f"reductions run over all elements (axis=None) or the "
-                         f"last axis (axis=-1), got axis={axis!r}")
-
-
 def op_sum(x, axis: int | None = None) -> Tensor:
     """Sum of all elements, or with ``axis=-1`` of each row along the last
     axis, keeping it as length 1 ((B, N) -> (B, 1))."""
     x = _lift(x)
-    _check_axis(axis)
+    if axis not in (None, -1):
+        raise ValueError(f"sum runs over all elements (axis=None) or the "
+                         f"last axis (axis=-1), got axis={axis!r}")
     out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None),
                  requires_grad=x.requires_grad)
     rules = []
@@ -561,28 +541,18 @@ def op_sum(x, axis: int | None = None) -> Tensor:
     return _record(out, rules)
 
 
-def op_mean(x) -> Tensor:
+def op_max_reduce(x) -> Tensor:
+    """Maximum of each row along the last axis, kept as length 1
+    ((B, N) -> (B, 1)); gradient routes to the first attaining index."""
     x = _lift(x)
-    if x.data.size == 0:
-        raise ValueError("mean of empty tensor")
-    out = Tensor(x.data.mean(), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, sh=x.data.shape, n=x.data.size: np.full(sh, float(g) / n)))
-    return _record(out, rules)
-
-
-def _extremum(x, pick, axis) -> Tensor:
-    x = _lift(x)
-    _check_axis(axis)
-    if x.data.size == 0:
-        raise ValueError("extremum of empty tensor")
-    # one row per reduction; first attaining index, row-major
-    source = x.data.reshape(1, -1) if axis is None else x.data.reshape(-1, x.data.shape[-1])
+    if x.data.ndim == 0 or x.data.size == 0:
+        raise ValueError(f"max_reduce: expected a non-empty tensor of rank 1 or more, "
+                         f"got shape {x.data.shape}")
+    source = x.data.reshape(-1, x.data.shape[-1])
     rows = np.arange(source.shape[0])
-    index = pick(source, axis=1)
-    out_shape = () if axis is None else x.data.shape[:-1] + (1,)
-    out = Tensor(source[rows, index].reshape(out_shape), requires_grad=x.requires_grad)
+    index = np.argmax(source, axis=1)
+    out = Tensor(source[rows, index].reshape(x.data.shape[:-1] + (1,)),
+                 requires_grad=x.requires_grad)
     rules = []
     if x.requires_grad:
         def _route(g, sh=source.shape):
@@ -590,32 +560,6 @@ def _extremum(x, pick, axis) -> Tensor:
             grad[rows, index] = np.reshape(g, -1)
             return grad.reshape(x.data.shape)
         rules.append((x, _route))
-    return _record(out, rules)
-
-
-def op_min_reduce(x, axis: int | None = None) -> Tensor:
-    """Minimum over all elements, or with ``axis=-1`` of each row (kept as
-    length 1); gradient routes to the first attaining index."""
-    return _extremum(x, np.argmin, axis)
-
-
-def op_max_reduce(x, axis: int | None = None) -> Tensor:
-    """Maximum over all elements, or with ``axis=-1`` of each row (kept as
-    length 1); gradient routes to the first attaining index."""
-    return _extremum(x, np.argmax, axis)
-
-
-def op_cumsum(x) -> Tensor:
-    """Running sum along the last axis of a rank-1 or rank-2 tensor."""
-    x = _lift(x)
-    if x.data.ndim not in (1, 2):
-        raise ValueError(f"cumsum: expected rank-1 or rank-2 tensor, got shape {x.data.shape}")
-    if x.data.size == 0:
-        raise ValueError("cumsum of empty tensor")
-    out = Tensor(np.cumsum(x.data, axis=-1), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g: np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]))
     return _record(out, rules)
 
 

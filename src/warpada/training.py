@@ -112,22 +112,28 @@ def _stack(samples: list[TimeSeries]) -> Tensor:
 
 
 def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float) -> float:
-    """One forward and one backward over the stacked minibatch."""
+    """One forward and one backward over the stacked minibatch, then the
+    update; returns the mean loss.  A non-finite loss skips the update, so
+    the model keeps its last finite weights.  numpy's overflow warnings on
+    the way to such a loss are silenced: the caller reports the loss."""
     params = model.tensors(requires_grad=True)
     labels = np.array([s.label for s in batch])
-    with Tape() as tape:
+    with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
         _, logits = forward(model, _stack(batch), params)
         mean = op_sum(loss_ce(logits, labels)) * (1.0 / len(batch))
         tape.backward(mean)
-    model.apply_gradients(params, lr)
-    return float(mean.data)
+    loss = float(mean.data)
+    if np.isfinite(loss):
+        model.apply_gradients(params, lr)
+    return loss
 
 
 def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
                    batch: int, rng: np.random.Generator) -> tuple[Classifier, list[float]]:
     """t_min SGD steps on uniformly drawn minibatches; mutates the model
     in place and returns it with the per-step mean losses.  A non-finite
-    minibatch loss raises ValueError naming its step."""
+    minibatch loss raises ValueError naming its step, and its update is
+    not applied."""
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")
     losses = []

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from warpada.adversarial import AdvConfig, tada_maximize
+from warpada.adversarial import AdvConfig, maximize_one
 from warpada.data import default_spec, synth_generate
 from warpada.gradcheck import run_checks
 from warpada.model import Classifier, entropy, forward
@@ -179,7 +179,7 @@ def test_7_entropy_term_effect():
         cfg = AdvConfig(mode="tada", me_beta=beta, seed=0)
         vals = []
         for i in range(100):
-            out = tada_maximize(model, source.samples[i], cfg, origin_id=i)
+            [out] = maximize_one(model, source.samples[i], cfg, origin_id=i)
             _, logits = forward(model, out.series)
             vals.append(float(entropy(logits).data))
         means[beta] = float(np.mean(vals))

@@ -4,11 +4,8 @@ import pytest
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
-    ada_maximize,
     maximize_many,
     maximize_one,
-    tada_maximize,
-    tadaplus_generate,
 )
 from warpada.model import Classifier, forward, loss_ce, semantic_distance
 from warpada.signal import TimeSeries, warp_apply
@@ -56,7 +53,7 @@ class TestTadaMaximize:
         model = Classifier(1, 3, seed=0)
         x = toy_sample(1)
         cfg = toy_cfg(t_max=1, eta=0.0)
-        out = tada_maximize(model, x, cfg, origin_id=7)
+        [out] = maximize_one(model, x, cfg, origin_id=7)
         # reproduce phi_0 from the same per-sample stream
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
         phi0 = rng.uniform(-PHI_INIT_SCALE, PHI_INIT_SCALE, size=x.length)
@@ -66,7 +63,7 @@ class TestTadaMaximize:
     def test_label_and_length_preserved(self):
         model = Classifier(1, 3, seed=0)
         x = toy_sample(2, label=2)
-        out = tada_maximize(model, x, toy_cfg(), origin_id=0)
+        [out] = maximize_one(model, x, toy_cfg(), origin_id=0)
         assert out.series.label == 2
         assert out.series.length == x.length
         assert out.mode == "tada"
@@ -76,7 +73,7 @@ class TestTadaMaximize:
         cfg = toy_cfg(t_max=4, eta=5.0)  # large step to stress the constraints
         for origin in range(200):
             x = toy_sample(origin + 100, n=32)
-            out = tada_maximize(model, x, cfg, origin_id=origin)
+            [out] = maximize_one(model, x, cfg, origin_id=origin)
             v = path_violations(out.path, cfg.phi_max)
             assert v["monotone"] < 1e-9
             assert v["boundary"] < 1e-9
@@ -85,8 +82,8 @@ class TestTadaMaximize:
     def test_deterministic(self):
         model = Classifier(1, 3, seed=2)
         x = toy_sample(3)
-        a = tada_maximize(model, x, toy_cfg(), origin_id=5)
-        b = tada_maximize(model, x, toy_cfg(), origin_id=5)
+        [a] = maximize_one(model, x, toy_cfg(), origin_id=5)
+        [b] = maximize_one(model, x, toy_cfg(), origin_id=5)
         np.testing.assert_array_equal(a.series.values.data, b.series.values.data)
         assert a.objective == b.objective
 
@@ -94,7 +91,7 @@ class TestTadaMaximize:
         model = Classifier(1, 3, seed=3)
         x = toy_sample(4)
         before = x.values.data.copy()
-        tada_maximize(model, x, toy_cfg(eta=3.0), origin_id=0)
+        maximize_one(model, x, toy_cfg(eta=3.0), origin_id=0)
         np.testing.assert_array_equal(x.values.data, before)
 
     def test_objective_mostly_improves(self):
@@ -109,8 +106,8 @@ class TestTadaMaximize:
         runs = 50
         for origin in range(runs):
             x = toy_sample(origin + 500, n=48, label=origin % 3)
-            first = tada_maximize(model, x, zero_step, origin_id=origin)
-            last = tada_maximize(model, x, cfg, origin_id=origin)
+            [first] = maximize_one(model, x, zero_step, origin_id=origin)
+            [last] = maximize_one(model, x, cfg, origin_id=origin)
             if last.objective >= first.objective - 1e-9:
                 wins += 1
         assert wins >= 0.75 * runs
@@ -120,15 +117,15 @@ class TestAdaMaximize:
     def test_zero_eta_returns_input(self):
         model = Classifier(1, 3, seed=5)
         x = toy_sample(6)
-        out = ada_maximize(model, x, toy_cfg(eta_ada=0.0), origin_id=0)
+        [out] = maximize_one(model, x, toy_cfg(mode="ada", eta_ada=0.0), origin_id=0)
         np.testing.assert_array_equal(out.series.values.data, x.values.data)
         assert out.path is None
 
     def test_single_step_closed_form(self):
         model = Classifier(1, 3, seed=6)
         x = toy_sample(7)
-        cfg = toy_cfg(t_max=1, eta_ada=50.0, gamma=2.0)
-        out = ada_maximize(model, x, cfg, origin_id=0)
+        cfg = toy_cfg(mode="ada", t_max=1, eta_ada=50.0, gamma=2.0)
+        [out] = maximize_one(model, x, cfg, origin_id=0)
 
         # manual gradient of J at the unperturbed input
         z0, _ = forward(model, x)
@@ -148,8 +145,8 @@ class TestAdaMaximize:
         for gamma in (0.1, 1.0, 10.0):
             # step small enough that the quadratic penalty cannot destabilize
             # the iteration at gamma=10
-            cfg = toy_cfg(t_max=5, eta_ada=0.05, gamma=gamma, seed=1)
-            out = ada_maximize(model, x, cfg, origin_id=0)
+            cfg = toy_cfg(mode="ada", t_max=5, eta_ada=0.05, gamma=gamma, seed=1)
+            [out] = maximize_one(model, x, cfg, origin_id=0)
             norms.append(np.linalg.norm(out.series.values.data - x.values.data))
         assert norms[0] > norms[1] > norms[2]
 
@@ -158,7 +155,7 @@ class TestTadaPlus:
     def test_union_returns_two_labeled_samples(self):
         model = Classifier(1, 3, seed=8)
         x = toy_sample(9, label=2)
-        outs = tadaplus_generate(model, x, toy_cfg(mode="tada_plus"), origin_id=0)
+        outs = maximize_one(model, x, toy_cfg(mode="tada_plus"), origin_id=0)
         assert len(outs) == 2
         assert all(s.series.label == 2 for s in outs)
         assert {s.mode for s in outs} == {"ada", "tada"}
@@ -167,7 +164,7 @@ class TestTadaPlus:
         model = Classifier(1, 3, seed=9)
         x = toy_sample(10)
         cfg = toy_cfg(mode="tada_plus", t_max=4, eta=2.0, eta_ada=20.0)
-        amp, warp = tadaplus_generate(model, x, cfg, origin_id=0)
+        amp, warp = maximize_one(model, x, cfg, origin_id=0)
         assert amp.path is None  # additive sample carries no warp
         assert warp.path is not None and np.max(np.abs(warp.path)) > 0.0
 
@@ -175,7 +172,7 @@ class TestTadaPlus:
         model = Classifier(1, 3, seed=10)
         x = toy_sample(11)
         cfg = toy_cfg(mode="tada_plus", combine="composed", t_max=1, eta=0.0, eta_ada=0.0)
-        (out,) = tadaplus_generate(model, x, cfg, origin_id=3)
+        (out,) = maximize_one(model, x, cfg, origin_id=3)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
         phi0 = rng.uniform(-PHI_INIT_SCALE, PHI_INIT_SCALE, size=x.length)
         want = warp_apply(x, make_path(Tensor(phi0), cfg.phi_max), cfg.m_window)

@@ -111,6 +111,17 @@ class TestRunErrors:
                                                 "non-finite at SGD step 0$"):
             run(ds, small_cfg(mode=mode))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_update_is_not_applied(self):
+        # lr = 1e300 makes the first update huge but finite; the next
+        # forward overflows.  The error comes without a numpy warning and
+        # leaves the model at its last finite weights.
+        model = Classifier(1, 2, seed=0)
+        with pytest.raises(ValueError, match="^round 1: minibatch loss became "
+                                             r"non-finite at SGD step \d+$"):
+            run(toy_dataset(n_per_class=4), small_cfg(lr=1e300), model_init=model)
+        assert all(np.all(np.isfinite(w)) for w in model.weights.values())
+
 
 class TestBatchedStep:
     def test_gradient_equals_summed_per_sample_gradients(self):
@@ -248,7 +259,7 @@ class TestAscentOnTrainedModel:
         # random inputs on an untrained model tolerate a lower win rate
         # (see the adversarial tests); on structured data with a fitted
         # model the ascent should land above its start almost always
-        from warpada.adversarial import tada_maximize
+        from warpada.adversarial import maximize_one
 
         ds = toy_dataset(n_per_class=16, length=64, seed=2)
         model = Classifier(1, 2, seed=0)
@@ -259,8 +270,8 @@ class TestAscentOnTrainedModel:
         runs, wins = 40, 0
         for origin in range(runs):
             x = ds.samples[origin % len(ds)]
-            first = tada_maximize(model, x, zero_step, origin_id=origin)
-            last = tada_maximize(model, x, cfg, origin_id=origin)
+            [first] = maximize_one(model, x, zero_step, origin_id=origin)
+            [last] = maximize_one(model, x, cfg, origin_id=origin)
             if last.objective >= first.objective - 1e-9:
                 wins += 1
         assert wins >= 0.9 * runs

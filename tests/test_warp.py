@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from warpada.signal import TimeSeries, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
-from warpada.warp import h3_clip, make_path
+from warpada.warp import make_path
 
 
-# The path conditions and the first two maps of the path chain, stated
+# The path conditions and the three maps of the path chain, stated
 # separately in plain numpy: the oracles make_path is checked against.
 
 def path_violations(d, phi_max: float) -> dict[str, float]:
@@ -53,6 +53,23 @@ def h2_boundary(cum: np.ndarray) -> np.ndarray:
     if hi - lo < 1e-12:
         return np.zeros(n)
     return (cum - lo) * float(n - 1) / (hi - lo) - np.arange(n)
+
+
+def h3_clip(delta: np.ndarray, phi_max: float) -> np.ndarray:
+    """Globally rescale so the sup-norm is at most phi_max:
+    out = delta * min(phi_max / max|delta|, 1).
+
+    One shared scale preserves monotonicity and boundary zeros; a
+    per-element clamp would break monotonicity and kill gradients at the
+    bound.  Zero input keeps scale 1.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    peak = np.max(np.abs(delta))
+    return delta * (phi_max / peak) if peak >= phi_max else delta.copy()
+
+
+def composed_path(phi: np.ndarray, phi_max: float) -> np.ndarray:
+    return h3_clip(h2_boundary(h1_monotone(phi)), phi_max)
 
 
 def test_path_violations_measures_each_breach():
@@ -105,28 +122,30 @@ class TestH2:
 
 class TestH3:
     def test_within_bound_unchanged(self):
-        path = h3_clip(Tensor([0.0, -1.0, 1.0, 0.0]), 10.0)
-        np.testing.assert_allclose(path.data, [0.0, -1.0, 1.0, 0.0], atol=1e-12)
+        path = h3_clip([0.0, -1.0, 1.0, 0.0], 10.0)
+        np.testing.assert_allclose(path, [0.0, -1.0, 1.0, 0.0], atol=1e-12)
 
     def test_rescale_by_half(self):
-        path = h3_clip(Tensor([0.0, 20.0, 0.0]), 10.0)
-        np.testing.assert_allclose(path.data, [0.0, 10.0, 0.0], atol=1e-12)
+        path = h3_clip([0.0, 20.0, 0.0], 10.0)
+        np.testing.assert_allclose(path, [0.0, 10.0, 0.0], atol=1e-12)
 
     def test_zero_delta_scale_one(self):
-        path = h3_clip(Tensor([0.0, 0.0, 0.0]), 3.0)
-        np.testing.assert_array_equal(path.data, np.zeros(3))
+        np.testing.assert_array_equal(h3_clip([0.0, 0.0, 0.0], 3.0), np.zeros(3))
 
     def test_nonpositive_phi_max_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            h3_clip(Tensor([1.0, 2.0]), 0.0)
+            make_path(Tensor([1.0, 2.0, 0.0]), 0.0)
 
     def test_gradient_through_active_rescale(self):
+        # phi_max far below the pinned path's peak, so the scale binds in
+        # every row and takes part in every coordinate's gradient
         rng = np.random.default_rng(2)
-        w = Tensor(rng.normal(size=8))
-        def f(delta):
-            return op_sum(h3_clip(delta, 2.0) * w)
-        err = finite_diff_check(f, Tensor(rng.uniform(3.0, 6.0, size=8)))
-        assert err < 1e-5
+        phi = rng.normal(size=(3, 16))
+        assert all(np.max(np.abs(h2_boundary(h1_monotone(row)))) > 0.5 for row in phi)
+        w = Tensor(rng.normal(size=(3, 16)))
+        def f(p):
+            return op_sum(make_path(p, 0.5) * w)
+        assert finite_diff_check(f, Tensor(phi)) < 1e-5
 
 
 class TestMakePath:
@@ -175,8 +194,55 @@ class TestMakePath:
         for _ in range(50):
             phi = rng.normal(size=40)
             fused = make_path(Tensor(phi), 5.0).data
-            composed = h3_clip(h2_boundary(h1_monotone(phi)), 5.0).data
-            np.testing.assert_allclose(fused, composed, atol=1e-9)
+            np.testing.assert_allclose(fused, composed_path(phi, 5.0), rtol=0, atol=1e-12)
+
+    def test_gradient_matches_composed_chain_differences(self):
+        # tape gradients of the fused op against central differences of the
+        # numpy oracle, over rows where the rescale binds and where it
+        # does not
+        rng = np.random.default_rng(12)
+        h = 1e-5
+        for phi_max in (0.5, 50.0):
+            phi = rng.normal(size=(4, 20))
+            w = rng.normal(size=(4, 20))
+            probe = Tensor(phi, requires_grad=True)
+            with Tape() as tape:
+                tape.backward(op_sum(make_path(probe, phi_max) * Tensor(w)))
+            numeric = np.zeros_like(phi)
+            for r in range(4):
+                for i in range(20):
+                    up, down = phi[r].copy(), phi[r].copy()
+                    up[i] += h
+                    down[i] -= h
+                    numeric[r, i] = w[r] @ (composed_path(up, phi_max)
+                                            - composed_path(down, phi_max)) / (2 * h)
+            np.testing.assert_allclose(probe.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_tape_node_count(self, batch, n):
+        # one node for (B, N) phi, plus a reshape on each side for a vector
+        rng = np.random.default_rng(13)
+        for shape, nodes in (((batch, n), 1), ((n,), 3)):
+            with Tape() as tape:
+                make_path(Tensor(rng.normal(size=shape), requires_grad=True), 4.0)
+            assert len(tape.nodes) == nodes
+
+    def test_peak_tie_rules(self):
+        # the pinned path is [0, 0, -1, 1, 0]: |delta| peaks at 1 at indices
+        # 2 and 3.  A peak equal to phi_max binds, and the peak's gradient
+        # goes to index 2, the first; one ulp more phi_max leaves scale 1.
+        weights = Tensor(np.eye(5)[3])
+        grads = []
+        for phi_max in (1.0, np.nextafter(1.0, 2.0)):
+            phi = Tensor([0.0, 1.0, 0.0, 3.0, 0.0], requires_grad=True)
+            with Tape() as tape:
+                path = make_path(phi, phi_max)
+                tape.backward(op_sum(path * weights))
+            np.testing.assert_array_equal(path.data, [0.0, 0.0, -1.0, 1.0, 0.0])
+            grads.append(phi.grad)
+        np.testing.assert_array_equal(grads[0], [0.0, 0.75, 0.75, -0.25, -1.25])
+        np.testing.assert_array_equal(grads[1], [1.0, 0.0, 0.0, 0.0, -1.0])
 
     def test_bitwise_independent_of_first_coordinate(self):
         # when index 0 is not the argmin, phi_0 must not influence the path
