@@ -11,7 +11,7 @@ through one ascent loop, which moves a chunk of origins at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,9 +87,6 @@ class AdvConfig:
             raise ValueError(f"me_beta must be nonnegative, got {self.me_beta}")
         if self.lr <= 0 or self.batch < 1:
             raise ValueError("lr must be positive and batch at least 1")
-
-    def with_mode(self, mode: str) -> "AdvConfig":
-        return replace(self, mode=mode)
 
 
 @dataclass

@@ -28,39 +28,23 @@ class ConfigError(ValueError):
     """Bad config file, bad flag combination, or missing input path."""
 
 
-_ADV = AdvConfig()  # AdvConfig holds the one copy of each hyperparameter default
-_SYNTH = default_spec()  # and default_spec the one copy of each benchmark default
+_SYNTH = default_spec()  # default_spec holds the one copy of each benchmark default
 _SHIFT = {t.kind: t for t in _SYNTH.targets}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command invocation.
+class RunConfig(AdvConfig):
+    """Resolved settings for one command invocation: every AdvConfig field,
+    with AdvConfig's default and validation, plus paths and the synthetic
+    benchmark's keys.
 
     Every field has a working default, so an empty config file is valid.
-    Each AdvConfig field is a key here, with AdvConfig's default.
     Seed precedence: --seed flag, then WARPADA_SEED, then the config file,
     then the default.
     """
 
-    seed: int = _ADV.seed
     out_dir: str = "runs/out"
     train_manifest: str = ""  # empty: train on the synthetic source domain
-    eval_manifests: tuple[str, ...] = ()
-    mode: str = _ADV.mode
-    combine: str = _ADV.combine
-    gamma: float = _ADV.gamma
-    eta: float = _ADV.eta
-    eta_ada: float = _ADV.eta_ada
-    t_max: int = _ADV.t_max
-    t_min: int = _ADV.t_min
-    k_rounds: int = _ADV.k_rounds
-    t_final: int = _ADV.t_final
-    m_window: int = _ADV.m_window
-    phi_max: float = _ADV.phi_max
-    me_beta: float = _ADV.me_beta
-    lr: float = _ADV.lr
-    batch: int = _ADV.batch
     synth_length: int = _SYNTH.length
     synth_n_per_class: int = _SYNTH.n_per_class
     synth_noise_sigma: float = _SYNTH.noise_sigma
@@ -103,19 +87,13 @@ def _coerce(name: str, value, default):
         if not isinstance(value, str):
             raise ConfigError(f"config key {name!r} must be a string, got {value!r}")
         return value
-    if isinstance(default, tuple):
-        if isinstance(value, str):
-            return (value,)
-        if not isinstance(value, (list, tuple)) or not all(
-                isinstance(v, str) for v in value):
-            raise ConfigError(f"config key {name!r} must be a list of paths")
-        return tuple(value)
     raise ConfigError(f"config key {name!r} has unsupported type")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read a YAML mapping, reject unknown keys, apply the WARPADA_SEED
-    environment variable and then any non-None flag overrides."""
+    environment variable and then any non-None flag overrides, and check the
+    result as AdvConfig and as a synthetic benchmark spec."""
     raw: dict = {}
     if path:
         try:
@@ -134,7 +112,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raw.update(loaded)
 
     defaults = {f.name: f.default for f in fields(RunConfig)}
-    # the tuple default comes through as a field default, not default_factory
     for key in raw:
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
@@ -151,16 +128,19 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         if value is not None:
             resolved[key] = _coerce(key, value, defaults[key])
 
-    return RunConfig(**resolved)
+    try:
+        cfg = RunConfig(**resolved)
+        cfg.synth_spec()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
+    return cfg
 
 
 def _write_echo(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    data = asdict(cfg)
-    data["eval_manifests"] = list(cfg.eval_manifests)
     with open(os.path.join(out_dir, "config_echo.yaml"), "w",
               encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=False)
+        yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=False)
 
 
 def _load_ckpt(path: str):
@@ -350,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_export_features(cfg, args.checkpoint, args.manifest,
                                        args.output)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,9 +68,6 @@ def _items(rng: np.random.Generator):
     add("add", binary(_tensor.op_add), rng.uniform(-1, 1, 6))
     add("sub", binary(_tensor.op_sub), rng.uniform(-1, 1, 6))
     add("mul", binary(_tensor.op_mul), rng.uniform(-1, 1, 6))
-    # denominator half stays clear of zero
-    add("div", binary(_tensor.op_div),
-        np.concatenate([rng.uniform(-1, 1, 3), _away_from_zero(rng, 3, 0.5)]))
 
     m_right = Tensor(rng.uniform(-1, 1, (4, 2)))
     m_left = Tensor(rng.uniform(-1, 1, (2, 3)))
@@ -119,10 +116,7 @@ def _items(rng: np.random.Generator):
         np.concatenate([rng.uniform(-1, 1, 10),
                         [0.0, 3.0, -7.0, 2.0 + 1e-6, -5.0 - 1e-6, 4.0 - 3e-4, 9.0, -9.0],
                         rng.uniform(-10, 10, 2)]))
-    add("exp", unary(_tensor.op_exp), rng.uniform(-1, 1, 8))
-    add("log", unary(_tensor.op_log), rng.uniform(0.5, 1.5, 8))
     add("sum", _tensor.op_sum, rng.uniform(-1, 1, 8))
-    add("max_reduce", unary(_tensor.op_max_reduce), rng.uniform(-1, 1, 8))
 
     repeats = np.array([0, 2, 2, 5, 7, 0])
     w6 = Tensor(rng.uniform(-1, 1, 6))
@@ -182,15 +176,30 @@ def _items(rng: np.random.Generator):
     w_rows = Tensor(rng.uniform(-1, 1, (3, 4)))
 
     def f_rows(x):
-        # every coordinate reaches the result through the row sum and the
-        # weighted row, so no true gradient is identically 0
+        # every coordinate reaches the result directly and through its row
+        # sum, on both sides of a (3, 1) against (3, 4) add and mul, so no
+        # true gradient is identically 0
         m = _tensor.op_reshape(x, (3, 4))
-        below_peak = _tensor.op_sub(m, _tensor.op_max_reduce(m))
-        weighted = _tensor.op_mul(_tensor.op_mul(below_peak, _tensor.op_sum(m, axis=-1)),
-                                  w_rows)
+        row_sum = _tensor.op_sum(m, axis=-1)
+        weighted = _tensor.op_mul(_tensor.op_mul(_tensor.op_add(m, row_sum), row_sum), w_rows)
         return _tensor.op_sum(_tensor.op_matmul(_tensor.op_transpose(weighted), weighted))
 
     add("row_reductions", f_rows, rng.uniform(-1, 1, 12))
+
+    # the fused loss terms on (4, 5) logits, per-row weights making every
+    # row's output gradient distinct; row 1's maximum is tied
+    head_logits = rng.uniform(-2, 2, (4, 5))
+    head_logits[1, 3] = head_logits[1, 0] = head_logits[1].max()
+    head_labels = np.array([2, 0, 4, 1])
+    w_head = Tensor(rng.uniform(0.5, 1.5, (4, 1)))
+
+    def head(term):
+        return lambda x: _tensor.op_sum(_tensor.op_mul(term(_tensor.op_reshape(x, (4, 5))),
+                                                       w_head))
+
+    add("loss_ce", head(lambda logits: _model.loss_ce(logits, head_labels)),
+        head_logits.ravel())
+    add("entropy", head(_model.entropy), head_logits.ravel())
 
     x_rows = Tensor(np.stack([base, base[::-1]]).reshape(2, 1, 64))
 

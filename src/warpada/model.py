@@ -17,13 +17,10 @@ import numpy as np
 from .signal import TimeSeries
 from .tensor import (
     Tensor,
+    _record,
     as_batch,
     op_conv1d,
-    op_exp,
-    op_gather,
-    op_log,
     op_matmul,
-    op_max_reduce,
     op_mul,
     op_relu,
     op_reshape,
@@ -142,11 +139,23 @@ def _per_row(value: Tensor, single: bool) -> Tensor:
     return op_reshape(value, ()) if single else value
 
 
+def _softmax_rows(rows: np.ndarray):
+    """Per row of (B, K) logits: the first index of the maximum, the logits
+    shifted by that maximum, their exponentials and the row sums (B, 1)."""
+    peak = np.argmax(rows, axis=1)
+    shifted = rows - rows[np.arange(rows.shape[0]), peak][:, None]
+    e = np.exp(shifted)
+    return peak, shifted, e, e.sum(axis=-1, keepdims=True)
+
+
 def loss_ce(logits: Tensor, label) -> Tensor:
-    """Cross-entropy -log softmax(logits)[label], computed in log space.
+    """Cross-entropy -log softmax(logits)[label] = log sum_k exp(s_k) - s_label
+    with s the logits shifted by their row maximum.
 
     A (K,) vector with an int label gives a scalar; (B, K) logits with B
-    labels give the (B, 1) per-row losses.
+    labels give the (B, 1) per-row losses.  (B, K) logits record one tape
+    node, whose backward rule is g * (softmax - onehot); a vector adds a
+    reshape on each side.
     """
     rows, single = as_batch(logits, 1)
     batch, n = rows.data.shape
@@ -158,23 +167,38 @@ def loss_ce(logits: Tensor, label) -> Tensor:
     bad = labels[(labels < 0) | (labels >= n)]
     if bad.size:
         raise ValueError(f"label {int(bad[0])} out of range for {n} classes")
-    shifted = op_sub(rows, op_max_reduce(rows))
-    log_norm = op_log(op_sum(op_exp(shifted), axis=-1))
-    picked = op_gather(op_reshape(shifted, (batch * n,)),
-                       (np.arange(batch) * n + labels).reshape(batch, 1))
-    return _per_row(op_sub(log_norm, picked), single)
+    peak, shifted, e, norm = _softmax_rows(rows.data)
+    index = np.arange(batch)
+    out = Tensor(np.log(norm) - shifted[index, labels][:, None],
+                 requires_grad=rows.requires_grad)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        d = g / norm * e
+        d[index, labels] -= g[:, 0]
+        # the gradient through the max shift: zero in exact arithmetic, kept
+        # so the rounding matches an op-by-op evaluation
+        d[index, peak] -= d.sum(axis=1)
+        return d
+
+    return _per_row(_record(out, [(rows, backward)] if rows.requires_grad else []), single)
 
 
 def entropy(logits: Tensor) -> Tensor:
-    """Predictive entropy H = -sum_k p_k log p_k of softmax(logits), per
-    row for (B, K) logits ((B, 1) out), a scalar for a vector."""
+    """Predictive entropy H = -sum_k p_k log p_k of p = softmax(logits), per
+    row for (B, K) logits ((B, 1) out), a scalar for a vector.
+
+    Evaluated as log Z - sum_k p_k s_k with s the max-shifted logits, which
+    avoids the log of near-zero probabilities.  (B, K) logits record one tape
+    node with the closed-form backward rule -g * p * (s - sum_k p_k s_k); a
+    vector adds a reshape on each side.
+    """
     rows, single = as_batch(logits, 1)
-    shifted = op_sub(rows, op_max_reduce(rows))
-    e = op_exp(shifted)
-    norm = op_sum(e, axis=-1)
-    # H = log Z - sum p * shifted, avoiding log of near-zero probabilities
-    h = op_sub(op_log(norm), op_sum(op_mul(e / norm, shifted), axis=-1))
-    return _per_row(h, single)
+    _, shifted, e, norm = _softmax_rows(rows.data)
+    p = e / norm
+    mean_shift = (p * shifted).sum(axis=-1, keepdims=True)
+    out = Tensor(np.log(norm) - mean_shift, requires_grad=rows.requires_grad)
+    rules = [(rows, lambda g: -g * p * (shifted - mean_shift))] if rows.requires_grad else []
+    return _per_row(_record(out, rules), single)
 
 
 def semantic_distance(z_a: Tensor, z_b: Tensor) -> Tensor:

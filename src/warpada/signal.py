@@ -51,9 +51,6 @@ class TimeSeries:
     def length(self) -> int:
         return self.values.data.shape[1]
 
-    def copy(self) -> "TimeSeries":
-        return TimeSeries(Tensor(self.values.data.copy()), self.label, self.domain_tag)
-
 
 def warp_apply(x, path, half_width: int):
     """Warp every channel of ``x`` along ``path``: output index i is the

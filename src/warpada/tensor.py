@@ -9,13 +9,15 @@ belong to one thread; separate threads use separate tapes.
 Elementwise binary ops require equal shapes, a rank-0 operand, or one
 (B, 1) operand against a (B, N) one, which carries a per-row value across
 its row.  There is no other broadcasting.  A leading batch axis runs
-through conv1d and the last-axis reductions, so a whole minibatch is one
-node per op.  All data is float64.
+through conv1d and the last-axis sum, so a whole minibatch is one node per
+op.  All data is float64.  Fused terms outside this module (``make_path``,
+``loss_ce``, ``entropy``) compute in numpy and record one node each through
+``_record``.
 
 Ops never scan values for finiteness; values are validated where they enter
 the program and where a step yields a loss or an objective.  Beyond shape
-and index checks, ops raise only on a zero divisor, a nonpositive log
-argument, or a Dirichlet-filter shift with |shift| + M >= L.
+and index checks, ops raise only on a Dirichlet-filter shift with
+|shift| + M >= L.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ __all__ = [
     "op_add",
     "op_sub",
     "op_mul",
-    "op_div",
     "op_matmul",
     "op_transpose",
     "op_conv1d",
     "op_relu",
     "op_dirichlet_filter",
-    "op_exp",
-    "op_log",
     "op_sum",
-    "op_max_reduce",
     "op_gather",
     "op_reshape",
     "finite_diff_check",
@@ -99,32 +97,11 @@ class Tensor:
     def __add__(self, other):
         return op_add(self, other)
 
-    def __radd__(self, other):
-        return op_add(other, self)
-
     def __sub__(self, other):
         return op_sub(self, other)
 
-    def __rsub__(self, other):
-        return op_sub(other, self)
-
     def __mul__(self, other):
         return op_mul(self, other)
-
-    def __rmul__(self, other):
-        return op_mul(other, self)
-
-    def __truediv__(self, other):
-        return op_div(self, other)
-
-    def __rtruediv__(self, other):
-        return op_div(other, self)
-
-    def __neg__(self):
-        return op_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return op_matmul(self, other)
 
 
 class TapeNode:
@@ -276,21 +253,6 @@ def op_mul(a, b) -> Tensor:
         rules.append((a, lambda g, other=b.data, s=a.data.shape: _reduce_to(g * other, s)))
     if b.requires_grad:
         rules.append((b, lambda g, other=a.data, s=b.data.shape: _reduce_to(g * other, s)))
-    return _record(out, rules)
-
-
-def op_div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes("div", a, b)
-    if np.any(b.data == 0.0):
-        raise ValueError("div: divisor contains zero")
-    out = Tensor(a.data / b.data, requires_grad=a.requires_grad or b.requires_grad)
-    rules = []
-    if a.requires_grad:
-        rules.append((a, lambda g, den=b.data, s=a.data.shape: _reduce_to(g / den, s)))
-    if b.requires_grad:
-        rules.append((b, lambda g, num=a.data, den=b.data, s=b.data.shape:
-                      _reduce_to(-g * num / (den * den), s)))
     return _record(out, rules)
 
 
@@ -506,26 +468,6 @@ def op_dirichlet_filter(x, index, shifts, length: int) -> Tensor:
     return _record(out, rules)
 
 
-def op_exp(x) -> Tensor:
-    x = _lift(x)
-    out = Tensor(np.exp(x.data), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, d=out.data: g * d))
-    return _record(out, rules)
-
-
-def op_log(x) -> Tensor:
-    x = _lift(x)
-    if np.any(x.data <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    out = Tensor(np.log(x.data), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, d=x.data: g / d))
-    return _record(out, rules)
-
-
 def op_sum(x, axis: int | None = None) -> Tensor:
     """Sum of all elements, or with ``axis=-1`` of each row along the last
     axis, keeping it as length 1 ((B, N) -> (B, 1))."""
@@ -538,28 +480,6 @@ def op_sum(x, axis: int | None = None) -> Tensor:
     rules = []
     if x.requires_grad:
         rules.append((x, lambda g, sh=x.data.shape: np.broadcast_to(g, sh).copy()))
-    return _record(out, rules)
-
-
-def op_max_reduce(x) -> Tensor:
-    """Maximum of each row along the last axis, kept as length 1
-    ((B, N) -> (B, 1)); gradient routes to the first attaining index."""
-    x = _lift(x)
-    if x.data.ndim == 0 or x.data.size == 0:
-        raise ValueError(f"max_reduce: expected a non-empty tensor of rank 1 or more, "
-                         f"got shape {x.data.shape}")
-    source = x.data.reshape(-1, x.data.shape[-1])
-    rows = np.arange(source.shape[0])
-    index = np.argmax(source, axis=1)
-    out = Tensor(source[rows, index].reshape(x.data.shape[:-1] + (1,)),
-                 requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        def _route(g, sh=source.shape):
-            grad = np.zeros(sh)
-            grad[rows, index] = np.reshape(g, -1)
-            return grad.reshape(x.data.shape)
-        rules.append((x, _route))
     return _record(out, rules)
 
 

@@ -119,7 +119,7 @@ def test_5_training_bookkeeping():
                     batch=32, seed=0)
     _, first = run(ds, cfg)
     _, again = run(ds, cfg)
-    _, plus = run(ds, cfg.with_mode("tada_plus"))
+    _, plus = run(ds, dataclasses.replace(cfg, mode="tada_plus"))
     unchanged = all(np.array_equal(s.values.data, b)
                     for s, b in zip(ds.samples, before))
     ok = (first.dataset_sizes == [100, 200, 300]

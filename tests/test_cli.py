@@ -105,11 +105,13 @@ class TestLoadConfig:
             load_config(None)
 
     def test_manifest_list_and_scalar(self, tmp_path):
+        # eval takes its manifests as arguments; the old eval_manifests key,
+        # as a list or a scalar, is an unknown key
         p = tmp_path / "c.yaml"
-        p.write_text("eval_manifests:\n  - a\n  - b\n")
-        assert load_config(str(p)).eval_manifests == ("a", "b")
-        p.write_text("eval_manifests: solo\n")
-        assert load_config(str(p)).eval_manifests == ("solo",)
+        for body in ("eval_manifests:\n  - a\n  - b\n", "eval_manifests: solo\n"):
+            p.write_text(body)
+            with pytest.raises(ConfigError, match="unknown config key 'eval_manifests'"):
+                load_config(str(p))
 
     def test_int_field_rejects_bool(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -138,6 +140,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{p}: {problem}"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("argv", [["synth"], ["gradcheck"], ["train"],
+                                      ["augment", "--checkpoint", "c.bin", "--manifest", "m"],
+                                      ["eval", "--checkpoint", "c.bin", "m"],
+                                      ["export-features", "--checkpoint", "c.bin",
+                                       "--manifest", "m"]],
+                             ids=lambda argv: argv[0])
+    def test_invalid_values_rejected_on_load(self, tmp_path, capsys, argv):
+        p = tmp_path / "c.yaml"
+        p.write_text("t_max: 0\nlr: -1.0\n")
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 2
+        assert f"error: {p}: t_max must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_synth_keys_rejected_on_load(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        for body, problem in (("synth_length: 12\n", "length 12 too short"),
+                              ("synth_noise_sigma: -0.5\n", "noise_sigma must be >= 0"),
+                              ("synth_warp_d: 12.0\n", "warp_d 12.0 exceeds")):
+            p.write_text(body)
+            with pytest.raises(ConfigError, match=f"{p}: .*{problem}"):
+                load_config(str(p))
+
     def test_synth_defaults_are_default_spec(self):
         assert RunConfig().synth_spec() == default_spec(0)
         spec = RunConfig(seed=4, synth_amp_scale=2.0, synth_warp_d=3.0).synth_spec()
@@ -150,9 +175,9 @@ class TestLoadConfig:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
     st.binary(max_size=120),
-    st.lists(st.sampled_from(["lr: ", "gamma: ", "batch: ", "mode: ", "eval_manifests: ",
+    st.lists(st.sampled_from(["lr: ", "gamma: ", "batch: ", "mode: ", "t_max: ",
                               "bogus: ", ".nan", ".inf", "1e999", "1.0e+999", "9" * 400,
-                              "9" * 4400, "0.5",
+                              "9" * 4400, "0.5", "-1",
                               "3", "true", "[a, 1]", "{x: 1}", "- ", "'s'", "&a ", "*a",
                               "\n", "  ", ":", "\t", "\xff", "\x00"]),
              max_size=20).map(lambda parts: "".join(parts).encode("utf-8"))))

@@ -17,7 +17,7 @@ from warpada.model import (
     semantic_distance,
 )
 from warpada.signal import TimeSeries
-from warpada.tensor import Tape, Tensor, finite_diff_check, op_gather, op_reshape
+from warpada.tensor import Tape, Tensor, finite_diff_check, op_mul, op_reshape, op_sum
 
 
 def small_input(seed=0, channels=1, length=64):
@@ -194,6 +194,97 @@ class TestLosses:
     def test_semantic_distance_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             semantic_distance(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
+def loss_head_oracle(logits, labels):
+    """CE and H per row of (B, K) logits, in plain numpy, step by step as the
+    generic ops computed them: subtract the row maximum (first attaining
+    index), exp, row sum, log; CE picks the label's shifted logit, H takes
+    log Z - sum (e / Z) * shifted."""
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits[rows, np.argmax(logits, axis=1)][:, None]
+    e = np.exp(shifted)
+    norm = e.sum(axis=-1, keepdims=True)
+    ce = np.log(norm) - shifted.reshape(-1)[rows * logits.shape[1] + labels][:, None]
+    h = np.log(norm) - (e / norm * shifted).sum(axis=-1, keepdims=True)
+    return ce, h, e / norm, shifted
+
+
+def head_grads(logits, labels, g):
+    """Values and input gradients of loss_ce and entropy at (B, K) logits
+    for the output gradient g (B, 1)."""
+    results = []
+    for term in (lambda x: loss_ce(x, labels), entropy):
+        x = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            y = term(x)
+            tape.backward(op_sum(op_mul(y, Tensor(g))))
+        results += [y.data, x.grad]
+    return results
+
+
+def random_heads(seed, count=50):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        batch, k = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        logits = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=(batch, k))
+        if i % 3 == 0:  # a tied maximum in the first row
+            logits[0, -1] = logits[0].max()
+        yield logits, rng.integers(0, k, size=batch), rng.normal(size=(batch, 1))
+
+
+class TestFusedLossHead:
+    def test_values_equal_the_op_by_op_chain(self):
+        for logits, labels, _ in random_heads(20):
+            ce, h, _, _ = loss_head_oracle(logits, labels)
+            np.testing.assert_array_equal(loss_ce(Tensor(logits), labels).data, ce)
+            np.testing.assert_array_equal(entropy(Tensor(logits)).data, h)
+            for i in range(len(labels)):
+                row = Tensor(logits[i])
+                assert loss_ce(row, int(labels[i])).data == ce[i, 0]
+                assert entropy(row).data == h[i, 0]
+
+    def test_gradients_match_closed_forms(self):
+        for logits, labels, g in random_heads(21):
+            _, ce_grad, _, h_grad = head_grads(logits, labels, g)
+            _, _, p, shifted = loss_head_oracle(logits, labels)
+            onehot = np.eye(logits.shape[1])[labels]
+            np.testing.assert_allclose(ce_grad, g * (p - onehot), rtol=0, atol=1e-12)
+            mean_shift = (p * shifted).sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(h_grad, -g * p * (shifted - mean_shift),
+                                       rtol=0, atol=1e-15)
+
+    def test_one_node_per_batch_three_per_vector(self):
+        logits = np.random.default_rng(22).normal(size=(4, 3))
+        for term in (lambda x, lab: loss_ce(x, lab), lambda x, lab: entropy(x)):
+            for value, label, nodes in ((logits, np.array([0, 1, 2, 0]), 1),
+                                        (logits[0], 2, 3)):
+                with Tape() as tape:
+                    term(Tensor(value, requires_grad=True), label)
+                assert len(tape.nodes) == nodes
+                with Tape() as tape:  # a constant input records nothing
+                    term(Tensor(value), label)
+                assert tape.nodes == []
+
+    def test_tied_maximum(self):
+        logits = np.array([[1.0, 3.0, 3.0, -2.0]])
+        ce, ce_grad, h, h_grad = head_grads(logits, np.array([2]), np.ones((1, 1)))
+        p = np.exp(logits - 3.0) / np.exp(logits - 3.0).sum()
+        assert ce[0, 0] == pytest.approx(-np.log(p[0, 2]), abs=1e-15)
+        assert h[0, 0] == pytest.approx(-(p * np.log(p)).sum(), abs=1e-15)
+        np.testing.assert_allclose(ce_grad, p - [[0.0, 0.0, 1.0, 0.0]], rtol=0, atol=1e-15)
+        assert ce_grad[0, 1] == pytest.approx(ce_grad[0, 2] + 1.0, abs=1e-15)
+        assert h_grad[0, 1] == h_grad[0, 2]
+
+    def test_extreme_logits_stay_finite(self):
+        # pytest turns RuntimeWarnings into errors, so an overflow in exp or
+        # a log of 0 fails here
+        logits = np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, 1e3]])
+        ce, ce_grad, h, h_grad = head_grads(logits, np.array([1, 2]), np.ones((2, 1)))
+        np.testing.assert_array_equal(ce, [[2e3], [0.0]])
+        np.testing.assert_array_equal(h, [[0.0], [0.0]])
+        assert np.isfinite(ce_grad).all() and np.isfinite(h_grad).all()
+        np.testing.assert_array_equal(ce_grad, [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestCheckpoint:

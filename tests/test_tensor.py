@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpada import tensor as T
+from warpada.model import entropy, loss_ce
 from warpada.tensor import Tape, Tensor, finite_diff_check
 
 
@@ -29,10 +30,6 @@ class TestElementwise:
             tape.backward(y)
         np.testing.assert_array_equal(y.data, 0.0)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0])
-
-    def test_div_by_zero_raises_in_checked_mode(self):
-        with pytest.raises(ValueError, match="zero"):
-            T.op_div(Tensor([1.0]), Tensor([0.0]))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError) as err:
@@ -72,10 +69,6 @@ class TestElementwise:
         rows = T.op_dirichlet_filter(Tensor(np.ones(3)), np.array([[0, 1, 2]]),
                                      Tensor([[np.nan]]), 3)
         assert np.isnan(rows.data).all()
-
-    def test_log_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            T.op_log(Tensor([1.0, 0.0]))
 
     def test_relu_values_and_subgradient_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
@@ -196,34 +189,15 @@ class TestReductions:
         g = grad_of(T.op_sum, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(g, np.ones((2, 2)))
 
-    def test_min_first_occurrence_tie_break(self):
-        # the minimum as -max(-x) routes its gradient to the first minimum
-        x = Tensor([3.0, 1.0, 1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
-            y = T.op_sum(-T.op_max_reduce(-x))
-            tape.backward(y)
-        assert y.item() == 1.0
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
-
-    def test_max_singleton(self):
-        np.testing.assert_array_equal(T.op_max_reduce(Tensor([5.0])).data, [5.0])
-
-    def test_extremum_empty_raises(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            T.op_max_reduce(Tensor([]))
-        with pytest.raises(ValueError, match="rank 1"):
-            T.op_max_reduce(Tensor(5.0))
-
     def test_last_axis_reductions_per_row(self):
         data = np.array([[3.0, 1.0, 1.0, 2.0], [0.0, 5.0, -2.0, 5.0]])
         np.testing.assert_array_equal(T.op_sum(Tensor(data), axis=-1).data, [[7.0], [8.0]])
-        np.testing.assert_array_equal(T.op_max_reduce(Tensor(data)).data,
-                                      [[3.0], [5.0]])
         x = Tensor(data, requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.op_sum(T.op_max_reduce(x)))
-        # first attaining index per row
-        np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+            rows = T.op_sum(x, axis=-1)
+            tape.backward(T.op_sum(T.op_mul(rows, Tensor([[2.0], [-1.0]]))))
+        # each row's output gradient spread across its row
+        np.testing.assert_array_equal(x.grad, [[2.0] * 4, [-1.0] * 4])
         with pytest.raises(ValueError, match="axis"):
             T.op_sum(Tensor(data), axis=0)
 
@@ -390,7 +364,7 @@ class TestBackward:
         for _ in range(2):
             x = Tensor(data.copy(), requires_grad=True)
             with Tape() as tape:
-                y = T.op_sum(T.op_exp(T.op_mul(x, x)))
+                y = T.op_sum(T.op_mul(T.op_relu(T.op_mul(x, x)), x))
                 tape.backward(y)
             runs.append(x.grad.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -404,19 +378,19 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(lambda x: x * x, Tensor(3.0))
         assert err < 1e-9
 
-    def test_min_max_gradients_distinct_entries(self):
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.permutation(np.linspace(-2.0, 2.0, 9)))
-        assert finite_diff_check(lambda v: T.op_sum(-T.op_max_reduce(-v)), x) < 1e-8
-        assert finite_diff_check(lambda v: T.op_sum(T.op_max_reduce(v)), x) < 1e-8
-
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=16))
-def test_exp_log_chain_gradient_matches_finite_differences(values):
-    x = Tensor(np.asarray(values))
-    err = finite_diff_check(lambda t: T.op_sum(T.op_log(T.op_exp(t) + 1.0)), x)
-    assert err < 1e-5
+@given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=6, max_size=6),
+       st.integers(min_value=0, max_value=2))
+def test_exp_log_chain_gradient_matches_finite_differences(values, label):
+    # the log-sum-exp chains of the loss head, cross-entropy plus entropy,
+    # each one fused node with a hand-written backward rule
+    def head(t):
+        rows = T.op_reshape(t, (2, 3))
+        terms = T.op_add(loss_ce(rows, np.array([label, 2 - label])), entropy(rows))
+        return T.op_sum(T.op_mul(terms, Tensor([[1.0], [-0.5]])))
+
+    assert finite_diff_check(head, Tensor(np.asarray(values))) < 1e-5
 
 
 @settings(max_examples=30, deadline=None)

@@ -56,7 +56,8 @@ class TestDataset:
 
     def test_extended_leaves_original_alone(self):
         ds = toy_dataset(n_per_class=2)
-        extra = [ds.samples[0].copy()]
+        first = ds.samples[0]
+        extra = [TimeSeries(Tensor(first.values.data.copy()), first.label, first.domain_tag)]
         bigger = ds.extended(extra)
         assert len(bigger) == len(ds) + 1
         assert len(ds) == 4
