@@ -3,13 +3,15 @@
 Hyperparameters live in a YAML config file; flags cover only paths, seed
 and mode.  Every command writes a ``config_echo.yaml`` with
 the fully resolved settings next to its outputs.  Exit codes: 0 success,
-1 check failure, 2 usage or config error.
+1 check failure, 2 usage or config error, a malformed input file, or a path
+that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -25,7 +27,7 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
 
 class ConfigError(ValueError):
-    """Bad config file, bad flag combination, or missing input path."""
+    """Bad or missing config file, or a bad flag combination."""
 
 
 _SYNTH = default_spec()  # default_spec holds the one copy of each benchmark default
@@ -56,7 +58,8 @@ class RunConfig(AdvConfig):
         return AdvConfig(**{f.name: getattr(self, f.name) for f in fields(AdvConfig)})
 
     def synth_spec(self):
-        """default_spec with the synth_* keys applied to it and its targets."""
+        """default_spec with the synth_* keys applied to it and its targets.
+        A value the spec rejects raises ValueError naming its config key."""
         def retarget(shift):
             changes = {}
             if shift.kind in ("amplitude", "both"):
@@ -66,10 +69,16 @@ class RunConfig(AdvConfig):
             return replace(shift, **changes)
 
         base = default_spec(seed=self.seed)
-        return replace(base, length=self.synth_length,
-                       n_per_class=self.synth_n_per_class,
-                       noise_sigma=self.synth_noise_sigma,
-                       targets=tuple(retarget(t) for t in base.targets))
+        try:
+            return replace(base, length=self.synth_length,
+                           n_per_class=self.synth_n_per_class,
+                           noise_sigma=self.synth_noise_sigma,
+                           targets=tuple(retarget(t) for t in base.targets))
+        except ValueError as exc:  # the spec names its fields; say which key set each
+            keys = {"length": "synth_length", "n_per_class": "synth_n_per_class",
+                    "noise_sigma": "synth_noise_sigma", "warp_d": "synth_warp_d"}
+            raise ValueError(re.sub(r"\b(" + "|".join(keys) + r")\b",
+                                    lambda m: keys[m.group()], str(exc))) from None
 
 
 def _coerce(name: str, value, default):
@@ -143,18 +152,6 @@ def _write_echo(cfg: RunConfig, out_dir: str) -> None:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=False)
 
 
-def _load_ckpt(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
-def _load_mani(path: str) -> Dataset:
-    if not os.path.exists(path):
-        raise ConfigError(f"manifest not found: {path}")
-    return load_manifest(path)
-
-
 def cmd_synth(cfg: RunConfig) -> int:
     spec = cfg.synth_spec()
     source, targets = synth_generate(spec)
@@ -182,8 +179,8 @@ def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
     if cfg.mode == "erm":
         raise ConfigError("mode 'erm' generates no adversarial samples; "
                           "pick ada, tada, or tada_plus")
-    model = _load_ckpt(checkpoint)
-    dataset = _load_mani(manifest)
+    model = load_checkpoint(checkpoint)
+    dataset = load_manifest(manifest)
     adv = maximize_phase(model, dataset, cfg.adv_config())
     augmented = Dataset([s.series for s in adv], dataset.n_classes)
     manifest_out = save_dataset(augmented, cfg.out_dir, "augmented")
@@ -206,7 +203,7 @@ def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     if cfg.train_manifest:
-        d0 = _load_mani(cfg.train_manifest)
+        d0 = load_manifest(cfg.train_manifest)
     else:
         d0, _ = synth_generate(cfg.synth_spec())
     model, report = run(d0, cfg.adv_config())
@@ -223,8 +220,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
-    model = _load_ckpt(checkpoint)
-    domains = [_load_mani(m) for m in manifests]
+    model = load_checkpoint(checkpoint)
+    domains = [load_manifest(m) for m in manifests]
     scores, average = evaluate(model, domains)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
@@ -243,8 +240,8 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
 
 def cmd_export_features(cfg: RunConfig, checkpoint: str, manifest: str,
                         output: str | None) -> int:
-    model = _load_ckpt(checkpoint)
-    dataset = _load_mani(manifest)
+    model = load_checkpoint(checkpoint)
+    dataset = load_manifest(manifest)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = output or os.path.join(cfg.out_dir, "features.csv")
     export_features(model, dataset, out_path)
@@ -330,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_export_features(cfg, args.checkpoint, args.manifest,
                                        args.output)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError included; both name the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

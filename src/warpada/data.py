@@ -81,8 +81,11 @@ class SynthSpec:
         if self.length < 2 * self.m_window + 1:
             raise ValueError(f"length {self.length} too short for window "
                              f"half-width {self.m_window}")
-        if self.noise_sigma < 0 or self.n_per_class < 1 or self.channels < 1:
-            raise ValueError("noise_sigma must be >= 0, n_per_class and channels >= 1")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("n_per_class", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for proto in self.classes:
             for comp in proto:
                 if not comp.frequency < self.length / 4:
@@ -177,18 +180,14 @@ def _write_series_csv(path: str, values: np.ndarray) -> None:
     np.savetxt(path, values.T, fmt=CSV_FORMAT, delimiter=",")
 
 
-def save_dataset(dataset: Dataset, out_dir: str, name: str,
-                 class_names: list[str] | None = None) -> str:
+def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     """Write one CSV per series plus a manifest; returns the manifest path.
 
     Series go to <out_dir>/<name>/NNNN.csv; the manifest is
-    <out_dir>/<name>.manifest and references them relatively.
+    <out_dir>/<name>.manifest and references them relatively.  Class c is
+    named class<c>.
     """
-    if class_names is None:
-        class_names = [f"class{c}" for c in range(dataset.n_classes)]
-    if len(class_names) != dataset.n_classes:
-        raise ValueError(f"{len(class_names)} class names for "
-                         f"{dataset.n_classes} classes")
+    class_names = [f"class{c}" for c in range(dataset.n_classes)]
     series_dir = os.path.join(out_dir, name)
     os.makedirs(series_dir, exist_ok=True)
     entries = []

@@ -69,17 +69,6 @@ def _items(rng: np.random.Generator):
     add("sub", binary(_tensor.op_sub), rng.uniform(-1, 1, 6))
     add("mul", binary(_tensor.op_mul), rng.uniform(-1, 1, 6))
 
-    m_right = Tensor(rng.uniform(-1, 1, (4, 2)))
-    m_left = Tensor(rng.uniform(-1, 1, (2, 3)))
-
-    def f_matmul(x):
-        m = _tensor.op_reshape(x, (3, 4))
-        lhs = _tensor.op_sum(_tensor.op_matmul(m, m_right))
-        rhs = _tensor.op_sum(_tensor.op_matmul(m_left, m))
-        return _tensor.op_add(lhs, rhs)
-
-    add("matmul", f_matmul, rng.uniform(-1, 1, 12))
-
     k_fixed = Tensor(rng.uniform(-1, 1, (3, 2, 3)))
     b_fixed = Tensor(rng.uniform(-1, 1, 3))
     img_fixed = Tensor(rng.uniform(-1, 1, (2, 9)))
@@ -160,8 +149,8 @@ def _items(rng: np.random.Generator):
     add("loss_grad_input", f_loss_input, base.copy())
 
     # batch-axis paths: a (B, C_in, N) conv with every input differentiable,
-    # the last-axis reductions under the (B, 1) against (B, N) broadcast plus
-    # transpose, and the chunked ascent objective over two rows of phi
+    # the classifier's fused pool and head, the ascent's semantic distance,
+    # and the chunked ascent objective over two rows of phi
     img_batch = Tensor(rng.uniform(-1, 1, (2, 2, 9)))
 
     def f_conv_batched(x):
@@ -173,18 +162,26 @@ def _items(rng: np.random.Generator):
 
     add("conv1d_batched", f_conv_batched, rng.uniform(-1, 1, 57))
 
-    w_rows = Tensor(rng.uniform(-1, 1, (3, 4)))
+    w_tail = Tensor(rng.uniform(-1, 1, (2, 3)))
 
-    def f_rows(x):
-        # every coordinate reaches the result directly and through its row
-        # sum, on both sides of a (3, 1) against (3, 4) add and mul, so no
-        # true gradient is identically 0
-        m = _tensor.op_reshape(x, (3, 4))
-        row_sum = _tensor.op_sum(m, axis=-1)
-        weighted = _tensor.op_mul(_tensor.op_mul(_tensor.op_add(m, row_sum), row_sum), w_rows)
-        return _tensor.op_sum(_tensor.op_matmul(_tensor.op_transpose(weighted), weighted))
+    def f_pool_head(x):
+        # features h (2, 4, 5), head weights w (3, 4) and bias b (3), all
+        # differentiable; squaring the logits gives every input its own
+        # gradient
+        h = _tensor.op_reshape(_tensor.op_gather(x, np.arange(40)), (2, 4, 5))
+        w = _tensor.op_reshape(_tensor.op_gather(x, np.arange(40, 52)), (3, 4))
+        b = _tensor.op_gather(x, np.arange(52, 55))
+        logits = _model._affine(_model._pool(h), w, b)
+        return _tensor.op_sum(_tensor.op_mul(_tensor.op_mul(logits, logits), w_tail))
 
-    add("row_reductions", f_rows, rng.uniform(-1, 1, 12))
+    add("pool_head", f_pool_head, rng.uniform(-1, 1, 55))
+
+    z_ref = Tensor(rng.uniform(-1, 1, (3, 4)))
+    w_dist = Tensor(rng.uniform(0.5, 1.5, (3, 1)))
+    add("semantic_distance",
+        lambda x: _tensor.op_sum(_tensor.op_mul(
+            _model.semantic_distance(_tensor.op_reshape(x, (3, 4)), z_ref), w_dist)),
+        rng.uniform(-1, 1, 12))
 
     # the fused loss terms on (4, 5) logits, per-row weights making every
     # row's output gradient distinct; row 1's maximum is tied

@@ -2,9 +2,11 @@
 
 Three strided conv+relu blocks pool into a 64-dim feature vector z (the
 "semantic" representation the distance penalty acts on), followed by an
-affine head.  Weights live as plain numpy arrays on the model; a forward
-pass lifts them onto the active tape on demand, so the same model object
-serves gradient steps, frozen adversarial generation, and inference.
+affine head.  The pool and the head compute in numpy and record one tape
+node each, as the loss terms do.  Weights live as plain numpy arrays on the
+model; a forward pass lifts them onto the active tape on demand, so the same
+model object serves gradient steps, frozen adversarial generation, and
+inference.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .tensor import (
     _record,
     as_batch,
     op_conv1d,
-    op_matmul,
     op_mul,
     op_relu,
     op_reshape,
     op_sub,
     op_sum,
-    op_transpose,
 )
 
 __all__ = [
@@ -110,7 +110,8 @@ def forward(model: Classifier, x, params: dict[str, Tensor] | None = None):
     (B, n_classes) for a batch, whose rows equal the per-sample results.
     ``params`` substitutes lifted weight tensors (how training gets weight
     gradients); omitted, weights enter as constants and only the input
-    stays differentiable.
+    stays differentiable.  On a tape, a batch records eight nodes: a conv
+    and a relu per block, then the pool and the head as one node each.
     """
     h, single = as_batch(x.values if isinstance(x, TimeSeries) else x, 2)
     if h.data.shape[1] != model.in_channels:
@@ -122,16 +123,47 @@ def forward(model: Classifier, x, params: dict[str, Tensor] | None = None):
     for idx in range(1, len(_CONV_CHANNELS) + 1):
         h = op_relu(op_conv1d(h, params[f"conv{idx}.k"], stride=_STRIDE,
                               bias=params[f"conv{idx}.b"]))
-    batch, _, t = h.data.shape
-    pool = Tensor(np.full((t, 1), 1.0 / t))
-    z = op_reshape(op_matmul(op_reshape(h, (batch * FEATURE_DIM, t)), pool),
-                   (batch, FEATURE_DIM))
-    # logits^T = W z^T + b, so the bias is a (K, 1) column against (K, B)
-    logits = op_transpose(op_matmul(params["head.w"], op_transpose(z))
-                          + op_reshape(params["head.b"], (model.n_classes, 1)))
+    z = _pool(h)
+    logits = _affine(z, params["head.w"], params["head.b"])
     if single:
         return op_reshape(z, (FEATURE_DIM,)), op_reshape(logits, (model.n_classes,))
     return z, logits
+
+
+def _pool(h: Tensor) -> Tensor:
+    """Global average pool (B, D, T) -> (B, D), as one tape node.
+
+    The mean over time is a product with a (T, 1) column of 1/T, in value
+    and in gradient, which rounds differently from a sum scaled by 1/T.
+    """
+    batch, dim, t = h.data.shape
+    p = np.full((t, 1), 1.0 / t)
+    out = Tensor((h.data.reshape(batch * dim, t) @ p).reshape(batch, dim),
+                 requires_grad=h.requires_grad)
+    rules = []
+    if h.requires_grad:
+        rules.append((h, lambda g: (g.reshape(batch * dim, 1) @ p.T).reshape(batch, dim, t)))
+    return _record(out, rules)
+
+
+def _affine(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Logits z w^T + b (B, K) of features z (B, D) under head weights
+    w (K, D) and bias b (K,), as one tape node.
+
+    Values and gradients are computed class-major, on (K, B) transposes;
+    the rounding this gives is what tests/test_model.py's oracle pins.
+    """
+    zt = np.ascontiguousarray(z.data.T)
+    out = Tensor((w.data @ zt + b.data[:, None]).T,
+                 requires_grad=z.requires_grad or w.requires_grad or b.requires_grad)
+    rules = []
+    if z.requires_grad:
+        rules.append((z, lambda g: np.ascontiguousarray((w.data.T @ np.ascontiguousarray(g.T)).T)))
+    if w.requires_grad:
+        rules.append((w, lambda g: np.ascontiguousarray(g.T) @ zt.T))
+    if b.requires_grad:
+        rules.append((b, lambda g: np.ascontiguousarray(g.T).sum(axis=1)))
+    return _record(out, rules)
 
 
 def _per_row(value: Tensor, single: bool) -> Tensor:

@@ -6,13 +6,12 @@ rule.  The tape is rebuilt on every forward pass (define-by-run), so graph
 topology may depend on runtime shapes.  A tape and the tensors recorded on it
 belong to one thread; separate threads use separate tapes.
 
-Elementwise binary ops require equal shapes, a rank-0 operand, or one
-(B, 1) operand against a (B, N) one, which carries a per-row value across
-its row.  There is no other broadcasting.  A leading batch axis runs
-through conv1d and the last-axis sum, so a whole minibatch is one node per
-op.  All data is float64.  Fused terms outside this module (``make_path``,
-``loss_ce``, ``entropy``) compute in numpy and record one node each through
-``_record``.
+Elementwise binary ops take operands of equal shape, or one rank-0
+operand against any shape; there is no other broadcasting.  A leading batch
+axis runs through conv1d and the last-axis sum, so a whole minibatch is one
+node per op.  All data is float64.  Fused terms outside this module
+(``make_path``, ``loss_ce``, ``entropy``, the classifier's pool and head)
+compute in numpy and record one node each through ``_record``.
 
 Ops never scan values for finiteness; values are validated where they enter
 the program and where a step yields a loss or an objective.  Beyond shape
@@ -34,8 +33,6 @@ __all__ = [
     "op_add",
     "op_sub",
     "op_mul",
-    "op_matmul",
-    "op_transpose",
     "op_conv1d",
     "op_relu",
     "op_dirichlet_filter",
@@ -197,27 +194,18 @@ def as_batch(x, rank: int) -> tuple[Tensor, bool]:
     return x, False
 
 
-def _row_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
-    """True for (B, 1) against (B, N), in either order."""
-    return (len(sa) == len(sb) == 2 and sa[0] == sb[0]
-            and (sa[1] == 1 or sb[1] == 1))
-
-
 def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
     sa, sb = a.data.shape, b.data.shape
-    if sa != sb and sa != () and sb != () and not _row_broadcast(sa, sb):
+    if sa != sb and sa != () and sb != ():
         raise ValueError(f"{name}: shape mismatch {sa} vs {sb} (shapes must match, "
-                         "one operand must be a scalar, or be (B, 1) against (B, N))")
+                         "or one operand must be a scalar)")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Undo broadcasting: a scalar operand receives the summed gradient, a
-    # (B, 1) operand the sum over each row.
+    # Undo broadcasting: a scalar operand receives the summed gradient.
     if grad.shape == shape:
         return grad
-    if shape == ():
-        return np.asarray(grad.sum(), dtype=np.float64)
-    return grad.sum(axis=1, keepdims=True)
+    return np.asarray(grad.sum(), dtype=np.float64)
 
 
 def op_add(a, b) -> Tensor:
@@ -256,40 +244,14 @@ def op_mul(a, b) -> Tensor:
     return _record(out, rules)
 
 
-def op_matmul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: operands must be rank-2, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
-    rules = []
-    if a.requires_grad:
-        rules.append((a, lambda g, bt=b.data: g @ bt.T))
-    if b.requires_grad:
-        rules.append((b, lambda g, at=a.data: at.T @ g))
-    return _record(out, rules)
-
-
-def op_transpose(x) -> Tensor:
-    """Swap the two axes of a rank-2 tensor."""
-    x = _lift(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose: expected rank-2 tensor, got shape {x.data.shape}")
-    out = Tensor(x.data.T, requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g: np.ascontiguousarray(g.T)))
-    return _record(out, rules)
-
-
-def op_conv1d(x, kernels, stride: int = 1, pad: int | None = None, bias=None) -> Tensor:
+def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     """1-D cross-correlation of (B, C_in, N) with kernels (C_out, C_in, W),
     giving (B, C_out, N_out).  A (C_in, N) input is a batch of one and gives
     (C_out, N_out).
 
-    ``pad=None`` applies (W-1)//2 zeros each side ("same" length at stride 1).
-    ``bias`` is an optional (C_out,) tensor added per output channel.
+    The input is padded with (W-1)//2 zeros each side ("same" length at
+    stride 1).  ``bias`` is an optional (C_out,) tensor added per output
+    channel.
     """
     x, kernels = _lift(x), _lift(kernels)
     if x.data.ndim not in (2, 3) or kernels.data.ndim != 3:
@@ -302,8 +264,7 @@ def op_conv1d(x, kernels, stride: int = 1, pad: int | None = None, bias=None) ->
         raise ValueError(f"conv1d: kernel expects {kc_in} input channels, input has {c_in}")
     if stride < 1:
         raise ValueError(f"conv1d: stride must be positive, got {stride}")
-    if pad is None:
-        pad = (width - 1) // 2
+    pad = (width - 1) // 2
     if width > n + 2 * pad:
         raise ValueError(f"conv1d: kernel width {width} exceeds padded length {n + 2 * pad}")
 

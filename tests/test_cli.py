@@ -156,9 +156,13 @@ class TestLoadConfig:
 
     def test_invalid_synth_keys_rejected_on_load(self, tmp_path):
         p = tmp_path / "c.yaml"
-        for body, problem in (("synth_length: 12\n", "length 12 too short"),
-                              ("synth_noise_sigma: -0.5\n", "noise_sigma must be >= 0"),
-                              ("synth_warp_d: 12.0\n", "warp_d 12.0 exceeds")):
+        # each message names the config key, not the spec field it sets
+        for body, problem in (("synth_length: 12\n", "synth_length 12 too short"),
+                              ("synth_n_per_class: 0\n", "synth_n_per_class must be >= 1"),
+                              ("synth_noise_sigma: -0.5\n", "synth_noise_sigma must be >= 0"),
+                              ("synth_warp_d: 12.0\n", "synth_warp_d 12.0 exceeds"),
+                              ("synth_warp_d: 9.5\n", "synth_warp_d 9.5 exceeds"),
+                              ("synth_warp_d: -1\n", "synth_warp_d must be nonnegative")):
             p.write_text(body)
             with pytest.raises(ConfigError, match=f"{p}: .*{problem}"):
                 load_config(str(p))
@@ -190,6 +194,24 @@ def test_fuzz_config_is_valid_or_a_config_error(tmp_path, raw):
         load_config(str(p))
     except ConfigError as exc:
         assert str(p) in str(exc) or "config key" in str(exc)
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "eval"])
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, command):
+    # a regular file where a directory must go, or a directory to be read as
+    # a file, is an input error, not a check failure (exit 1)
+    regular = tmp_path / "F"
+    regular.write_text("")
+    argv, named = {
+        "synth": (["synth", "--out", str(regular)], regular),
+        "train": (["train", "--out", str(regular)], regular),
+        "gradcheck": (["gradcheck", "--out", str(regular / "x")], regular / "x"),
+        "eval": (["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "ev"),
+                  str(tmp_path)], tmp_path),
+    }[command]
+    assert main(argv + ["--config", write_config(tmp_path / "c.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
 
 
 class TestSynth:

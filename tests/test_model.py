@@ -6,9 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from warpada import adversarial
+from warpada.adversarial import AdvConfig
 from warpada.model import (
     CHECKPOINT_MAGIC,
     Classifier,
+    _affine,
+    _pool,
     entropy,
     forward,
     load_checkpoint,
@@ -17,7 +21,16 @@ from warpada.model import (
     semantic_distance,
 )
 from warpada.signal import TimeSeries
-from warpada.tensor import Tape, Tensor, finite_diff_check, op_mul, op_reshape, op_sum
+from warpada.tensor import (
+    Tape,
+    Tensor,
+    finite_diff_check,
+    op_conv1d,
+    op_mul,
+    op_relu,
+    op_reshape,
+    op_sum,
+)
 
 
 def small_input(seed=0, channels=1, length=64):
@@ -285,6 +298,101 @@ class TestFusedLossHead:
         np.testing.assert_array_equal(h, [[0.0], [0.0]])
         assert np.isfinite(ce_grad).all() and np.isfinite(h_grad).all()
         np.testing.assert_array_equal(ce_grad, [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def tail_oracle(h, w, b, g):
+    """The classifier's tail as the generic ops computed it, eight nodes in
+    plain numpy: pool by reshape, matmul with a 1/T column, reshape; head by
+    transpose, matmul, bias reshaped to (K, 1) and added across the columns,
+    transpose.  Returns z, logits and, for the logits gradient g, the
+    gradients of h, z, w and b, each rule taken in reverse order."""
+    batch, dim, t = h.shape
+    column = np.full((t, 1), 1.0 / t)
+    z = (h.reshape(batch * dim, t) @ column).reshape(batch, dim)
+    zt = np.ascontiguousarray(z.T)
+    logits = np.ascontiguousarray((w @ zt + b.reshape(-1, 1)).T)
+    gt = np.ascontiguousarray(g.T)
+    gb = gt.sum(axis=1, keepdims=True).reshape(b.shape)
+    gw = gt @ zt.T
+    gz = np.ascontiguousarray((w.T @ gt).T)
+    return z, logits, pool_back(gz, t), gz, gw, gb
+
+
+def pool_back(gz, t):
+    batch, dim = gz.shape
+    return (gz.reshape(batch * dim, 1) @ np.full((t, 1), 1.0 / t).T).reshape(batch, dim, t)
+
+
+def conv_stack(model, x):
+    """forward's three conv+relu blocks, ending before the pool."""
+    h = x
+    for i in (1, 2, 3):
+        h = op_relu(op_conv1d(h, Tensor(model.weights[f"conv{i}.k"]), stride=2,
+                              bias=Tensor(model.weights[f"conv{i}.b"])))
+    return h
+
+
+class TestFusedTail:
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    def test_values_and_gradients_equal_the_eight_node_chain(self, batch):
+        rng = np.random.default_rng(batch)
+        h0, w0, b0 = (rng.normal(size=(batch, 64, 8)), rng.normal(size=(5, 64)),
+                      rng.normal(size=5))
+        g = rng.normal(size=(batch, 5))
+        z_want, logits_want, gh, gz, gw, gb = tail_oracle(h0, w0, b0, g)
+        h, w, b = (Tensor(a, requires_grad=True) for a in (h0, w0, b0))
+        with Tape() as tape:
+            z = _pool(h)
+            logits = _affine(z, w, b)
+            tape.backward(op_sum(op_mul(logits, Tensor(g))))
+        np.testing.assert_array_equal(z.data, z_want)
+        np.testing.assert_array_equal(logits.data, logits_want)
+        for got, want in ((h.grad, gh), (w.grad, gw), (b.grad, gb)):
+            np.testing.assert_array_equal(got, want)
+        z_leaf = Tensor(z_want, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(op_sum(op_mul(_affine(z_leaf, Tensor(w0), Tensor(b0)), Tensor(g))))
+        np.testing.assert_array_equal(z_leaf.grad, gz)
+
+    def test_forward_records_eight_nodes_and_constants_none(self):
+        model = Classifier(2, 3, seed=4)
+        x = Tensor(np.random.default_rng(4).normal(size=(6, 2, 64)))
+        with Tape() as tape:
+            forward(model, x, model.tensors(requires_grad=True))
+        assert len(tape.nodes) == 8  # conv and relu per block, pool, head
+        with Tape() as tape:
+            forward(model, x)
+        assert tape.nodes == []
+
+    def test_ascent_input_gradient_equals_the_oracle(self):
+        # z feeds the head and the semantic distance; the oracle sums both
+        # contributions, then runs the pool and the convs backwards
+        rng = np.random.default_rng(5)
+        model = Classifier(1, 3, seed=5)
+        x0 = rng.normal(size=(4, 1, 64))
+        labels = np.array([0, 2, 1, 2])
+        z_ref = Tensor(rng.normal(size=(4, 64)))
+        cfg = AdvConfig(gamma=0.7)
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(op_sum(adversarial._objective_rows(model, x, labels, z_ref, cfg)))
+
+        h = conv_stack(model, Tensor(x0)).data
+        z, logits, _, _, _, _ = tail_oracle(h, model.weights["head.w"], model.weights["head.b"],
+                                            np.zeros((4, 3)))
+        logits_leaf, z_leaf = Tensor(logits, requires_grad=True), Tensor(z, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(op_sum(loss_ce(logits_leaf, labels)))
+        with Tape() as tape:
+            tape.backward(op_sum(Tensor(np.zeros((4, 1)))
+                                 - semantic_distance(z_leaf, z_ref) * cfg.gamma))
+        _, _, _, gz_head, _, _ = tail_oracle(h, model.weights["head.w"],
+                                             model.weights["head.b"], logits_leaf.grad)
+        gh = pool_back(z_leaf.grad + gz_head, h.shape[-1])
+        x_oracle = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(op_sum(op_mul(conv_stack(model, x_oracle), Tensor(gh))))
+        np.testing.assert_array_equal(x.grad, x_oracle.grad)
 
 
 class TestCheckpoint:

@@ -45,21 +45,12 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
         assert c.grad == pytest.approx(6.0)  # sum of x
 
-    def test_row_broadcast_and_its_gradient(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        col = Tensor([[1.0], [10.0]], requires_grad=True)
-        with Tape() as tape:
-            y = T.op_mul(x, col)
-            tape.backward(T.op_sum(T.op_add(col, y)))
-        np.testing.assert_array_equal(y.data, [[0.0, 1.0, 2.0], [30.0, 40.0, 50.0]])
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0], [10.0, 10.0, 10.0]])
-        # the column collects its row sums, plus 3 from the add
-        np.testing.assert_array_equal(col.grad, [[6.0], [15.0]])
-
     def test_no_other_broadcasting(self):
-        for a, b in (((1, 3), (2, 3)), ((2, 1), (3, 4)), ((3,), (2, 3)), ((2, 1, 3), (2, 1, 1))):
-            with pytest.raises(ValueError, match="shape mismatch"):
-                T.op_add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+        for a, b in (((1, 3), (2, 3)), ((2, 1), (3, 4)), ((3,), (2, 3)), ((2, 1, 3), (2, 1, 1)),
+                     ((2, 1), (2, 3)), ((2, 3), (2, 1))):
+            for op in (T.op_add, T.op_sub, T.op_mul):
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    op(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
     def test_nonfinite_values_pass_through_ops(self):
         # finiteness is checked where values enter the program, not per op
@@ -202,40 +193,14 @@ class TestReductions:
             T.op_sum(Tensor(data), axis=0)
 
 
-class TestMatmul:
-    def test_identity(self):
-        v = np.arange(3.0).reshape(3, 1)
-        out = T.op_matmul(Tensor(np.eye(3)), Tensor(v))
-        np.testing.assert_array_equal(out.data, v)
-
-    def test_hand_computation(self):
-        out = T.op_matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ValueError, match="inner"):
-            T.op_matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-    def test_gradient_4x5_5x3(self):
-        rng = np.random.default_rng(0)
-        b = Tensor(rng.normal(size=(5, 3)))
-        err = finite_diff_check(lambda a: T.op_sum(T.op_matmul(a, b)),
-                                Tensor(rng.normal(size=(4, 5))))
-        assert err < 1e-6
-        a = Tensor(rng.normal(size=(4, 5)))
-        err = finite_diff_check(lambda b: T.op_sum(T.op_matmul(a, b)),
-                                Tensor(rng.normal(size=(5, 3))))
-        assert err < 1e-6
-
-
 class TestConv1d:
     def test_identity_kernel(self):
         out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0]]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_hand_computation_no_pad(self):
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[[1.0, 1.0]]]),
-                          stride=1, pad=0)
+        # a width-2 kernel gets (2 - 1) // 2 = 0 zeros each side
+        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[[1.0, 1.0]]]), stride=1)
         np.testing.assert_array_equal(out.data, [[3.0, 5.0, 7.0]])
 
     def test_same_padding_default(self):
@@ -243,13 +208,13 @@ class TestConv1d:
         np.testing.assert_array_equal(out.data, [[3.0, 6.0, 9.0, 7.0]])
 
     def test_stride_two_output_length(self):
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]]), Tensor([[[1.0]]]),
-                          stride=2, pad=0)
+        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]]), Tensor([[[1.0]]]), stride=2)
         np.testing.assert_array_equal(out.data, [[1.0, 3.0, 5.0]])
 
     def test_kernel_wider_than_padded_input_raises(self):
         with pytest.raises(ValueError, match="width"):
-            T.op_conv1d(Tensor([[1.0, 2.0]]), Tensor([[[1.0] * 7]]), pad=0)
+            # width 8 pads 3 zeros each side: 1 + 6 = 7 < 8
+            T.op_conv1d(Tensor([[1.0]]), Tensor([[[1.0] * 8]]))
 
     def test_gradient_wrt_input_and_kernels(self):
         rng = np.random.default_rng(1)
