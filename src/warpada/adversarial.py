@@ -68,6 +68,9 @@ class AdvConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.combine not in COMBINE_MODES:
             raise ValueError(f"combine must be one of {COMBINE_MODES}, got {self.combine!r}")
+        for name in ("gamma", "eta", "eta_ada", "me_beta", "lr"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.eta < 0 or self.eta_ada < 0:

@@ -1,10 +1,12 @@
 """Command-line front-end: config files in, datasets/checkpoints/reports out.
 
 Hyperparameters live in a YAML config file; flags cover only paths, seed
-and mode.  Every command writes a ``config_echo.yaml`` with
-the fully resolved settings next to its outputs.  Exit codes: 0 success,
-1 check failure, 2 usage or config error, a malformed input file, or a path
-that cannot be read or written.
+and mode.  Once the config loads, every command first writes a
+``config_echo.yaml`` with the fully resolved settings to its output
+directory, so an unusable ``--out`` fails before any work.  Exit codes: 0
+success, 1 check failure, 2 usage or config error, a malformed input file,
+a checkpoint that does not fit a manifest, or a path that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import yaml
 from .adversarial import AdvConfig
 from .data import default_spec, load_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
-from .model import load_checkpoint, save_checkpoint
+from .model import Classifier, load_checkpoint, save_checkpoint
 from .training import Dataset, evaluate, export_features, maximize_phase, run
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
@@ -145,11 +147,18 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _write_echo(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_echo.yaml"), "w",
+def _write_echo(cfg: RunConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "config_echo.yaml"), "w",
               encoding="utf-8") as fh:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=False)
+
+
+def _check_fits(model: Classifier, checkpoint: str, dataset: Dataset, manifest: str) -> None:
+    if (dataset.channels, dataset.n_classes) != (model.in_channels, model.n_classes):
+        raise ValueError(f"{manifest} holds {dataset.channels}-channel series of "
+                         f"{dataset.n_classes} classes, but {checkpoint} is a model for "
+                         f"{model.in_channels} channels and {model.n_classes} classes")
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -158,7 +167,6 @@ def cmd_synth(cfg: RunConfig) -> int:
     written = [save_dataset(source, cfg.out_dir, "source")]
     for shift, domain in zip(spec.targets, targets):
         written.append(save_dataset(domain, cfg.out_dir, shift.tag))
-    _write_echo(cfg, cfg.out_dir)
     for path in written:
         print(path)
     return 0
@@ -168,7 +176,6 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     results = run_checks(seed=cfg.seed)
     table = format_table(results)
     print(table)
-    _write_echo(cfg, cfg.out_dir)
     with open(os.path.join(cfg.out_dir, "gradcheck_report.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(table + "\n")
@@ -176,11 +183,9 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
-    if cfg.mode == "erm":
-        raise ConfigError("mode 'erm' generates no adversarial samples; "
-                          "pick ada, tada, or tada_plus")
     model = load_checkpoint(checkpoint)
     dataset = load_manifest(manifest)
+    _check_fits(model, checkpoint, dataset, manifest)
     adv = maximize_phase(model, dataset, cfg.adv_config())
     augmented = Dataset([s.series for s in adv], dataset.n_classes)
     manifest_out = save_dataset(augmented, cfg.out_dir, "augmented")
@@ -196,7 +201,6 @@ def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
                 continue
             row = ",".join(f"{v:.17g}" for v in s.path)
             fh.write(f"{s.origin_id},{s.mode},{row}\n")
-    _write_echo(cfg, cfg.out_dir)
     print(manifest_out)
     return 0
 
@@ -207,13 +211,11 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         d0, _ = synth_generate(cfg.synth_spec())
     model, report = run(d0, cfg.adv_config())
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.bin")
     save_checkpoint(model, ckpt_path)
     report_path = os.path.join(cfg.out_dir, "report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
-    _write_echo(cfg, cfg.out_dir)
     print(ckpt_path)
     print(report_path)
     return 0
@@ -222,19 +224,19 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     model = load_checkpoint(checkpoint)
     domains = [load_manifest(m) for m in manifests]
+    for domain, manifest in zip(domains, manifests):
+        _check_fits(model, checkpoint, domain, manifest)
     scores, average = evaluate(model, domains)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
     lines.append(f"{'average'.ljust(width)}  {average:.4f}")
     table = "\n".join(lines)
     print(table)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "f1.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
         for i, domain in enumerate(domains):
             export_features(model, domain, fh, header=i == 0)
-    _write_echo(cfg, cfg.out_dir)
     return 0
 
 
@@ -242,10 +244,9 @@ def cmd_export_features(cfg: RunConfig, checkpoint: str, manifest: str,
                         output: str | None) -> int:
     model = load_checkpoint(checkpoint)
     dataset = load_manifest(manifest)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _check_fits(model, checkpoint, dataset, manifest)
     out_path = output or os.path.join(cfg.out_dir, "features.csv")
     export_features(model, dataset, out_path)
-    _write_echo(cfg, cfg.out_dir)
     print(out_path)
     return 0
 
@@ -313,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides["train_manifest"] = args.manifest
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "augment" and cfg.mode == "erm":
+            raise ConfigError("mode 'erm' generates no adversarial samples; "
+                              "pick ada, tada, or tada_plus")
+        _write_echo(cfg)
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "gradcheck":

@@ -282,7 +282,11 @@ def load_manifest(path: str) -> Dataset:
         raise _manifest_error(path, line_no, f"{key} must be a positive integer, got {value!r}")
 
     channels, length = positive_int("channels"), positive_int("length")
-    class_names = meta["classes"][1].split()
+    classes_line, classes = meta["classes"]
+    class_names = classes.split()
+    if len(set(class_names)) != len(class_names) or len(class_names) < 2:
+        raise _manifest_error(path, classes_line,
+                              f"classes must be two or more distinct names, got {class_names}")
     label_of = {name: i for i, name in enumerate(class_names)}
     if not entries:
         raise ValueError(f"{path}: manifest lists no series")

@@ -138,12 +138,8 @@ def _pool(h: Tensor) -> Tensor:
     """
     batch, dim, t = h.data.shape
     p = np.full((t, 1), 1.0 / t)
-    out = Tensor((h.data.reshape(batch * dim, t) @ p).reshape(batch, dim),
-                 requires_grad=h.requires_grad)
-    rules = []
-    if h.requires_grad:
-        rules.append((h, lambda g: (g.reshape(batch * dim, 1) @ p.T).reshape(batch, dim, t)))
-    return _record(out, rules)
+    return _record((h.data.reshape(batch * dim, t) @ p).reshape(batch, dim),
+                   (h, lambda g: (g.reshape(batch * dim, 1) @ p.T).reshape(batch, dim, t)))
 
 
 def _affine(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -154,16 +150,10 @@ def _affine(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the rounding this gives is what tests/test_model.py's oracle pins.
     """
     zt = np.ascontiguousarray(z.data.T)
-    out = Tensor((w.data @ zt + b.data[:, None]).T,
-                 requires_grad=z.requires_grad or w.requires_grad or b.requires_grad)
-    rules = []
-    if z.requires_grad:
-        rules.append((z, lambda g: np.ascontiguousarray((w.data.T @ np.ascontiguousarray(g.T)).T)))
-    if w.requires_grad:
-        rules.append((w, lambda g: np.ascontiguousarray(g.T) @ zt.T))
-    if b.requires_grad:
-        rules.append((b, lambda g: np.ascontiguousarray(g.T).sum(axis=1)))
-    return _record(out, rules)
+    return _record((w.data @ zt + b.data[:, None]).T,
+                   (z, lambda g: np.ascontiguousarray((w.data.T @ np.ascontiguousarray(g.T)).T)),
+                   (w, lambda g: np.ascontiguousarray(g.T) @ zt.T),
+                   (b, lambda g: np.ascontiguousarray(g.T).sum(axis=1)))
 
 
 def _per_row(value: Tensor, single: bool) -> Tensor:
@@ -201,8 +191,6 @@ def loss_ce(logits: Tensor, label) -> Tensor:
         raise ValueError(f"label {int(bad[0])} out of range for {n} classes")
     peak, shifted, e, norm = _softmax_rows(rows.data)
     index = np.arange(batch)
-    out = Tensor(np.log(norm) - shifted[index, labels][:, None],
-                 requires_grad=rows.requires_grad)
 
     def backward(g: np.ndarray) -> np.ndarray:
         d = g / norm * e
@@ -212,7 +200,8 @@ def loss_ce(logits: Tensor, label) -> Tensor:
         d[index, peak] -= d.sum(axis=1)
         return d
 
-    return _per_row(_record(out, [(rows, backward)] if rows.requires_grad else []), single)
+    return _per_row(_record(np.log(norm) - shifted[index, labels][:, None], (rows, backward)),
+                    single)
 
 
 def entropy(logits: Tensor) -> Tensor:
@@ -228,9 +217,8 @@ def entropy(logits: Tensor) -> Tensor:
     _, shifted, e, norm = _softmax_rows(rows.data)
     p = e / norm
     mean_shift = (p * shifted).sum(axis=-1, keepdims=True)
-    out = Tensor(np.log(norm) - mean_shift, requires_grad=rows.requires_grad)
-    rules = [(rows, lambda g: -g * p * (shifted - mean_shift))] if rows.requires_grad else []
-    return _per_row(_record(out, rules), single)
+    return _per_row(_record(np.log(norm) - mean_shift,
+                            (rows, lambda g: -g * p * (shifted - mean_shift))), single)
 
 
 def semantic_distance(z_a: Tensor, z_b: Tensor) -> Tensor:

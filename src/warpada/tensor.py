@@ -1,17 +1,17 @@
 """Dense float64 tensors with reverse-mode differentiation on a dynamic tape.
 
-Every operation here computes its result eagerly with numpy and, when a tape
-is active and an input wants gradients, appends a node holding the backward
-rule.  The tape is rebuilt on every forward pass (define-by-run), so graph
-topology may depend on runtime shapes.  A tape and the tensors recorded on it
-belong to one thread; separate threads use separate tapes.
+Every operation here computes its result eagerly with numpy and hands it,
+with one backward rule per input, to ``_record``, which applies the one
+recording rule (see there).  The tape is rebuilt on every forward pass
+(define-by-run), so graph topology may depend on runtime shapes.  One tape
+records at a time; tapes do not nest.
 
 Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  A leading batch
 axis runs through conv1d and the last-axis sum, so a whole minibatch is one
 node per op.  All data is float64.  Fused terms outside this module
 (``make_path``, ``loss_ce``, ``entropy``, the classifier's pool and head)
-compute in numpy and record one node each through ``_record``.
+compute in numpy and build their outputs through ``_record`` too.
 
 Ops never scan values for finiteness; values are validated where they enter
 the program and where a step yields a loss or an objective.  Beyond shape
@@ -21,8 +21,7 @@ and index checks, ops raise only on a Dirichlet-filter shift with
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,19 +41,8 @@ __all__ = [
     "finite_diff_check",
 ]
 
-_tls = threading.local()
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+Rule = Callable[[np.ndarray], np.ndarray]
+_active: Tape | None = None  # the tape recording now, if any
 
 
 class Tensor:
@@ -101,15 +89,12 @@ class Tensor:
         return op_mul(self, other)
 
 
-class TapeNode:
+class TapeNode(NamedTuple):
     """One recorded operation: the output tensor and, per differentiable
     input, a rule mapping the output gradient to that input's contribution."""
 
-    __slots__ = ("out", "rules")
-
-    def __init__(self, out: Tensor, rules: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]):
-        self.out = out
-        self.rules = rules
+    out: Tensor
+    rules: list[tuple[Tensor, Rule]]
 
 
 class Tape:
@@ -117,21 +102,24 @@ class Tape:
 
     Use as a context manager around a forward pass, then call ``backward``
     on the scalar result.  Ops executed while no tape is active record
-    nothing, which is the cheap path for inference.
+    nothing, which is the cheap path for inference.  Tapes do not nest:
+    entering one while another records raises RuntimeError and leaves the
+    recording tape in place.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _active
+        if _active is not None:
+            raise RuntimeError("a tape is already recording; tapes do not nest")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        if popped is not self:
-            raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
-        return False
+        global _active
+        _active = None
 
     def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate gradients of ``root`` with respect to every tensor on
@@ -173,11 +161,16 @@ def _lift(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _record(out: Tensor, rules: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
-    if rules:
-        tape = active_tape()
-        if tape is not None:
-            tape.nodes.append(TapeNode(out, rules))
+def _record(value, *inputs: tuple[Tensor, Rule]) -> Tensor:
+    """Build an op's output from its numpy result ``value`` and its
+    ``(input, rule)`` pairs by the one recording rule: keep the pairs whose
+    input requires grad; the output requires grad if any pair is kept; while
+    a tape records, append the kept pairs, in argument order (the order
+    backward accumulates in), to it as one node."""
+    rules = [(tensor, rule) for tensor, rule in inputs if tensor.requires_grad]
+    out = Tensor(value, requires_grad=bool(rules))
+    if rules and _active is not None:
+        _active.nodes.append(TapeNode(out, rules))
     return out
 
 
@@ -194,11 +187,13 @@ def as_batch(x, rank: int) -> tuple[Tensor, bool]:
     return x, False
 
 
-def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
+def _binary(name: str, a, b) -> tuple[Tensor, Tensor]:
+    a, b = _lift(a), _lift(b)
     sa, sb = a.data.shape, b.data.shape
     if sa != sb and sa != () and sb != ():
         raise ValueError(f"{name}: shape mismatch {sa} vs {sb} (shapes must match, "
                          "or one operand must be a scalar)")
+    return a, b
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,39 +204,21 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def op_add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes("add", a, b)
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
-    rules = []
-    if a.requires_grad:
-        rules.append((a, lambda g, s=a.data.shape: _reduce_to(g, s)))
-    if b.requires_grad:
-        rules.append((b, lambda g, s=b.data.shape: _reduce_to(g, s)))
-    return _record(out, rules)
+    a, b = _binary("add", a, b)
+    return _record(a.data + b.data, (a, lambda g: _reduce_to(g, a.data.shape)),
+                   (b, lambda g: _reduce_to(g, b.data.shape)))
 
 
 def op_sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes("sub", a, b)
-    out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
-    rules = []
-    if a.requires_grad:
-        rules.append((a, lambda g, s=a.data.shape: _reduce_to(g, s)))
-    if b.requires_grad:
-        rules.append((b, lambda g, s=b.data.shape: _reduce_to(-g, s)))
-    return _record(out, rules)
+    a, b = _binary("sub", a, b)
+    return _record(a.data - b.data, (a, lambda g: _reduce_to(g, a.data.shape)),
+                   (b, lambda g: _reduce_to(-g, b.data.shape)))
 
 
 def op_mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes("mul", a, b)
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
-    rules = []
-    if a.requires_grad:
-        rules.append((a, lambda g, other=b.data, s=a.data.shape: _reduce_to(g * other, s)))
-    if b.requires_grad:
-        rules.append((b, lambda g, other=a.data, s=b.data.shape: _reduce_to(g * other, s)))
-    return _record(out, rules)
+    a, b = _binary("mul", a, b)
+    return _record(a.data * b.data, (a, lambda g: _reduce_to(g * b.data, a.data.shape)),
+                   (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
 
 
 def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
@@ -280,42 +257,33 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     kmat = kernels.data.reshape(c_out, c_in * width)
     out_data = np.matmul(kmat, cols)
 
-    bias_t = None
-    if bias is not None:
-        bias_t = _lift(bias)
-        if bias_t.data.shape != (c_out,):
-            raise ValueError(f"conv1d: bias shape {bias_t.data.shape} != ({c_out},)")
-        out_data += bias_t.data[:, None]
-    out_shape = x.data.shape[:-2] + (c_out, n_out)
-
-    requires = x.requires_grad or kernels.requires_grad or (bias_t is not None and bias_t.requires_grad)
-    out = Tensor(out_data.reshape(out_shape), requires_grad=requires)
-    rules = []
+    if bias is None:
+        bias = Tensor(0.0)  # a constant, so its rule is never kept
+    else:
+        bias = _lift(bias)
+        if bias.data.shape != (c_out,):
+            raise ValueError(f"conv1d: bias shape {bias.data.shape} != ({c_out},)")
+        out_data += bias.data[:, None]
     gshape = (batch, c_out, n_out)
-    if kernels.requires_grad:
-        rules.append((kernels, lambda g, c=cols, sh=kernels.data.shape:
-                      np.tensordot(g.reshape(gshape), c, axes=([0, 2], [0, 2])).reshape(sh)))
-    if x.requires_grad:
-        def _dx(g, km=kmat, xshape=x.data.shape):
-            dcols = np.matmul(km.T, g.reshape(gshape)).reshape(batch, c_in, width, n_out)
-            dxp = np.zeros((batch, c_in, n + 2 * pad))
-            for w in range(width):  # col2im: the adjoint of the im2col slices
-                dxp[:, :, w:w + span:stride] += dcols[:, :, w, :]
-            return np.ascontiguousarray(dxp[:, :, pad:pad + n]).reshape(xshape)
-        rules.append((x, _dx))
-    if bias_t is not None and bias_t.requires_grad:
-        rules.append((bias_t, lambda g: g.reshape(gshape).sum(axis=(0, 2))))
-    return _record(out, rules)
+
+    def _dx(g):
+        dcols = np.matmul(kmat.T, g.reshape(gshape)).reshape(batch, c_in, width, n_out)
+        dxp = np.zeros((batch, c_in, n + 2 * pad))
+        for w in range(width):  # col2im: the adjoint of the im2col slices
+            dxp[:, :, w:w + span:stride] += dcols[:, :, w, :]
+        return np.ascontiguousarray(dxp[:, :, pad:pad + n]).reshape(x.data.shape)
+
+    return _record(out_data.reshape(x.data.shape[:-2] + (c_out, n_out)),
+                   (kernels, lambda g: np.tensordot(g.reshape(gshape), cols, axes=([0, 2], [0, 2]))
+                    .reshape(kernels.data.shape)),
+                   (x, _dx),
+                   (bias, lambda g: g.reshape(gshape).sum(axis=(0, 2))))
 
 
 def op_relu(x) -> Tensor:
     x = _lift(x)
-    out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        # subgradient 0 at exactly 0
-        rules.append((x, lambda g, mask=(x.data > 0.0): g * mask))
-    return _record(out, rules)
+    # subgradient 0 at exactly 0
+    return _record(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0.0)))
 
 
 # Below this |t| the Dirichlet kernel is evaluated by its Taylor series: the
@@ -418,15 +386,10 @@ def op_dirichlet_filter(x, index, shifts, length: int) -> Tensor:
         raise ValueError(f"dirichlet_filter: |shift| + M must stay below L = {length}")
     seg = x.data[idx]
     kernel, slope = _dirichlet_rows(shifts.data[:, 0], length)
-    out = Tensor(np.einsum("rw,rw->r", seg, kernel)[:, None],
-                 requires_grad=x.requires_grad or shifts.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g: np.bincount(idx.ravel(), weights=(g * kernel).ravel(),
-                                               minlength=n)))
-    if shifts.requires_grad:
-        rules.append((shifts, lambda g: g * np.einsum("rw,rw->r", seg, slope())[:, None]))
-    return _record(out, rules)
+    return _record(np.einsum("rw,rw->r", seg, kernel)[:, None],
+                   (x, lambda g: np.bincount(idx.ravel(), weights=(g * kernel).ravel(),
+                                             minlength=n)),
+                   (shifts, lambda g: g * np.einsum("rw,rw->r", seg, slope())[:, None]))
 
 
 def op_sum(x, axis: int | None = None) -> Tensor:
@@ -436,12 +399,8 @@ def op_sum(x, axis: int | None = None) -> Tensor:
     if axis not in (None, -1):
         raise ValueError(f"sum runs over all elements (axis=None) or the "
                          f"last axis (axis=-1), got axis={axis!r}")
-    out = Tensor(x.data.sum(axis=axis, keepdims=axis is not None),
-                 requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, sh=x.data.shape: np.broadcast_to(g, sh).copy()))
-    return _record(out, rules)
+    return _record(x.data.sum(axis=axis, keepdims=axis is not None),
+                   (x, lambda g: np.broadcast_to(g, x.data.shape).copy()))
 
 
 def op_gather(x, indices) -> Tensor:
@@ -459,22 +418,14 @@ def op_gather(x, indices) -> Tensor:
     n = x.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather: index out of range for length {n}")
-    out = Tensor(x.data[idx], requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, i=idx.ravel(), m=n:
-                      np.bincount(i, weights=np.ravel(g), minlength=m)))
-    return _record(out, rules)
+    return _record(x.data[idx],
+                   (x, lambda g: np.bincount(idx.ravel(), weights=np.ravel(g), minlength=n)))
 
 
 def op_reshape(x, shape: tuple[int, ...] | list[int]) -> Tensor:
     x = _lift(x)
     shape = tuple(int(s) for s in shape)
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
-    rules = []
-    if x.requires_grad:
-        rules.append((x, lambda g, sh=x.data.shape: g.reshape(sh)))
-    return _record(out, rules)
+    return _record(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,

@@ -81,7 +81,6 @@ def make_path(phi, phi_max: float, half_width: int | None = None) -> Tensor:
     binds = (peak >= phi_max).astype(np.float64)
     cap = peak * binds + phi_max * (1.0 - binds)
     scale = phi_max / cap
-    out = Tensor(delta * scale, requires_grad=phi.requires_grad)
 
     def backward(g: np.ndarray) -> np.ndarray:
         # the peak's, the spread's and the row minimum's terms are added as
@@ -100,5 +99,5 @@ def make_path(phi, phi_max: float, half_width: int | None = None) -> Tensor:
         g_low[rows, low] = (-g_inc).sum(axis=1)
         return g_inc + g_low
 
-    path = _record(out, [(phi, backward)] if phi.requires_grad else [])
+    path = _record(delta * scale, (phi, backward))
     return op_reshape(path, (n,)) if single else path

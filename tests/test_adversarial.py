@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="gamma"):
             AdvConfig(gamma=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["gamma", "eta", "eta_ada", "me_beta", "lr"])
+    def test_non_finite_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            AdvConfig(**{field: value})
+
 
 class TestTadaMaximize:
     def test_zero_step_equals_initial_warp(self):

@@ -9,12 +9,14 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpada import tensor
+from warpada import cli, tensor
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
-from warpada.data import default_spec
-from warpada.model import load_checkpoint
+from warpada.data import default_spec, save_dataset
+from warpada.model import Classifier, load_checkpoint, save_checkpoint
+from warpada.signal import TimeSeries
 from warpada.tensor import Tensor
+from warpada.training import Dataset
 
 from test_warp import path_violations
 
@@ -197,9 +199,15 @@ def test_fuzz_config_is_valid_or_a_config_error(tmp_path, raw):
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "eval"])
-def test_unusable_path_exits_2_naming_it(tmp_path, capsys, command):
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, monkeypatch, command):
     # a regular file where a directory must go, or a directory to be read as
-    # a file, is an input error, not a check failure (exit 1)
+    # a file, is an input error, not a check failure (exit 1); an unusable
+    # --out fails before any training or gradient audit
+    def no_work(*args, **kwargs):
+        pytest.fail("the command did its work before checking --out")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "run_checks", no_work)
     regular = tmp_path / "F"
     regular.write_text("")
     argv, named = {
@@ -300,6 +308,7 @@ class TestAugmentCommand:
                      "--manifest", workspace["source"]])
         assert code == 2
         assert "erm" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()  # a usage error writes nothing
 
 
 class TestTrainCommand:
@@ -398,6 +407,31 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "ev"), workspace["source"]])
         assert code == 2
         assert str(cut) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4)], ids=["channels", "classes"])
+@pytest.mark.parametrize("command", ["eval", "augment", "export-features"])
+def test_checkpoint_not_fitting_manifest_exits_2_naming_both(workspace, tmp_path, capsys,
+                                                             command, shape):
+    # the manifest holds 1-channel series of 3 classes
+    ckpt = tmp_path / "other.bin"
+    save_checkpoint(Classifier(*shape), str(ckpt))
+    argv = {"eval": ["eval", workspace["source"]],
+            "augment": ["augment", "--manifest", workspace["source"]],
+            "export-features": ["export-features", "--manifest", workspace["source"]]}[command]
+    assert main(argv + ["--config", workspace["config"], "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and workspace["source"] in err
+    assert "1-channel series of 3 classes" in err
+
+
+def test_train_on_one_class_manifest_exits_2_naming_line(tmp_path, capsys):
+    one = Dataset([TimeSeries(Tensor(np.arange(16.0)), label=0)], n_classes=1)
+    manifest = save_dataset(one, str(tmp_path), "one")
+    assert main(["train", "--config", write_config(tmp_path / "c.yaml"), "--manifest", manifest,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{manifest}:4: classes must be two or more distinct names" in capsys.readouterr().err
 
 
 class TestExportFeaturesCommand:

@@ -202,6 +202,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(want)):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("classes", ["a a b", "a"], ids=["duplicate", "one"])
+    def test_bad_classes_name_file_and_line(self, tmp_path, classes):
+        # a repeated name would shift every later label and leave a phantom
+        # class; one class cannot train a classifier
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "cls")
+        text = (tmp_path / "cls.manifest").read_text()
+        (tmp_path / "cls.manifest").write_text(text.replace("classes: class0 class1",
+                                                            f"classes: {classes}")
+                                               .replace(",class0,", ",a,"))
+        want = f"{manifest}:4: classes must be two or more distinct names"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_manifest(manifest)
+
     def test_undecodable_manifest_names_file(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "utf")

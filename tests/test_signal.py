@@ -43,9 +43,8 @@ def dft_warp_op(values: Tensor, delta: Tensor, half_width: int) -> Tensor:
     impulses = np.broadcast_to(np.eye(n)[None], (batch, n, n)).reshape(batch * n, 1, n)
     jac = dft_warp_oracle(impulses, np.repeat(delta.data, n, axis=0), half_width)
     jac = jac.reshape(batch, n, n).transpose(0, 2, 1)
-    rules = [(values, lambda g: np.einsum("bij,bci->bcj", jac, g)),
-             (delta, lambda g: (g * slope).sum(axis=1))]
-    return tensor._record(Tensor(out, requires_grad=True), rules)
+    return tensor._record(out, (values, lambda g: np.einsum("bij,bci->bcj", jac, g)),
+                          (delta, lambda g: (g * slope).sum(axis=1)))
 
 
 class TestSegment:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpada import tensor as T
+from warpada import model as M
 from warpada.model import entropy, loss_ce
 from warpada.tensor import Tape, Tensor, finite_diff_check
+from warpada.warp import make_path
 
 
 def grad_of(f, x_data):
@@ -333,6 +336,63 @@ class TestBackward:
                 tape.backward(y)
             runs.append(x.grad.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
+
+
+# Every op and fused term: (a function of its input tensors, the input
+# shapes, the inputs' positions in the order their rules are recorded).
+RULE_CASES = {
+    "add": (T.op_add, [(2, 3), (2, 3)], (0, 1)),
+    "sub": (T.op_sub, [(2, 3), ()], (0, 1)),
+    "mul": (T.op_mul, [(), (2, 3)], (0, 1)),
+    "conv1d": (lambda x, k, b: T.op_conv1d(x, k, stride=2, bias=b),
+               [(2, 3, 8), (4, 3, 3), (4,)], (1, 0, 2)),
+    "relu": (T.op_relu, [(2, 3)], (0,)),
+    "dirichlet_filter": (lambda x, s: T.op_dirichlet_filter(x, np.array([[0, 1, 2, 3, 4],
+                                                                         [2, 3, 4, 5, 5]]), s, 5),
+                         [(6,), (2, 1)], (0, 1)),
+    "sum": (lambda x: T.op_sum(x, axis=-1), [(2, 3)], (0,)),
+    "gather": (lambda x: T.op_gather(x, np.array([[0, 2], [1, 1]])), [(4,)], (0,)),
+    "reshape": (lambda x: T.op_reshape(x, (6,)), [(2, 3)], (0,)),
+    "make_path": (lambda phi: make_path(phi, 2.0), [(2, 6)], (0,)),
+    "loss_ce": (lambda s: loss_ce(s, np.array([0, 2])), [(2, 3)], (0,)),
+    "entropy": (entropy, [(2, 3)], (0,)),
+    "pool": (M._pool, [(2, 4, 5)], (0,)),
+    "affine": (M._affine, [(2, 4), (3, 4), (3,)], (0, 1, 2)),
+}
+
+
+class TestRecordingRule:
+    @pytest.mark.parametrize("name", list(RULE_CASES))
+    def test_output_and_node_follow_the_inputs(self, name):
+        fn, shapes, order = RULE_CASES[name]
+        rng = np.random.default_rng(4)
+        arrays = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
+        with Tape() as tape:
+            out = fn(*(Tensor(a) for a in arrays))
+        assert not out.requires_grad and tape.nodes == []
+        for mask in itertools.product((False, True), repeat=len(arrays)):
+            if not any(mask):
+                continue
+            inputs = [Tensor(a, requires_grad=m) for a, m in zip(arrays, mask)]
+            with Tape() as tape:
+                out = fn(*inputs)
+            assert out.requires_grad
+            assert len(tape.nodes) == 1 and tape.nodes[0].out is out
+            assert [id(t) for t, _ in tape.nodes[0].rules] == [id(inputs[i]) for i in order
+                                                               if mask[i]]
+
+    def test_nested_tape_raises_and_outer_keeps_recording(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as outer:
+            with pytest.raises(RuntimeError, match="do not nest"):
+                with Tape():
+                    pass
+            outer.backward(T.op_sum(T.op_mul(x, x)))
+        assert len(outer.nodes) == 2
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with Tape() as tape:  # the slot is free again once the outer tape exits
+            T.op_sum(x)
+        assert len(tape.nodes) == 1
 
 
 class TestFiniteDiffCheck:
