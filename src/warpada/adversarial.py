@@ -203,6 +203,8 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         families = ["tada_plus"] if cfg.combine == "composed" else ["ada", "tada"]
     if origin_ids is None:
         origin_ids = list(range(len(xs)))
+    if len(origin_ids) != len(xs):
+        raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
     out: list[AdvSample] = []
     for lo in range(0, len(xs), ASCENT_CHUNK):
         chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]

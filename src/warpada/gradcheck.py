@@ -3,8 +3,8 @@
 Each item builds a scalar function of one probe tensor, takes its tape
 gradient once, and compares against central differences at up to a fixed
 number of probe coordinates.  Ops are looked up through their defining
-module at call time, so a test can swap one out (the sign-flip fixture)
-and watch the corresponding row fail.
+module at call time, as the warp looks up its kernel, so a test can swap
+one out (the sign-flip fixture) and watch the corresponding rows fail.
 """
 
 from __future__ import annotations
@@ -89,17 +89,18 @@ def _items(rng: np.random.Generator):
         return lambda x: _tensor.op_sum(op(x))
 
     add("relu", unary(_tensor.op_relu), _away_from_zero(rng, 8))
-    # the warp's fused filter at L = 21, in the source values and the shifts:
-    # exact integers, both sides of the series branch at the tap w = k,
-    # +-(M - 1), whose edge taps read |t| = 2M - 1, and two plainly
-    # fractional shifts (integer rows are nearly one-hot, so only these give
-    # every source value a gradient well above rounding)
-    filter_index = (np.arange(21) + 3 * np.arange(10)[:, None]) % 10
+    # the warp's Dirichlet kernel at L = 21, in the source values and the
+    # shifts, each tiled over a 21-sample series and path: exact integers,
+    # both sides of the series branch at the tap w = k, +-(M - 1), whose edge
+    # taps read |t| = 2M - 1, and two plainly fractional shifts (integer rows
+    # are nearly one-hot, so only these give every source value a gradient
+    # well above rounding)
+    tile = np.arange(21) % 10
 
     def f_dirichlet(x):
-        source = _tensor.op_gather(x, np.arange(10))
-        shifts = _tensor.op_reshape(_tensor.op_gather(x, np.arange(10, 20)), (10, 1))
-        return _tensor.op_sum(_tensor.op_dirichlet_filter(source, filter_index, shifts, 21))
+        source = _tensor.op_reshape(_tensor.op_gather(x, tile), (1, 1, 21))
+        shifts = _tensor.op_reshape(_tensor.op_gather(x, 10 + tile), (1, 21))
+        return _tensor.op_sum(_signal.warp_apply(source, shifts, 10))
 
     add("dirichlet", f_dirichlet,
         np.concatenate([rng.uniform(-1, 1, 10),

@@ -4,20 +4,22 @@ The warp reads every index from the length L = 2M+1 segment centred on it
 (edges replicated), as if the segment's DFT were rotated in phase by the
 index's displacement and only the centre sample were resynthesized.  That
 construction collapses to a periodic-sinc (Dirichlet kernel) weighting of
-the segment, the band-limited fractional-delay interpolator, which runs as
-one fused tensor op (``op_dirichlet_filter``) with a handful of sines and
-cosines per output index rather than per tap.  For integer displacements it
-reproduces plain index shifting; fractional displacements interpolate
-band-limitedly.  The op is differentiable in both the signal and the path.
+the segment, the band-limited fractional-delay interpolator.  ``warp_apply``
+evaluates it as one tape node, with a handful of sines and cosines per path
+entry rather than per tap, shared by every channel.  For integer
+displacements it reproduces plain index shifting; fractional displacements
+interpolate band-limitedly.  The warp is differentiable in both the signal
+and the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, as_batch, op_dirichlet_filter, op_gather, op_reshape
+from .tensor import Tensor, _lift, _record, as_batch, op_reshape
 
 __all__ = ["TimeSeries", "warp_apply", "integer_warp_oracle"]
 
@@ -52,6 +54,73 @@ class TimeSeries:
         return self.values.data.shape[1]
 
 
+# Below this |t| the Dirichlet kernel is evaluated by its Taylor series: the
+# closed-form derivative cancels catastrophically near the removable
+# singularity at 0, while two series terms of it are exact to ~1e-12 here.
+DIRICHLET_SERIES_BELOW = 1e-4
+
+
+def _dirichlet_series(length: int) -> tuple[float, float]:
+    """(a, b) with D(t) = 1 - a t^2 + b t^4 + O(t^6), the Taylor series of
+    the cosine sum D(t) = (1/L) sum_{k=-M..M} cos(2 pi k t / L)."""
+    sq = length * length
+    return (np.pi ** 2 * (sq - 1) / (6.0 * sq),
+            np.pi ** 4 * (sq - 1) * (3 * sq - 7) / (360.0 * sq * sq))
+
+
+def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The (R, L) rows D(delta_r - w), w = -M..M, of the periodic sinc
+    D(t) = sin(pi t) / (L sin(pi t / L)), and a function computing their
+    slopes D', with transcendentals evaluated per row, not per tap.
+
+    With k = rint(delta) and f = delta - k (exact, |f| <= 1/2), integer w
+    gives sin(pi t) = (-1)^(k+w) sin(pi f) and cos(pi t) likewise, and angle
+    addition gives (-1)^w sin(pi t / L) and (-1)^w cos(pi t / L) from the
+    row's sin and cos of pi delta / L and per-tap constants: one (R, 2) by
+    (2, L) product.  The signs (-1)^w cancel in D and D'.  Every row's k
+    must lie in the window, |k| <= M, as it does for the warp's
+    |delta| <= M; then every tap but w = k has 1/2 <= |t| <= L - 1/2, so
+    sin(pi t / L) stays clear of 0.  At w = k the angle addition cancels,
+    so that tap is evaluated from f directly, by the Taylor series below
+    DIRICHLET_SERIES_BELOW.
+    """
+    half = length // 2
+    ang = np.pi / length
+    taps = np.arange(-half, half + 1)
+    tap_trig = (-1.0) ** taps * np.stack([np.cos(ang * taps), np.sin(ang * taps)])
+    k = np.rint(delta)
+    f = delta - k
+    sign = 1.0 - 2.0 * (k - 2.0 * np.floor(0.5 * k))  # (-1)^k, exact in floats
+    sin_row, cos_row = np.sin(ang * delta), np.cos(ang * delta)
+    numer = sign * np.sin(np.pi * f) / length  # (-1)^(k+w) sin(pi t) / L
+    s_half = np.stack([sin_row, -cos_row], axis=1) @ tap_trig  # (-1)^w sin(pi t / L)
+    # the tap w = k of every row; series rows get a safe f, keeping 0 / 0
+    # out, and their values are overwritten
+    rows, cols = np.arange(k.size), (k + half).astype(np.intp)
+    small = np.abs(f) < DIRICHLET_SERIES_BELOW
+    safe = np.where(small, 0.5, f)
+    s_centre = np.sin(ang * safe)
+    s_half[rows, cols] = sign * s_centre
+    value = numer[:, None] / s_half
+    a, b = _dirichlet_series(length)
+    f2 = f * f
+    value[rows, cols] = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
+
+    def slope() -> np.ndarray:
+        # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
+        # / sin(pi t / L)^2, whose numerator is again one angle addition; at
+        # w = k, D'(f) = pi / (L sin(pi f / L)) (cos(pi f) - D cos(pi f / L))
+        cos_t = sign * np.cos(np.pi * f)
+        coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
+                               -(cos_t * cos_row + numer * sin_row)], axis=1)
+        out = (coef @ tap_trig) / (s_half * s_half)
+        centre = ang / s_centre * (np.cos(np.pi * safe) - value[rows, cols] * np.cos(ang * safe))
+        out[rows, cols] = np.where(small, f * (4.0 * b * f2 - 2.0 * a), centre)
+        return out
+
+    return value, slope
+
+
 def warp_apply(x, path, half_width: int):
     """Warp every channel of ``x`` along ``path``: output index i is the
     band-limited sample of x at position i + path_i, read from the length
@@ -59,21 +128,22 @@ def warp_apply(x, path, half_width: int):
 
     Phase-shifting the segment's DFT by path_i and reading back its centre
     sample collapses to one sum, out[i] = sum_{w=-M..M} x[clamp(i+w)] *
-    D(path_i - w), with D the periodic sinc, evaluated for all B*C*N output
-    indices by one ``op_dirichlet_filter``.  Integer displacements reproduce
-    plain index shifting.
+    D(path_i - w), with D the periodic sinc.  Integer displacements
+    reproduce plain index shifting.  Defined for |path_i| <= M.
 
     ``x`` is a TimeSeries with a path vector (returns a TimeSeries), or a
     (B, C, N) tensor with (B, N) paths, one per row (returns a tensor).
-    Every channel of a series shares its path.  The tape length depends on
-    neither B nor N: three nodes for one channel and a path that needs
-    gradients (reshape, filter, reshape), one more each for several
-    channels and for a signal that needs gradients.
+    Every channel of a row shares its path and its kernel.  A batch records
+    one tape node, whatever B, N or C, with rules for the values and then
+    the path: the values' rule scatter-adds g * D, the path's gives
+    g * sum_w segment * D', summed over channels.  A series adds one
+    reshape on each side.
     """
     series = x if isinstance(x, TimeSeries) else None
-    values = x.values if series is not None else x
     if series is not None:
-        values = op_reshape(values, (1,) + values.data.shape)
+        values = op_reshape(series.values, (1,) + series.values.data.shape)
+    else:
+        values = _lift(x)
     if values.data.ndim != 3:
         raise ValueError(f"expected a series or a (B, C, N) tensor, got shape {values.data.shape}")
     delta, _ = as_batch(path, 1)
@@ -86,22 +156,26 @@ def warp_apply(x, path, half_width: int):
     if delta.data.shape[0] != batch:
         raise ValueError(f"{delta.data.shape[0]} paths for {batch} series")
     worst = float(np.max(np.abs(delta.data)))
-    if worst > half_width + 1e-9:  # slack absorbs constraint-chain rounding
+    if not worst <= half_width + 1e-9:  # slack absorbs constraint-chain rounding; nan fails
         raise ValueError(f"path displacement {worst} exceeds window half-width {half_width}")
 
-    rows = batch * channels * n
-    window = np.arange(-half_width, half_width + 1)
-    # index row (b, c, i) reads x[b, c, clamp(i - M .. i + M)]
-    series_start = (np.arange(batch * channels) * n)[:, None, None]
-    seg_idx = np.clip(np.arange(n)[:, None] + window, 0, n - 1)
-    index = (series_start + seg_idx).reshape(rows, length)
-    shifts = op_reshape(delta, (batch * n, 1))
-    if channels > 1:
-        path_index = np.arange(batch * n).reshape(batch, 1, n)
-        shifts = op_gather(op_reshape(delta, (batch * n,)),
-                           np.repeat(path_index, channels, axis=1).reshape(rows, 1))
-    warped = op_reshape(op_dirichlet_filter(op_reshape(values, (rows,)), index, shifts, length),
-                        (batch, channels, n))
+    # tap w of index (b, c, i) reads x[b, c, clamp(i + w)], addressed in the
+    # flattened values
+    window = np.clip(np.arange(n)[:, None] + np.arange(-half_width, half_width + 1), 0, n - 1)
+    index = np.arange(batch * channels).reshape(batch, channels, 1, 1) * n + window
+    seg = values.data.ravel()[index]
+    kernel, slope = _dirichlet_rows(delta.data.ravel(), length)
+    kernel = kernel.reshape(batch, n, length)
+
+    def _dvalues(g):
+        weights = (g[..., None] * kernel[:, None]).ravel()
+        return np.bincount(index.ravel(), weights=weights, minlength=g.size).reshape(g.shape)
+
+    def _dpath(g):
+        slopes = slope().reshape(batch, n, length)
+        return (g * np.einsum("bcnw,bnw->bcn", seg, slopes)).sum(axis=1)
+
+    warped = _record(np.einsum("bcnw,bnw->bcn", seg, kernel), (values, _dvalues), (delta, _dpath))
     if series is None:
         return warped
     return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,

@@ -10,13 +10,13 @@ Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  A leading batch
 axis runs through conv1d and the last-axis sum, so a whole minibatch is one
 node per op.  All data is float64.  Fused terms outside this module
-(``make_path``, ``loss_ce``, ``entropy``, the classifier's pool and head)
-compute in numpy and build their outputs through ``_record`` too.
+(``make_path``, ``warp_apply``, ``loss_ce``, ``entropy``, the classifier's
+pool and head) compute in numpy and build their outputs through ``_record``
+too.
 
 Ops never scan values for finiteness; values are validated where they enter
-the program and where a step yields a loss or an objective.  Beyond shape
-and index checks, ops raise only on a Dirichlet-filter shift with
-|shift| + M >= L.
+the program and where a step yields a loss or an objective.  Ops raise only
+on bad shapes, axes and indices.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "op_mul",
     "op_conv1d",
     "op_relu",
-    "op_dirichlet_filter",
     "op_sum",
     "op_gather",
     "op_reshape",
@@ -284,112 +283,6 @@ def op_relu(x) -> Tensor:
     x = _lift(x)
     # subgradient 0 at exactly 0
     return _record(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0.0)))
-
-
-# Below this |t| the Dirichlet kernel is evaluated by its Taylor series: the
-# closed-form derivative cancels catastrophically near the removable
-# singularity at 0, while two series terms of it are exact to ~1e-12 here.
-DIRICHLET_SERIES_BELOW = 1e-4
-
-
-def _dirichlet_series(length: int) -> tuple[float, float]:
-    """(a, b) with D(t) = 1 - a t^2 + b t^4 + O(t^6), the Taylor series of
-    the cosine sum D(t) = (1/L) sum_{k=-M..M} cos(2 pi k t / L)."""
-    sq = length * length
-    return (np.pi ** 2 * (sq - 1) / (6.0 * sq),
-            np.pi ** 4 * (sq - 1) * (3 * sq - 7) / (360.0 * sq * sq))
-
-
-def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """The (R, L) rows D(delta_r - w), w = -M..M, of the periodic sinc
-    D(t) = sin(pi t) / (L sin(pi t / L)), and a function computing their
-    slopes D', with transcendentals evaluated per row, not per tap.
-
-    With k = rint(delta) and f = delta - k (exact, |f| <= 1/2), integer w
-    gives sin(pi t) = (-1)^(k+w) sin(pi f) and cos(pi t) likewise, and angle
-    addition gives (-1)^w sin(pi t / L) and (-1)^w cos(pi t / L) from the
-    row's sin and cos of pi delta / L and per-tap constants: one (R, 2) by
-    (2, L) product.  The signs (-1)^w cancel in D and D'.  Every tap but
-    w = k has |t| >= 1/2, and |t| <= L - 1/2 while |delta| <= M + 1/2 (as
-    in the warp), so sin(pi t / L) stays clear of 0.  At w = k the angle
-    addition cancels, so that tap is evaluated from f directly, by the
-    Taylor series below DIRICHLET_SERIES_BELOW.
-    """
-    half = length // 2
-    ang = np.pi / length
-    taps = np.arange(-half, half + 1)
-    tap_trig = (-1.0) ** taps * np.stack([np.cos(ang * taps), np.sin(ang * taps)])
-    k = np.rint(delta)
-    f = delta - k
-    sign = 1.0 - 2.0 * (k - 2.0 * np.floor(0.5 * k))  # (-1)^k, exact in floats
-    sin_row, cos_row = np.sin(ang * delta), np.cos(ang * delta)
-    numer = sign * np.sin(np.pi * f) / length  # (-1)^(k+w) sin(pi t) / L
-    s_half = np.stack([sin_row, -cos_row], axis=1) @ tap_trig  # (-1)^w sin(pi t / L)
-    # the tap w = k of every row whose k lies inside the window; series rows
-    # get a safe f, keeping 0 / 0 out, and their values are overwritten
-    rows = np.flatnonzero(np.abs(k) <= half)
-    cols = (k[rows] + half).astype(np.intp)
-    fc = f[rows]
-    small = np.abs(fc) < DIRICHLET_SERIES_BELOW
-    safe = np.where(small, 0.5, fc)
-    s_centre = np.sin(ang * safe)
-    s_half[rows, cols] = sign[rows] * s_centre
-    value = numer[:, None] / s_half
-    a, b = _dirichlet_series(length)
-    f2 = fc * fc
-    value[rows, cols] = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
-
-    def slope() -> np.ndarray:
-        # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
-        # / sin(pi t / L)^2, whose numerator is again one angle addition; at
-        # w = k, D'(f) = pi / (L sin(pi f / L)) (cos(pi f) - D cos(pi f / L))
-        cos_t = sign * np.cos(np.pi * f)
-        coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
-                               -(cos_t * cos_row + numer * sin_row)], axis=1)
-        out = (coef @ tap_trig) / (s_half * s_half)
-        centre = ang / s_centre * (np.cos(np.pi * safe) - value[rows, cols] * np.cos(ang * safe))
-        out[rows, cols] = np.where(small, fc * (4.0 * b * f2 - 2.0 * a), centre)
-        return out
-
-    return value, slope
-
-
-def op_dirichlet_filter(x, index, shifts, length: int) -> Tensor:
-    """Rows out[r] = sum_{w=-M..M} x[index[r, M + w]] * D(shifts[r] - w)
-    with the periodic sinc D(t) = sin(pi t) / (L sin(pi t / L)), D(0) = 1,
-    for odd L = 2M+1: each gathered segment delayed band-limitedly by its
-    row's shift.
-
-    ``x`` is rank-1, ``index`` an (R, L) integer array into it and
-    ``shifts`` (R, 1); the result is (R, 1).  Defined for |shift| + M < L,
-    where every tap stays inside the kernel's period and 0 is its only
-    (removable) singularity.  The backward rule scatter-adds g * D into x
-    and gives each shift g * sum_w x[index[r, M + w]] * D'(shift - w); the
-    slopes are computed inside it.
-    """
-    x, shifts = _lift(x), _lift(shifts)
-    length = int(length)
-    if length < 1 or length % 2 == 0:
-        raise ValueError(f"dirichlet_filter: length must be odd and positive, got {length}")
-    if x.data.ndim != 1:
-        raise ValueError(f"dirichlet_filter: expected rank-1 source, got shape {x.data.shape}")
-    idx = np.asarray(index)
-    if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 2 or idx.shape[1] != length:
-        raise ValueError(f"dirichlet_filter: index must be an (R, {length}) integer array, "
-                         f"got {idx.dtype} {idx.shape}")
-    n, rows = x.data.shape[0], idx.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"dirichlet_filter: index out of range for length {n}")
-    if shifts.data.shape != (rows, 1):
-        raise ValueError(f"dirichlet_filter: shifts shape {shifts.data.shape} != ({rows}, 1)")
-    if rows and np.max(np.abs(shifts.data)) + length // 2 >= length:
-        raise ValueError(f"dirichlet_filter: |shift| + M must stay below L = {length}")
-    seg = x.data[idx]
-    kernel, slope = _dirichlet_rows(shifts.data[:, 0], length)
-    return _record(np.einsum("rw,rw->r", seg, kernel)[:, None],
-                   (x, lambda g: np.bincount(idx.ravel(), weights=(g * kernel).ravel(),
-                                             minlength=n)),
-                   (shifts, lambda g: g * np.einsum("rw,rw->r", seg, slope())[:, None]))
 
 
 def op_sum(x, axis: int | None = None) -> Tensor:

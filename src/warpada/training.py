@@ -32,6 +32,8 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValueError(f"dataset needs two or more classes, got n_classes={self.n_classes}")
         if not self.samples:
             raise ValueError("dataset has no samples")
         c, n = self.samples[0].channels, self.samples[0].length

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpada import adversarial
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
@@ -202,6 +203,16 @@ class TestDispatch:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="iteration 0 for origin 41"):
             maximize_many(model, xs, toy_cfg(mode="tada"), [40, 41, 42])
+
+    @pytest.mark.parametrize("mode", ["ada", "tada"])
+    def test_origin_ids_of_wrong_length_rejected_before_ascent(self, mode, monkeypatch):
+        def no_ascent(*args):
+            raise AssertionError("ascent started")
+
+        monkeypatch.setattr(adversarial, "_ascend", no_ascent)
+        xs = [toy_sample(s) for s in range(3)]
+        with pytest.raises(ValueError, match="^2 origin_ids for 3 series in xs$"):
+            maximize_many(Classifier(1, 3, seed=13), xs, toy_cfg(mode=mode), [0, 1])
 
     def test_erm_mode_rejected(self):
         model = Classifier(1, 3, seed=12)

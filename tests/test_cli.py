@@ -9,14 +9,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpada import cli, tensor
+from warpada import cli, signal
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
-from warpada.data import default_spec, save_dataset
+from warpada.data import default_spec
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
-from warpada.signal import TimeSeries
-from warpada.tensor import Tensor
-from warpada.training import Dataset
 
 from test_warp import path_violations
 
@@ -256,17 +253,19 @@ class TestGradcheckCommand:
         assert report.count("\n") >= 13  # at least 12 items plus header
 
     def test_sign_flipped_backward_exits_1(self, tmp_path, monkeypatch):
-        real_filter = tensor.op_dirichlet_filter
+        # the warp kernel's slope negated: exactly the rows that differentiate
+        # the warp in its path fail
+        real_rows = signal._dirichlet_rows
 
-        def flipped_filter(x, index, shifts, length):
-            mirrored = tensor.op_sub(Tensor(2.0 * shifts.data), shifts)  # same shifts, -D'
-            return real_filter(x, index, mirrored, length)
+        def flipped_rows(delta, length):
+            value, slope = real_rows(delta, length)
+            return value, lambda: -slope()
 
-        monkeypatch.setattr(tensor, "op_dirichlet_filter", flipped_filter)
+        monkeypatch.setattr(signal, "_dirichlet_rows", flipped_rows)
         assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == 1
         report = (tmp_path / "gc" / "gradcheck_report.txt").read_text()
-        assert [line.split()[-1] for line in report.splitlines()
-                if line.startswith("dirichlet ")] == ["FAIL"]
+        assert [line.split()[0] for line in report.splitlines() if line.endswith("FAIL")] \
+            == ["dirichlet", "loss_grad_phi", "loss_grad_phi_batched"]
 
 
 class TestAugmentCommand:
@@ -427,8 +426,13 @@ def test_checkpoint_not_fitting_manifest_exits_2_naming_both(workspace, tmp_path
 
 
 def test_train_on_one_class_manifest_exits_2_naming_line(tmp_path, capsys):
-    one = Dataset([TimeSeries(Tensor(np.arange(16.0)), label=0)], n_classes=1)
-    manifest = save_dataset(one, str(tmp_path), "one")
+    # written by hand: Dataset (and so save_dataset) refuses one class
+    os.makedirs(tmp_path / "one")
+    np.savetxt(tmp_path / "one" / "00000.csv", np.arange(16.0)[:, None], delimiter=",")
+    manifest = str(tmp_path / "one.manifest")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write("WARPADA-MANIFEST v1\nchannels: 1\nlength: 16\nclasses: class0\n"
+                 "one/00000.csv,class0,\n")
     assert main(["train", "--config", write_config(tmp_path / "c.yaml"), "--manifest", manifest,
                  "--out", str(tmp_path / "o")]) == 2
     assert f"{manifest}:4: classes must be two or more distinct names" in capsys.readouterr().err

@@ -242,18 +242,44 @@ class TestWarpApply:
             single = warp_apply(TimeSeries(Tensor(values[i])), paths[i], 4).values.data
             np.testing.assert_allclose(out.data[i], single, rtol=0, atol=1e-12)
 
+    def test_two_channels_equal_two_single_channel_warps(self):
+        # channels share the path's kernel: a 2-channel warp is bitwise the
+        # two 1-channel warps, and its path gradient is the sum of theirs
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(3, 2, 40))
+        paths = make_path(Tensor(rng.normal(size=(3, 40))), 8.0, 10).data
+        weights = rng.normal(size=(3, 2, 40))
+
+        def run(c):
+            x = Tensor(values[:, c], requires_grad=True)
+            path = Tensor(paths, requires_grad=True)
+            with Tape() as tape:
+                out = warp_apply(x, path, 10)
+                tape.backward(op_sum(out * Tensor(weights[:, c])))
+            return out.data, x.grad, path.grad
+
+        both, one, two = run(slice(None)), run(slice(0, 1)), run(slice(1, 2))
+        for i in range(2):
+            np.testing.assert_array_equal(both[i], np.concatenate([one[i], two[i]], axis=1))
+        np.testing.assert_array_equal(both[2], one[2] + two[2])
+
     @pytest.mark.parametrize("batch", [1, 8])
     @pytest.mark.parametrize("n", [32, 128])
     def test_tape_node_count(self, batch, n):
-        # reshape, fused filter, reshape for one channel and a path that needs
-        # gradients, whatever B and N; one more for a signal that needs them
+        # one node for a batch, whatever B, N or C and whichever inputs need
+        # gradients; a series with a path vector adds one reshape each side
         rng = np.random.default_rng(15)
-        for x_grad, want in ((False, 3), (True, 4)):
-            x = Tensor(rng.normal(size=(batch, 1, n)), requires_grad=x_grad)
-            path = Tensor(rng.uniform(-3.0, 3.0, size=(batch, n)), requires_grad=True)
+        for channels, x_grad, path_grad in ((1, False, True), (1, True, True), (3, True, False),
+                                            (3, True, True)):
+            x = Tensor(rng.normal(size=(batch, channels, n)), requires_grad=x_grad)
+            path = Tensor(rng.uniform(-3.0, 3.0, size=(batch, n)), requires_grad=path_grad)
             with Tape() as tape:
-                warp_apply(x, path, 4)
-            assert len(tape.nodes) == want
+                out = warp_apply(x, path, 4)
+            assert len(tape.nodes) == 1 and tape.nodes[0].out is out
+        series = TimeSeries(Tensor(rng.normal(size=(2, n))))
+        with Tape() as tape:
+            out = warp_apply(series, Tensor(rng.uniform(-3.0, 3.0, size=n), requires_grad=True), 4)
+        assert len(tape.nodes) == 3 and tape.nodes[-1].out is out.values
 
     def test_path_validation(self):
         x = TimeSeries(Tensor(np.zeros(16) + 1.0))

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpada import tensor as T
 from warpada import model as M
+from warpada import signal as S
+from warpada import tensor as T
 from warpada.model import entropy, loss_ce
+from warpada.signal import warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check
 from warpada.warp import make_path
 
@@ -60,9 +62,8 @@ class TestElementwise:
         x = Tensor([np.inf, 1.0, np.nan])
         out = T.op_mul(T.op_add(x, 1.0), 2.0).data
         assert out[0] == np.inf and out[1] == 4.0 and np.isnan(out[2])
-        rows = T.op_dirichlet_filter(Tensor(np.ones(3)), np.array([[0, 1, 2]]),
-                                     Tensor([[np.nan]]), 3)
-        assert np.isnan(rows.data).all()
+        warped = warp_apply(Tensor([[[1.0, np.inf, 1.0]]]), np.zeros((1, 3)), 1)
+        assert not np.isfinite(warped.data).any()
 
     def test_relu_values_and_subgradient_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
@@ -76,11 +77,11 @@ class TestElementwise:
 
 def dirichlet_oracle(t, length):
     """D(t) = sin(pi t) / (L sin(pi t / L)) and its slope D'(t), elementwise
-    in plain numpy: the closed form per tap that op_dirichlet_filter
+    in plain numpy: the closed form per tap that the warp's kernel
     evaluates per row.  Below DIRICHLET_SERIES_BELOW the removable
     singularity at 0 is taken by the Taylor series D = 1 - a t^2 + b t^4."""
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < T.DIRICHLET_SERIES_BELOW
+    small = np.abs(t) < S.DIRICHLET_SERIES_BELOW
     safe = np.where(small, 1.0, t)
     s_half = np.sin(np.pi * safe / length)
     value = np.sin(np.pi * safe) / (length * s_half)
@@ -94,30 +95,23 @@ def dirichlet_oracle(t, length):
 
 
 def kernel_rows(shifts, length):
-    """D(shift - w) and D'(shift - w) for w = -M..M, (len(shifts), L), read
-    off op_dirichlet_filter: row (i, j) filters the one-hot segment of tap
-    j by shifts[i]."""
-    n = len(shifts)
-    index = np.tile(np.arange(length * length).reshape(length, length), (n, 1))
-    probe = Tensor(np.repeat(np.asarray(shifts, dtype=float), length)[:, None],
-                   requires_grad=True)
-    with Tape() as tape:
-        out = T.op_dirichlet_filter(Tensor(np.eye(length).ravel()), index, probe, length)
-        tape.backward(T.op_sum(out))
-    return out.data.reshape(n, length), probe.grad.reshape(n, length)
+    """D(shift - w) and D'(shift - w) for w = -M..M, (len(shifts), L), from
+    the warp's kernel."""
+    value, slope = S._dirichlet_rows(np.asarray(shifts, dtype=float), length)
+    return value, slope()
 
 
 class TestDirichlet:
     @pytest.mark.parametrize("m", [2, 10])
     def test_matches_exact_cosine_sums(self, m):
-        # the fused op and the numpy oracle both against the cosine sum
+        # the warp's kernel and the numpy oracle both against the cosine sum
         # D(t) = (1/L) sum_k cos(2 pi k t / L), at every tap of shifts at and
         # near integers, at half-integers and at the edges of the domain
         length = 2 * m + 1
         k = np.arange(-m, m + 1)
         shifts = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4,
                            1e-3, -1e-3, 0.5, -0.5, 1.5, 1.0 + 1e-9, -1.0 - 1e-6,
-                           2.0 - 3e-4, 1.3, m, -m, m + 0.7, -m - 0.7])
+                           2.0 - 3e-4, 1.3, m, -m, m + 1e-9, -m - 1e-9, m - 0.3, -m + 0.3])
         t = shifts[:, None] - k
         angle = 2.0 * np.pi * t[..., None] * k / length
         value = np.cos(angle).sum(axis=-1) / length
@@ -131,27 +125,32 @@ class TestDirichlet:
 
     @pytest.mark.parametrize("m", [2, 10])
     def test_matches_numpy_oracle(self, m):
+        # warp_apply's values and gradients on 3 rows of 2 channels against
+        # the clamped-index sum weighted by the oracle kernel
         length = 2 * m + 1
         rng = np.random.default_rng(m)
-        source = rng.normal(size=40)
-        index = rng.integers(0, 40, size=(60, length))
-        shifts = rng.uniform(-m - 0.9, m + 0.9, size=(60, 1))
-        shifts[::4] = rng.integers(-m, m + 1, size=(15, 1))
-        shifts[1::4] += rng.choice([-1e-9, 3e-5, -2e-4], size=(15, 1))
-        weights = rng.normal(size=(60, 1))
-        x, delta = Tensor(source, requires_grad=True), Tensor(shifts, requires_grad=True)
+        source = rng.normal(size=(3, 2, 40))
+        paths = rng.uniform(-m, m, size=(3, 40))
+        paths[:, ::4] = rng.integers(-m, m + 1, size=(3, 10))
+        paths[:, 1::4] += rng.choice([-1e-9, 3e-5, -2e-4], size=(3, 10))
+        paths = np.clip(paths, -m, m)
+        weights = rng.normal(size=(3, 2, 40))
+        x, delta = Tensor(source, requires_grad=True), Tensor(paths, requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with Tape() as tape:
-                out = T.op_dirichlet_filter(x, index, delta, length)
+                out = warp_apply(x, delta, m)
                 tape.backward(T.op_sum(T.op_mul(out, Tensor(weights))))
-            value, slope = dirichlet_oracle(shifts - np.arange(-m, m + 1), length)
-        seg = source[index]
-        assert np.max(np.abs(out.data - (seg * value).sum(axis=1, keepdims=True))) < 1e-12
-        want_dx = np.bincount(index.ravel(), weights=(weights * value).ravel(), minlength=40)
+            value, slope = dirichlet_oracle(paths[..., None] - np.arange(-m, m + 1), length)
+        index = np.clip(np.arange(40)[:, None] + np.arange(-m, m + 1), 0, 39)
+        seg = source[:, :, index]  # (3, 2, 40, L); every channel shares its row's kernel
+        assert np.max(np.abs(out.data - (seg * value[:, None]).sum(axis=-1))) < 1e-12
+        want_dx = np.zeros_like(source)
+        for b, c in np.ndindex(3, 2):
+            np.add.at(want_dx[b, c], index, weights[b, c, :, None] * value[b])
         assert np.max(np.abs(x.grad - want_dx)) < 1e-10
-        want_dshift = weights * (seg * slope).sum(axis=1, keepdims=True)
-        assert np.max(np.abs(delta.grad - want_dshift)) < 1e-10
+        want_dpath = (weights * (seg * slope[:, None]).sum(axis=-1)).sum(axis=1)
+        assert np.max(np.abs(delta.grad - want_dpath)) < 1e-10
 
     def test_removable_singularity(self):
         # the tap w = k of an integer shift k reads exactly D(0) = 1, D'(0) = 0
@@ -164,18 +163,16 @@ class TestDirichlet:
         np.testing.assert_allclose(value, np.eye(7), atol=1e-15)
 
     def test_domain_and_length_checked(self):
-        source, index = Tensor(np.zeros(7)), np.arange(7)[None]
-        T.op_dirichlet_filter(source, index, Tensor([[3.99]]), 7)
-        with pytest.raises(ValueError, match="below L"):
-            T.op_dirichlet_filter(source, index, Tensor([[-4.0]]), 7)
-        with pytest.raises(ValueError, match="odd"):
-            T.op_dirichlet_filter(source, index[:, :6], Tensor([[0.0]]), 6)
-        with pytest.raises(ValueError, match="range"):
-            T.op_dirichlet_filter(source, index + 1, Tensor([[0.0]]), 7)
-        with pytest.raises(ValueError, match="shifts shape"):
-            T.op_dirichlet_filter(source, index, Tensor([0.0]), 7)
-        with pytest.raises(ValueError, match="integer array"):
-            T.op_dirichlet_filter(source, index[:, :5], Tensor([[0.0]]), 7)
+        # the warp's one domain check, |path| <= M up to rounding slack (nan
+        # fails it), and a series at least as long as the window
+        x = Tensor(np.zeros((1, 1, 7)))
+        warp_apply(x, np.full((1, 7), 3.0), 3)
+        warp_apply(x, np.full((1, 7), -3.0 - 1e-10), 3)
+        for bad in (3.01, -4.0, np.nan):
+            with pytest.raises(ValueError, match="exceeds window half-width 3"):
+                warp_apply(x, np.full((1, 7), bad), 3)
+        with pytest.raises(ValueError, match="shorter than window 9"):
+            warp_apply(x, np.zeros((1, 7)), 4)
 
 
 class TestReductions:
@@ -347,9 +344,7 @@ RULE_CASES = {
     "conv1d": (lambda x, k, b: T.op_conv1d(x, k, stride=2, bias=b),
                [(2, 3, 8), (4, 3, 3), (4,)], (1, 0, 2)),
     "relu": (T.op_relu, [(2, 3)], (0,)),
-    "dirichlet_filter": (lambda x, s: T.op_dirichlet_filter(x, np.array([[0, 1, 2, 3, 4],
-                                                                         [2, 3, 4, 5, 5]]), s, 5),
-                         [(6,), (2, 1)], (0, 1)),
+    "warp_apply": (lambda x, p: warp_apply(x, p, 2), [(2, 2, 6), (2, 6)], (0, 1)),
     "sum": (lambda x: T.op_sum(x, axis=-1), [(2, 3)], (0,)),
     "gather": (lambda x: T.op_gather(x, np.array([[0, 2], [1, 1]])), [(4,)], (0,)),
     "reshape": (lambda x: T.op_reshape(x, (6,)), [(2, 3)], (0,)),
@@ -419,15 +414,14 @@ def test_exp_log_chain_gradient_matches_finite_differences(values, label):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=-10.5, max_value=10.5), min_size=1, max_size=12),
+@given(st.lists(st.floats(min_value=-9.9999, max_value=9.9999), min_size=1, max_size=12),
        st.integers(min_value=0, max_value=10**6))
 def test_dirichlet_gradient_matches_finite_differences(values, seed):
-    # shifts anywhere in the warp's domain at L = 21, integers included
+    # paths anywhere in the warp's domain at L = 21, integers included, but
+    # for the probe step's room at the edges; two channels share each path
     rng = np.random.default_rng(seed)
-    source = Tensor(rng.normal(size=30))
-    index = rng.integers(0, 30, size=(len(values), 21))
-    w = Tensor(rng.normal(size=(len(values), 1)))
-    x = Tensor(np.asarray(values)[:, None])
-    err = finite_diff_check(
-        lambda t: T.op_sum(T.op_mul(w, T.op_dirichlet_filter(source, index, t, 21))), x)
+    source = Tensor(rng.normal(size=(1, 2, 21)))
+    w = Tensor(rng.normal(size=(1, 2, 21)))
+    x = Tensor(np.resize(np.asarray(values), (1, 21)))
+    err = finite_diff_check(lambda t: T.op_sum(T.op_mul(w, warp_apply(source, t, 10))), x)
     assert err < 1e-5

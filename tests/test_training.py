@@ -54,6 +54,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="no samples"):
             Dataset([], n_classes=2)
 
+    @pytest.mark.parametrize("n_classes", [1, 0])
+    def test_rejects_fewer_than_two_classes(self, n_classes):
+        # a one-class dataset would save as a manifest that cannot be loaded
+        a = TimeSeries(Tensor(np.zeros(8)), label=0)
+        with pytest.raises(ValueError, match=f"two or more classes, got n_classes={n_classes}$"):
+            Dataset([a], n_classes=n_classes)
+
     def test_extended_leaves_original_alone(self):
         ds = toy_dataset(n_per_class=2)
         first = ds.samples[0]
