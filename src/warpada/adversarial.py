@@ -6,11 +6,15 @@ additive amplitude noise (x' = x + P), a temporal warp (x' = warp(x, path)
 with the path built from free parameters), and their combination.  The
 constraint chain lives inside path construction, so ascent iterates are
 admissible by construction and need no projection step.  All three run
-through one ascent loop, which moves a chunk of origins at a time.
+through one ascent loop, which moves a chunk of origins at a time; the
+chunks of one call are shared out between forked processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,12 @@ COMBINE_MODES = ("union", "composed")
 PHI_INIT_SCALE = 1.0
 # Origins ascended together on one tape.  Larger chunks stop paying off per
 # origin beyond about 8 while their live (B*N, L) warp arrays keep growing.
+# A chunk is also the unit maximize_many shares out between processes; a
+# chunk's samples are bitwise the same whichever process ascends it.
 ASCENT_CHUNK = 8
+# Processes that share one call's chunks, at most: each extra one costs a
+# fork and one pipe transfer of its samples.
+MAX_ASCENT_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,86 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
             for i, (x, o) in enumerate(zip(xs, origin_ids))]
 
 
+def _ascend_chunks(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
+                   families: list[str], los: list[int]):
+    """Samples of the chunks that start at ``los``, one list per chunk in that
+    order, and the first failure as (chunk start, exception), else None.  A
+    failure ends the share, as it ends the serial loop."""
+    done = []
+    for lo in los:
+        chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]
+        try:
+            per_family = [_ascend(model, chunk, cfg, ids, f) for f in families]
+        except Exception as exc:  # reported to the caller, which raises the earliest
+            return done, (lo, exc)
+        done.append([sample for group in zip(*per_family) for sample in group])
+    return done, None
+
+
+def _ascent_workers(n_chunks: int) -> int:
+    """Processes to share n_chunks between: one per usable CPU, at most one
+    per chunk and MAX_ASCENT_WORKERS, at least one.  One where the usable
+    CPUs cannot be read, in a daemonic process (which may not have
+    children), and while other threads run (a fork copies any lock they
+    hold, held for ever)."""
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_chunks, MAX_ASCENT_WORKERS))
+
+
+def _send_share(writer, ascend_share, w: int) -> None:
+    """Body of a forked worker: ascend share w and send it to the parent."""
+    try:
+        writer.send(ascend_share(w))
+    finally:
+        writer.close()
+
+
+def _forked_shares(workers: int, ascend_share) -> list:
+    """[ascend_share(w) for w in range(workers)], with shares 1.. ascended by
+    forked children while this process ascends share 0.
+
+    The children inherit the model and the data by copy-on-write, so nothing
+    is pickled on the way in; each sends its share back through a one-way
+    pipe.  A share is received before its child is joined, because it can
+    be larger than a pipe buffer.  Every child is joined, or killed and
+    joined, before this returns or raises.
+    """
+    ctx = multiprocessing.get_context("fork")
+    readers, children = [], []
+    try:
+        for w in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            child = ctx.Process(target=_send_share, args=(writer, ascend_share, w),
+                                daemon=True)
+            try:
+                child.start()
+            finally:
+                # the child holds its own copy; with this one closed, the
+                # reader sees EOF if the child dies before sending
+                writer.close()
+            children.append(child)
+        shares = [ascend_share(0)]
+        for reader, child in zip(readers, children):
+            try:
+                shares.append(reader.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"ascent worker {child.pid} exited with code "
+                                   f"{child.exitcode} before sending its samples") from None
+            child.join()
+        return shares
+    finally:
+        for child in children:
+            if child.is_alive():  # an error cut the call short
+                child.kill()
+            child.join()
+        for reader in readers:
+            reader.close()
+
+
 def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
                   origin_ids: list[int] | None = None) -> list[AdvSample]:
     """Samples for every origin, grouped by origin in input order.
@@ -194,6 +283,14 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     iteration.  Each origin keeps its own phi initialisation stream, so
     results do not depend on the chunking except through the reduction
     order of the batched arithmetic.
+
+    With W = _ascent_workers(number of chunks) above one, the chunks are
+    split into W interleaved shares: W - 1 forked children ascend shares
+    1.. while this process ascends share 0, and the samples are put back in
+    chunk order.  The model is frozen and every chunk depends only on its own
+    origins, so the output is bitwise the serial one.  An error is the serial
+    one too: the exception of the earliest failing chunk.  The call runs
+    serially, starting no process, when W is one or the platform cannot fork.
     """
     if cfg.mode not in ("ada", "tada", "tada_plus"):
         raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
@@ -205,12 +302,18 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         origin_ids = list(range(len(xs)))
     if len(origin_ids) != len(xs):
         raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
-    out: list[AdvSample] = []
-    for lo in range(0, len(xs), ASCENT_CHUNK):
-        chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]
-        per_family = [_ascend(model, chunk, cfg, ids, f) for f in families]
-        out.extend(sample for group in zip(*per_family) for sample in group)
-    return out
+    los = list(range(0, len(xs), ASCENT_CHUNK))
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    workers = _ascent_workers(len(los)) if forks else 1
+
+    def ascend_share(w):
+        return _ascend_chunks(model, xs, cfg, origin_ids, families, los[w::workers])
+
+    shares = [ascend_share(0)] if workers == 1 else _forked_shares(workers, ascend_share)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [sample for k in range(len(los)) for sample in shares[k % workers][0][k // workers]]
 
 
 def maximize_one(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> list[AdvSample]:

@@ -1,3 +1,11 @@
+import contextlib
+import multiprocessing
+import os
+import signal
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -214,7 +222,160 @@ class TestDispatch:
         with pytest.raises(ValueError, match="^2 origin_ids for 3 series in xs$"):
             maximize_many(Classifier(1, 3, seed=13), xs, toy_cfg(mode=mode), [0, 1])
 
+    def test_no_origins_no_samples(self):
+        assert maximize_many(Classifier(1, 3, seed=12), [], toy_cfg()) == []
+
     def test_erm_mode_rejected(self):
         model = Classifier(1, 3, seed=12)
         with pytest.raises(ValueError, match="erm"):
             maximize_one(model, toy_sample(13), toy_cfg(mode="erm"))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block takes longer than seconds.
+    pytest.fail raises no OSError, which a wait for a child would swallow."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def force_workers(monkeypatch, workers):
+    """Share the chunks between ``workers`` processes whatever the host's
+    CPU count; returns the list of worker counts of the forked calls."""
+    forked = []
+    real = adversarial._forked_shares
+
+    def counted(w, ascend_share):
+        forked.append(w)
+        return real(w, ascend_share)
+
+    monkeypatch.setattr(adversarial, "_ascent_workers", lambda n_chunks: min(workers, n_chunks))
+    monkeypatch.setattr(adversarial, "_forked_shares", counted)
+    return forked
+
+
+def serial_samples(monkeypatch, *args):
+    """maximize_many(*args) in this process alone."""
+    with monkeypatch.context() as serial:
+        force_workers(serial, 1)
+        return maximize_many(*args)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.origin_id, a.mode, a.series.label) == (b.origin_id, b.mode, b.series.label)
+        assert a.objective == b.objective
+        np.testing.assert_array_equal(a.series.values.data, b.series.values.data)
+        assert (a.path is None) == (b.path is None)
+        if a.path is not None:
+            np.testing.assert_array_equal(a.path, b.path)
+
+
+GENERATING = [dict(mode="ada"), dict(mode="tada"), dict(mode="tada_plus", combine="union"),
+              dict(mode="tada_plus", combine="composed")]
+
+# what makes maximize_many stay serial, as (object, attribute, stand-in)
+FALLBACKS = {
+    "one_cpu": (os, "sched_getaffinity", lambda pid: {0}),
+    "no_fork": (multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]),
+    "live_thread": (threading, "active_count", lambda: 2),
+    "daemonic": (multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True)),
+}
+
+
+class TestForkedShares:
+    # 13 origins in chunks of 3 make 5 chunks, the last of one origin
+    N_ORIGINS, CHUNK = 13, 3
+
+    def origins(self):
+        xs = [toy_sample(100 + i, n=32, label=i % 3) for i in range(self.N_ORIGINS)]
+        return xs, [7 * i + 1 for i in range(self.N_ORIGINS)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kw", GENERATING,
+                             ids=["ada", "tada", "tada_plus-union", "tada_plus-composed"])
+    def test_bitwise_equal_to_serial(self, kw, workers, monkeypatch):
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", self.CHUNK)
+        model, (xs, ids), cfg = Classifier(1, 3, seed=14), self.origins(), toy_cfg(**kw)
+        want = serial_samples(monkeypatch, model, xs, cfg, ids)
+        forked = force_workers(monkeypatch, workers)
+        with deadline(60):
+            got = maximize_many(model, xs, cfg, ids)
+        assert forked == [workers]
+        assert_same_samples(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_share_larger_than_a_pipe_buffer(self, monkeypatch):
+        # the child's 8 samples of 2048 values pickle to over 128 KiB, twice
+        # a Linux pipe buffer: joining the child before reading would hang
+        model, cfg = Classifier(1, 3, seed=17), toy_cfg(mode="ada", t_max=1)
+        xs = [toy_sample(200 + i, n=2048) for i in range(16)]
+        want = serial_samples(monkeypatch, model, xs, cfg)
+        forked = force_workers(monkeypatch, 2)
+        with deadline(60):
+            got = maximize_many(model, xs, cfg)
+        assert forked == [2]
+        assert_same_samples(got, want)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_earliest_failing_origin_raised_as_serial(self, workers, monkeypatch):
+        # origin 41 fails in a child's chunk, origin 42 in a later chunk
+        # (the parent's with 2 workers, another child's with 3)
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", 1)
+        model = Classifier(1, 3, seed=12)
+        bad = TimeSeries(Tensor(np.full(64, np.inf)), label=0)
+        xs, ids = [toy_sample(20), bad, bad, toy_sample(23)], [40, 41, 42, 43]
+        errors = []
+        for w in (1, workers):
+            forked = force_workers(monkeypatch, w)
+            with np.errstate(invalid="ignore"), deadline(60), \
+                    pytest.raises(ValueError, match="iteration 0 for origin 41$") as err:
+                maximize_many(model, xs, toy_cfg(mode="tada"), ids)
+            errors.append(str(err.value))
+            assert forked == ([] if w == 1 else [w])
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dead_child_raises_naming_exit_code(self, workers, monkeypatch):
+        # the child with chunk 1 dies; with 3 workers the other child is
+        # still ascending when the parent gives up, and must be killed
+        xs, ids = self.origins()
+        parent, real = os.getpid(), adversarial._ascend
+
+        def dying(model, chunk, cfg, chunk_ids, family):
+            if os.getpid() != parent:
+                if chunk_ids[0] == ids[self.CHUNK]:
+                    os._exit(3)
+                time.sleep(600)
+            return real(model, chunk, cfg, chunk_ids, family)
+
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", self.CHUNK)
+        monkeypatch.setattr(adversarial, "_ascend", dying)
+        force_workers(monkeypatch, workers)
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 3 "):
+            maximize_many(Classifier(1, 3, seed=15), xs, toy_cfg(), ids)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fallback", list(FALLBACKS))
+    def test_fallback_starts_no_process(self, fallback, monkeypatch):
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", self.CHUNK)
+        model, (xs, ids), cfg = Classifier(1, 3, seed=16), self.origins(), toy_cfg()
+        want = serial_samples(monkeypatch, model, xs, cfg, ids)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
+        monkeypatch.setattr(*FALLBACKS[fallback])
+        assert_same_samples(maximize_many(model, xs, cfg, ids), want)
