@@ -298,7 +298,10 @@ def load_checkpoint(path) -> Classifier:
             raise ValueError(f"{path}: layer {name} has shape {shape}, "
                              f"expected {expected[name]}")
         payload = take(8 * math.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # a zero-size shape whose extent numpy rejects
+            raise ValueError(f"{path}: layer {name} has shape {shape}: {exc}") from None
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: layer {name} holds non-finite values")
         loaded[name] = np.ascontiguousarray(arr, dtype=np.float64)

@@ -21,6 +21,7 @@ on bad shapes, axes and indices.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -220,6 +221,25 @@ def op_mul(a, b) -> Tensor:
                    (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_taps(n: int, width: int, stride: int):
+    """Where each kernel tap w of a padded conv1d over length n reads the
+    input: ``(front, back, taps)`` with taps[w] = (lo, hi, slice), the
+    outputs lo <= t < hi whose input index t*stride + w - pad lies in
+    [0, n) and the input slice they read.  Outputs t < front or t >= back
+    read padding at some tap.  Cached: on small batches the Python
+    arithmetic cost as much as the copies."""
+    pad = (width - 1) // 2
+    n_out = (n + 2 * pad - width) // stride + 1
+    taps = []
+    for w in range(width):
+        lo = max(0, -((w - pad) // stride))
+        hi = max(lo, min(n_out, (n - 1 + pad - w) // stride + 1))
+        start = lo * stride + w - pad
+        taps.append((lo, hi, slice(start, start + stride * (hi - lo), stride)))
+    return max(t[0] for t in taps), min(t[1] for t in taps), tuple(taps)
+
+
 def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     """1-D cross-correlation of (B, C_in, N) with kernels (C_out, C_in, W),
     giving (B, C_out, N_out).  A (C_in, N) input is a batch of one and gives
@@ -245,13 +265,15 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
         raise ValueError(f"conv1d: kernel width {width} exceeds padded length {n + 2 * pad}")
 
     n_out = (n + 2 * pad - width) // stride + 1
-    span = stride * (n_out - 1) + 1
-    xp = np.zeros((batch, c_in, n + 2 * pad))
-    xp[:, :, pad:pad + n] = xb
-    # im2col: cols[b, ci, w, t] = xp[b, ci, t*stride + w], one strided slice per tap
+    # im2col straight from x: cols[b, ci, w, t] = x[b, ci, t*stride + w - pad],
+    # zero where that index falls in the padding.  The columns that read
+    # padding at any tap are zeroed first, then each tap copies its span.
+    front, back, taps = _conv_taps(n, width, stride)
     cols = np.empty((batch, c_in, width, n_out))
-    for w in range(width):
-        cols[:, :, w, :] = xp[:, :, w:w + span:stride]
+    cols[..., :front] = 0.0
+    cols[..., back:] = 0.0
+    for w, (lo, hi, sl) in enumerate(taps):
+        cols[:, :, w, lo:hi] = xb[:, :, sl]
     cols = cols.reshape(batch, c_in * width, n_out)
     kmat = kernels.data.reshape(c_out, c_in * width)
     out_data = np.matmul(kmat, cols)
@@ -267,10 +289,10 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
 
     def _dx(g):
         dcols = np.matmul(kmat.T, g.reshape(gshape)).reshape(batch, c_in, width, n_out)
-        dxp = np.zeros((batch, c_in, n + 2 * pad))
-        for w in range(width):  # col2im: the adjoint of the im2col slices
-            dxp[:, :, w:w + span:stride] += dcols[:, :, w, :]
-        return np.ascontiguousarray(dxp[:, :, pad:pad + n]).reshape(x.data.shape)
+        dx = np.zeros((batch, c_in, n))
+        for w, (lo, hi, sl) in enumerate(taps):  # col2im, the adjoint, in tap order
+            dx[:, :, sl] += dcols[:, :, w, lo:hi]
+        return dx.reshape(x.data.shape)
 
     return _record(out_data.reshape(x.data.shape[:-2] + (c_out, n_out)),
                    (kernels, lambda g: np.tensordot(g.reshape(gshape), cols, axes=([0, 2], [0, 2]))

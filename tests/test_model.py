@@ -457,6 +457,18 @@ class TestCheckpoint:
             save_checkpoint(model, path)
         assert not path.exists()
 
+    def test_zero_size_layer_too_big_for_numpy_names_file(self, tmp_path):
+        # no payload is needed for a zero-size shape, but numpy still
+        # rejects an array whose extent overflows
+        path = tmp_path / "big.ckpt"
+        dims = (0, 2 ** 32 - 1, 2 ** 32 - 1)
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIIqI", 1, 1, 3, 0, 1)
+                         + struct.pack("<H", 1) + b"x" + struct.pack("<B", 3)
+                         + struct.pack("<3I", *dims))
+        with pytest.raises(ValueError, match=r"layer x has shape \(0, 4294967295, 4294967295\)") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_header_is_checked_before_allocating(self, tmp_path):
         # a 29-byte file claiming 100,000 input channels and no layers;
         # building that architecture would take 64 MB of conv1 weights

@@ -248,6 +248,50 @@ class TestConv1d:
             Tensor(rng.normal(size=(4,))))
         assert err < 1e-6
 
+    @staticmethod
+    def padded_oracle(x, kernels, bias, stride, g):
+        """conv1d by copying x into a zero-padded buffer: the output and the
+        x, kernel and bias gradients for output gradient g."""
+        batch, c_in, n = x.shape
+        c_out, _, width = kernels.shape
+        pad = (width - 1) // 2
+        n_out = (n + 2 * pad - width) // stride + 1
+        span = stride * (n_out - 1) + 1
+        xp = np.zeros((batch, c_in, n + 2 * pad))
+        xp[:, :, pad:pad + n] = x
+        cols = np.empty((batch, c_in, width, n_out))
+        for w in range(width):
+            cols[:, :, w, :] = xp[:, :, w:w + span:stride]
+        cols = cols.reshape(batch, c_in * width, n_out)
+        kmat = kernels.reshape(c_out, c_in * width)
+        out = np.matmul(kmat, cols)
+        out += bias[:, None]
+        dcols = np.matmul(kmat.T, g).reshape(batch, c_in, width, n_out)
+        dxp = np.zeros((batch, c_in, n + 2 * pad))
+        for w in range(width):
+            dxp[:, :, w:w + span:stride] += dcols[:, :, w, :]
+        dx = np.ascontiguousarray(dxp[:, :, pad:pad + n])
+        dk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(kernels.shape)
+        return out, dx, dk, g.sum(axis=(0, 2))
+
+    @pytest.mark.parametrize("stride,width,n", [
+        (s, w, n) for s in (1, 2) for w in (1, 2, 3, 5) for n in (1, 2, 3, 4, 7, 16)
+        if w <= n + 2 * ((w - 1) // 2)])
+    def test_bitwise_equal_to_padded_oracle(self, stride, width, n):
+        rng = np.random.default_rng(100 * stride + 10 * width + n)
+        x = Tensor(rng.normal(size=(3, 2, n)), requires_grad=True)
+        kernels = Tensor(rng.normal(size=(4, 2, width)), requires_grad=True)
+        bias = Tensor(rng.normal(size=4), requires_grad=True)
+        with Tape() as tape:
+            out = T.op_conv1d(x, kernels, stride=stride, bias=bias)
+            g = rng.normal(size=out.shape)
+            # the output gradient of sum(out * g) is g exactly
+            tape.backward(T.op_sum(T.op_mul(out, Tensor(g))))
+        want = self.padded_oracle(x.data, kernels.data, bias.data, stride, g)
+        for got, ref in zip((out.data, x.grad, kernels.grad, bias.grad), want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestIndexing:
     def test_gather_values_and_scatter_add_backward(self):

@@ -1,8 +1,14 @@
+import os
+import resource
+import types
+import warnings
+
 import numpy as np
 import pytest
 
 from warpada import adversarial, training
 from warpada.adversarial import AdvConfig
+from warpada.data import default_spec, synth_generate
 from warpada.model import Classifier, forward, loss_ce
 from warpada.signal import TimeSeries
 from warpada.tensor import Tape, Tensor
@@ -129,6 +135,84 @@ class TestRunErrors:
                                              r"non-finite at SGD step \d+$"):
             run(toy_dataset(n_per_class=4), small_cfg(lr=1e300), model_init=model)
         assert all(np.all(np.isfinite(w)) for w in model.weights.values())
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def fake_libc(result):
+    """A libc handle whose mallopt records its calls and returns ``result``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+class TestHeapPolicy:
+    def test_second_call_makes_no_mallopt_call(self, monkeypatch):
+        libc, calls = fake_libc(1)
+        monkeypatch.setattr(training, "_heap_policy_set", False)
+        monkeypatch.setattr(training, "_libc", lambda: libc)
+        training._keep_freed_memory()
+        assert calls == [(training._M_MMAP_THRESHOLD, 32 << 20),
+                         (training._M_TRIM_THRESHOLD, 64 << 20)]
+        training._keep_freed_memory()
+        assert len(calls) == 2
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch):
+        # a trim threshold alone fixes the mmap threshold at 128 KiB, which
+        # faults more than glibc's default policy
+        libc, calls = fake_libc(0)
+        monkeypatch.setattr(training, "_heap_policy_set", False)
+        monkeypatch.setattr(training, "_libc", lambda: libc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            training._keep_freed_memory()
+        assert calls == [(training._M_MMAP_THRESHOLD, 32 << 20)]
+
+    @pytest.mark.parametrize("handle", ["no_mallopt", "no_libc"])
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch, handle):
+        def no_libc():
+            raise OSError("no C library")
+        monkeypatch.setattr(training, "_heap_policy_set", False)
+        monkeypatch.setattr(training, "_libc", {"no_mallopt": lambda: types.SimpleNamespace(),
+                                                "no_libc": no_libc}[handle])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            training._keep_freed_memory()
+        assert training._heap_policy_set
+
+    def test_run_sets_the_policy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "_keep_freed_memory", lambda: calls.append(1))
+        run(toy_dataset(n_per_class=4), small_cfg(mode="erm"))
+        assert calls == [1]
+
+    @pytest.mark.skipif(not _on_glibc(), reason="mallopt policy is set on glibc only")
+    def test_sgd_steps_reuse_the_heap(self):
+        # with glibc's default policy a batch-32 step on the default spec
+        # takes ~940 minor faults, refaulting the buffers its predecessor freed
+        training._keep_freed_memory()
+        source, _ = synth_generate(default_spec(0))
+        model = Classifier(source.channels, source.n_classes, seed=0)
+        rng = np.random.default_rng(0)
+
+        def step():
+            idx = rng.integers(0, len(source), size=32)
+            training._sgd_step(model, [source.samples[i] for i in idx], 0.01)
+        for _ in range(3):
+            step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 20 * 50
 
 
 class TestBatchedStep:
