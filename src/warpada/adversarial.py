@@ -32,11 +32,14 @@ COMBINE_MODES = ("union", "composed")
 # the Jacobian magnitude (~1/scale) of the first ascent steps.  Unit scale
 # keeps eta = 1 steps well-behaved; 0.01 made them overshoot by ~100x.
 PHI_INIT_SCALE = 1.0
-# Origins ascended together on one tape.  Larger chunks stop paying off per
-# origin beyond about 8 while their live (B*N, L) warp arrays keep growing.
-# A chunk is also the unit maximize_many shares out between processes; a
-# chunk's samples are bitwise the same whichever process ascends it.
-ASCENT_CHUNK = 8
+# Origins ascended together on one tape.  Per-origin cost is Python dispatch
+# at small chunks: on the default benchmark (600 origins, tada, 2 forked
+# workers, warm repeats on a 2-core x86 sandbox) maximize took 0.87-1.02 s
+# at 8, 0.69-0.83 s at 16 and 0.62-0.83 s from 24 to 48, while each chunk's
+# live (B, C, N, L) warp arrays grow with it.  A chunk is also the unit
+# maximize_many shares out between processes; a chunk's samples are bitwise
+# the same whichever process ascends it.
+ASCENT_CHUNK = 32
 # Processes that share one call's chunks, at most: each extra one costs a
 # fork and one pipe transfer of its samples.
 MAX_ASCENT_WORKERS = 8
@@ -282,7 +285,10 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     Origins ascend in chunks of ASCENT_CHUNK, one tape per chunk and
     iteration.  Each origin keeps its own phi initialisation stream, so
     results do not depend on the chunking except through the reduction
-    order of the batched arithmetic.
+    order of the batched arithmetic.  On the benchmark host (x86, numpy
+    2.4.6, OpenBLAS) chunks of 8, 16, 24, 32 and 48 gave bitwise-equal
+    samples and reports in every mode; chunks of 4 differ from 8 in the
+    last bits.
 
     With W = _ascent_workers(number of chunks) above one, the chunks are
     split into W interleaved shares: W - 1 forked children ascend shares

@@ -188,7 +188,9 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
 
 def maximize_phase(model: Classifier, d0: Dataset, cfg: AdvConfig) -> list[AdvSample]:
     """One batch of adversarial samples per element of the ORIGINAL dataset,
-    against a frozen weight snapshot, in origin order."""
+    against a frozen weight snapshot, in origin order.  Sets the malloc
+    policy, as run() does, for callers that ascend without run()."""
+    _keep_freed_memory()
     return maximize_many(model.frozen_copy(), d0.samples, cfg)
 
 

@@ -317,6 +317,7 @@ class TestForkedShares:
     def test_share_larger_than_a_pipe_buffer(self, monkeypatch):
         # the child's 8 samples of 2048 values pickle to over 128 KiB, twice
         # a Linux pipe buffer: joining the child before reading would hang
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", 8)  # 16 origins, one chunk each side
         model, cfg = Classifier(1, 3, seed=17), toy_cfg(mode="ada", t_max=1)
         xs = [toy_sample(200 + i, n=2048) for i in range(16)]
         want = serial_samples(monkeypatch, model, xs, cfg)

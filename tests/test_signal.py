@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from warpada import tensor
 from warpada.model import Classifier, forward, loss_ce
-from warpada.signal import TimeSeries, integer_warp_oracle, warp_apply
+from warpada.signal import TimeSeries, _dirichlet_rows, _window, integer_warp_oracle, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
 from warpada.warp import make_path
 
@@ -45,6 +45,25 @@ def dft_warp_op(values: Tensor, delta: Tensor, half_width: int) -> Tensor:
     jac = jac.reshape(batch, n, n).transpose(0, 2, 1)
     return tensor._record(out, (values, lambda g: np.einsum("bij,bci->bcj", jac, g)),
                           (delta, lambda g: (g * slope).sum(axis=1)))
+
+
+def flat_index_warp(values, delta, half_width, g):
+    """warp_apply's forward value and its values and path gradients under
+    the upstream gradient ``g``, gathering every tap through a flat
+    (B, C, N, L) index into the raveled values."""
+    batch, channels, n = values.shape
+    length = 2 * half_width + 1
+    window = np.clip(np.arange(n)[:, None] + np.arange(-half_width, half_width + 1), 0, n - 1)
+    index = np.arange(batch * channels).reshape(batch, channels, 1, 1) * n + window
+    seg = values.ravel()[index]
+    kernel, slope = _dirichlet_rows(delta.ravel(), length)
+    kernel = kernel.reshape(batch, n, length)
+    out = np.einsum("bcnw,bnw->bcn", seg, kernel)
+    weights = (g[..., None] * kernel[:, None]).ravel()
+    dvalues = np.bincount(index.ravel(), weights=weights, minlength=g.size).reshape(g.shape)
+    slopes = slope().reshape(batch, n, length)
+    dpath = (g * np.einsum("bcnw,bnw->bcn", seg, slopes)).sum(axis=1)
+    return out, dvalues, dpath
 
 
 class TestSegment:
@@ -280,6 +299,26 @@ class TestWarpApply:
         with Tape() as tape:
             out = warp_apply(series, Tensor(rng.uniform(-3.0, 3.0, size=n), requires_grad=True), 4)
         assert len(tape.nodes) == 3 and tape.nodes[-1].out is out.values
+
+    @pytest.mark.parametrize("values_grad", [False, True], ids=["constant", "differentiable"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_bitwise_equal_to_flat_index_gather(self, batch, channels, values_grad):
+        rng = np.random.default_rng(100 * batch + 10 * channels + values_grad)
+        values = rng.normal(size=(batch, channels, 64))
+        paths = rng.uniform(-10.0, 10.0, size=(batch, 64))
+        g = rng.normal(size=values.shape)
+        x = Tensor(values, requires_grad=values_grad)
+        path = Tensor(paths, requires_grad=True)
+        with Tape() as tape:
+            out = warp_apply(x, path, 10)
+            tape.backward(op_sum(out * Tensor(g)))
+        want_out, want_dvalues, want_dpath = flat_index_warp(values, paths, 10, g)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(path.grad, want_dpath)
+        if values_grad:
+            np.testing.assert_array_equal(x.grad, want_dvalues)
+        assert not _window(64, 10).flags.writeable  # every call shares it
 
     def test_path_validation(self):
         x = TimeSeries(Tensor(np.zeros(16) + 1.0))

@@ -194,6 +194,13 @@ class TestHeapPolicy:
         run(toy_dataset(n_per_class=4), small_cfg(mode="erm"))
         assert calls == [1]
 
+    def test_maximize_phase_sets_the_policy(self, monkeypatch):
+        # `warpada augment` ascends through maximize_phase without run()
+        calls = []
+        monkeypatch.setattr(training, "_keep_freed_memory", lambda: calls.append(1))
+        maximize_phase(Classifier(1, 2, seed=0), toy_dataset(n_per_class=2), small_cfg())
+        assert calls == [1]
+
     @pytest.mark.skipif(not _on_glibc(), reason="mallopt policy is set on glibc only")
     def test_sgd_steps_reuse_the_heap(self):
         # with glibc's default policy a batch-32 step on the default spec
@@ -272,7 +279,7 @@ class TestMaximize:
 
     def test_chunk_size_does_not_change_samples(self, monkeypatch):
         default = adversarial.ASCENT_CHUNK
-        ds = toy_dataset(n_per_class=5)
+        ds = toy_dataset(n_per_class=default // 2 + 2)
         assert default < len(ds) < 2 * default  # a full chunk and a partial one
         model = Classifier(1, 2, seed=0)
         for mode, combine in (("tada", "union"), ("ada", "union"),
