@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import yaml
 
-from .adversarial import AdvConfig
+from .adversarial import AdvConfig, AdvSample
 from .data import default_spec, load_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
-from .training import Dataset, evaluate, export_features, maximize_phase, run
+from .training import Dataset, _inference, evaluate, export_features, maximize_phase, run
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -189,20 +189,25 @@ def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
     adv = maximize_phase(model, dataset, cfg.adv_config())
     augmented = Dataset([s.series for s in adv], dataset.n_classes)
     manifest_out = save_dataset(augmented, cfg.out_dir, "augmented")
-    with open(os.path.join(cfg.out_dir, "objectives.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("origin_id,mode,objective\n")
-        for s in adv:
-            fh.write(f"{s.origin_id},{s.mode},{s.objective:.12g}\n")
-    with open(os.path.join(cfg.out_dir, "paths.csv"), "w",
-              encoding="utf-8") as fh:
-        for s in adv:
-            if s.path is None:
-                continue
-            row = ",".join(f"{v:.17g}" for v in s.path)
-            fh.write(f"{s.origin_id},{s.mode},{row}\n")
+    _write_generation_logs(adv, cfg.out_dir)
     print(manifest_out)
     return 0
+
+
+def _write_generation_logs(adv: list[AdvSample], out_dir: str) -> None:
+    """``objectives.csv``: one origin_id,mode,objective row per sample, the
+    objective as %.12g.  ``paths.csv``: one origin_id,mode,displacements row
+    per warped sample, each displacement as %.17g (exact round trip)."""
+    with open(os.path.join(out_dir, "objectives.csv"), "w", encoding="utf-8") as fh:
+        fh.write("origin_id,mode,objective\n")
+        fh.write("".join("%d,%s,%.12g\n" % (s.origin_id, s.mode, s.objective)
+                         for s in adv))
+    warped = [s for s in adv if s.path is not None]
+    with open(os.path.join(out_dir, "paths.csv"), "w", encoding="utf-8") as fh:
+        if warped:
+            row = "%d,%s," + ",".join(["%.17g"] * len(warped[0].path)) + "\n"
+            fh.write("".join(row % (s.origin_id, s.mode, *s.path.tolist())
+                             for s in warped))
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -226,7 +231,14 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     domains = [load_manifest(m) for m in manifests]
     for domain, manifest in zip(domains, manifests):
         _check_fits(model, checkpoint, domain, manifest)
-    scores, average = evaluate(model, domains)
+    # one forward per domain feeds both embeddings.csv and f1.txt
+    logits = []
+    with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
+        for i, domain in enumerate(domains):
+            z, domain_logits = _inference(model, domain.samples)
+            export_features(model, domain, fh, header=i == 0, features=z)
+            logits.append(domain_logits)
+    scores, average = evaluate(model, domains, logits)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
     lines.append(f"{'average'.ljust(width)}  {average:.4f}")
@@ -234,9 +246,6 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     print(table)
     with open(os.path.join(cfg.out_dir, "f1.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
-    with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        for i, domain in enumerate(domains):
-            export_features(model, domain, fh, header=i == 0)
     return 0
 
 

@@ -3,8 +3,17 @@
 The generator builds one source domain (sum-of-sinusoid class prototypes
 plus Gaussian noise) and shifted target domains along two axes: amplitude
 (scale/offset/noise change) and time (smooth random admissible warps
-applied by integer index remapping).  Datasets round-trip through a
-versioned manifest plus one CSV per series.
+applied by integer index remapping).  The random draws are taken per
+sample, in a fixed order; the arithmetic, the paths and the remap run on
+batches of SYNTH_CHUNK samples.
+
+Datasets round-trip through a versioned manifest plus one CSV per series.
+A series file is written by one ``%`` over a whole-file template, with the
+bytes ``np.savetxt(fmt=CSV_FORMAT, delimiter=",")`` gives, and read by one
+``np.loadtxt`` call.  Only when that call fails is the file walked line by
+line, to name the first line it cannot read.  The reader accepts what
+``float()`` reads cell by cell, except digit-group underscores (``1_0``)
+and non-ASCII digits, which numpy's parser does not read.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import TimeSeries, integer_warp_oracle
+from .signal import TimeSeries
 from .tensor import Tensor
 from .training import Dataset
 from .warp import make_path
@@ -25,6 +34,10 @@ __all__ = ["Component", "DomainShift", "SynthSpec", "default_spec",
 
 MANIFEST_HEADER = "WARPADA-MANIFEST v1"
 CSV_FORMAT = "%.12g"
+# Samples per batch in synth_generate.  make_path holds about ten temporaries
+# of its batch's size at once: a whole 600-sample domain raised the peak
+# memory of synth_generate(default_spec()) by 4 MB, chunks of 64 by 0.6 MB.
+SYNTH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,9 @@ class DomainShift:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if not self.tag:
             raise ValueError("target domain needs a tag")
+        problem = _cell_problem(self.tag)
+        if problem:
+            raise ValueError(f"tag {self.tag!r} {problem}")
         if self.kind in ("warp", "both") and self.warp_d < 0:
             raise ValueError(f"warp_d must be nonnegative, got {self.warp_d}")
 
@@ -125,59 +141,70 @@ def _prototype(proto: tuple[Component, ...], length: int) -> np.ndarray:
     return wave
 
 
-def _draw(spec: SynthSpec, label: int, sigma: float, rng: np.random.Generator,
-          tag: str) -> TimeSeries:
-    base = _prototype(spec.classes[label], spec.length)
-    values = np.tile(base, (spec.channels, 1)) + sigma * rng.normal(
-        size=(spec.channels, spec.length))
-    return TimeSeries(Tensor(values), label=label, domain_tag=tag)
+def _domain(spec: SynthSpec, protos: np.ndarray, rng: np.random.Generator,
+            shift: DomainShift | None = None) -> Dataset:
+    """One domain's series (the source when ``shift`` is None), classes in
+    order, n_per_class each.
 
-
-def _smooth_integer_path(n: int, max_d: float, rng: np.random.Generator) -> np.ndarray:
-    """Random admissible integer path: white noise through the same
-    constraint chain the method optimizes over, then rounded (rounding
-    preserves monotonicity, boundary zeros, and the bound)."""
-    if max_d < 0.5:
-        return np.zeros(n)
-    path = make_path(Tensor(rng.normal(size=n)), float(max_d)).data
-    return np.round(path)
-
-
-def _shifted(x: TimeSeries, shift: DomainShift, rng: np.random.Generator) -> TimeSeries:
-    out = x
-    if shift.kind in ("amplitude", "both"):
-        out = TimeSeries(Tensor(shift.scale * out.values.data + shift.offset),
-                         label=out.label, domain_tag=shift.tag)
-    if shift.kind in ("warp", "both"):
-        path = _smooth_integer_path(out.length, shift.warp_d, rng)
-        out = integer_warp_oracle(out, path)
-    return TimeSeries(Tensor(out.values.data), label=x.label, domain_tag=shift.tag)
+    Each sample draws its noise and then, for a warp of at least half a
+    sample, the white noise of its path.  Chunks of SYNTH_CHUNK samples go
+    through make_path together and are rounded, which keeps the paths'
+    monotonicity, boundary zeros and bound, then remapped as
+    signal.integer_warp_oracle remaps one series.  An amplitude shift comes
+    before the warp.
+    """
+    sigma = spec.noise_sigma if shift is None or shift.noise_sigma is None else shift.noise_sigma
+    tag = "source" if shift is None else shift.tag
+    warps = shift is not None and shift.kind in ("warp", "both") and shift.warp_d >= 0.5
+    n = spec.length
+    labels = np.repeat(np.arange(len(protos)), spec.n_per_class)
+    samples = []
+    for lo in range(0, len(labels), SYNTH_CHUNK):
+        chunk = labels[lo:lo + SYNTH_CHUNK]
+        noise = np.empty((len(chunk), spec.channels, n))
+        phi = np.empty((len(chunk), n))
+        for i in range(len(chunk)):
+            noise[i] = rng.normal(size=(spec.channels, n))
+            if warps:
+                phi[i] = rng.normal(size=n)
+        values = protos[chunk][:, None, :] + sigma * noise
+        if shift is not None and shift.kind in ("amplitude", "both"):
+            values = shift.scale * values + shift.offset
+        if warps:
+            paths = np.round(make_path(Tensor(phi), float(shift.warp_d)).data)
+            index = np.clip(np.arange(n) + paths.astype(np.int64), 0, n - 1)
+            values = np.take_along_axis(values, index[:, None, :], axis=2)
+        samples += [TimeSeries(Tensor(v), label=c, domain_tag=tag)
+                    for v, c in zip(values, chunk)]
+    return Dataset(samples, n_classes=len(protos))
 
 
 def synth_generate(spec: SynthSpec) -> tuple[Dataset, list[Dataset]]:
     """Source dataset plus one shifted dataset per target, deterministically
     from spec.seed."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFF, 0xDA7A]))
-    source = [
-        _draw(spec, label, spec.noise_sigma, rng, "source")
-        for label in range(len(spec.classes))
-        for _ in range(spec.n_per_class)
-    ]
-    targets = []
-    for shift in spec.targets:
-        sigma = spec.noise_sigma if shift.noise_sigma is None else shift.noise_sigma
-        samples = [
-            _shifted(_draw(spec, label, sigma, rng, shift.tag), shift, rng)
-            for label in range(len(spec.classes))
-            for _ in range(spec.n_per_class)
-        ]
-        targets.append(Dataset(samples, n_classes=len(spec.classes)))
-    return Dataset(source, n_classes=len(spec.classes)), targets
+    protos = np.stack([_prototype(proto, spec.length) for proto in spec.classes])
+    source = _domain(spec, protos, rng)
+    return source, [_domain(spec, protos, rng, shift) for shift in spec.targets]
+
+
+def _cell_problem(value: str) -> str | None:
+    """Why ``value`` would not come back from a manifest cell unchanged,
+    or None.  The loader splits rows at commas and line breaks and strips
+    each cell."""
+    if "," in value or "".join(value.splitlines()) != value:
+        return "holds a comma or a line break"
+    if value != value.strip():
+        return "begins or ends with whitespace"
+    return None
 
 
 def _write_series_csv(path: str, values: np.ndarray) -> None:
     # rows = timesteps, columns = channels
-    np.savetxt(path, values.T, fmt=CSV_FORMAT, delimiter=",")
+    channels, length = values.shape
+    row = ",".join([CSV_FORMAT] * channels) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write((row * length) % tuple(values.T.ravel().tolist()))
 
 
 def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
@@ -185,8 +212,16 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
 
     Series go to <out_dir>/<name>/NNNN.csv; the manifest is
     <out_dir>/<name>.manifest and references them relatively.  Class c is
-    named class<c>.
+    named class<c>.  A name or domain tag that a manifest could not hold
+    unchanged raises ValueError before any file is made.
     """
+    problem = _cell_problem(name)
+    if problem:
+        raise ValueError(f"dataset name {name!r} {problem}")
+    for i, sample in enumerate(dataset.samples):
+        problem = _cell_problem(sample.domain_tag)
+        if problem:
+            raise ValueError(f"sample {i}: domain_tag {sample.domain_tag!r} {problem}")
     class_names = [f"class{c}" for c in range(dataset.n_classes)]
     series_dir = os.path.join(out_dir, name)
     os.makedirs(series_dir, exist_ok=True)
@@ -217,32 +252,66 @@ def _read_text(path: str) -> str:
         raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
-    lines = _read_text(path).split("\n")
-    rows: list[list[float]] = []
-    line_nos: list[int] = []
+# float() does not strip the ASCII separators \x1c-\x1f, which str.strip()
+# and numpy's parser strip from a line's or a cell's ends.  ("\r" never
+# reaches the parser: text is read with universal newlines.)
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_UNPARSABLE = str.maketrans(dict.fromkeys(_SEPARATORS, "?"))
+
+
+def _floats(cells: list[str]) -> bool:
+    """True when float() reads every cell."""
+    try:
+        for cell in cells:
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _locate(path: str, lines: list[str]) -> ValueError | None:
+    """The error for the first row np.loadtxt cannot read, by its line: a
+    line 1 that float() cannot read is a header; any later one, or one with
+    an underscore or a non-ASCII digit, is non-numeric; a row whose width
+    differs from the first row's is ragged."""
+    width = None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
+        if not _floats(cells):
             if line_no == 1:
                 continue  # optional header
-            raise _manifest_error(path, line_no, f"non-numeric row: {line!r}") from None
-        if rows and len(row) != len(rows[0]):
-            raise _manifest_error(path, line_no,
-                                  f"ragged row: {len(row)} columns, "
-                                  f"expected {len(rows[0])}")
-        rows.append(row)
-        line_nos.append(line_no)
+            return _manifest_error(path, line_no, f"non-numeric row: {line!r}")
+        if "_" in line or not all(c.strip().isascii() for c in cells):
+            return _manifest_error(path, line_no, f"non-numeric row: {line!r}")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            return _manifest_error(path, line_no,
+                                   f"ragged row: {len(cells)} columns, expected {width}")
+    return None
+
+
+def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
+    text = _read_text(path)
+    lines = text.split("\n")
+    header = not _floats(lines[0].strip().split(","))
+    rows = lines[1:] if header else lines
+    if any(ch in text for ch in _SEPARATORS):  # float() fails on those left inside a line
+        rows = [line.strip().translate(_UNPARSABLE) for line in rows]
+    rows = list(filter(str.strip, rows))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _locate(path, lines) or ValueError(f"{path}: {exc}") from None
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
+        line_nos = [no for no, line in enumerate(lines, start=1)
+                    if line.strip() and not (no == 1 and header)]
         raise _manifest_error(path, line_nos[int(np.argmin(finite))], "non-finite value")
     arr = arr.T  # back to (channels, length)
     if arr.shape != (channels, length):

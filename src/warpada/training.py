@@ -283,13 +283,20 @@ def macro_f1(preds, truth, n_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def evaluate(model: Classifier, domains: list[Dataset]) -> tuple[dict[str, float], float]:
-    """Macro-F1 per domain (keyed by the domain's tag) and their mean."""
+def evaluate(model: Classifier, domains: list[Dataset],
+             logits: list[np.ndarray] | None = None) -> tuple[dict[str, float], float]:
+    """Macro-F1 per domain (keyed by the domain's tag) and their mean.
+
+    ``logits`` holds each domain's logits (``_inference``'s second output)
+    when the caller has already run the forward; the model is then not run.
+    """
     if not domains:
         raise ValueError("no domains to evaluate")
+    if logits is None:
+        logits = [_inference(model, domain.samples)[1] for domain in domains]
     per_domain: dict[str, float] = {}
-    for i, domain in enumerate(domains):
-        preds = np.argmax(_inference(model, domain.samples)[1], axis=1)
+    for i, (domain, domain_logits) in enumerate(zip(domains, logits)):
+        preds = np.argmax(domain_logits, axis=1)
         truth = [x.label for x in domain.samples]
         tag = domain.samples[0].domain_tag or f"domain{i}"
         key = tag if tag not in per_domain else f"{tag}#{i}"
@@ -297,20 +304,26 @@ def evaluate(model: Classifier, domains: list[Dataset]) -> tuple[dict[str, float
     return per_domain, float(np.mean(list(per_domain.values())))
 
 
-def export_features(model: Classifier, dataset: Dataset, out, header: bool = True) -> None:
+_FEATURE_ROW = "%d,%s,%d," + ",".join(["%.12g"] * FEATURE_DIM) + "\n"
+
+
+def export_features(model: Classifier, dataset: Dataset, out, header: bool = True,
+                    features: np.ndarray | None = None) -> None:
     """CSV of pooled features: origin_id, domain_tag, label, then 64 values.
 
     ``out`` is a path to write, or an open text file to append the rows to
     (with ``header`` False, after the first dataset of several).
+    ``features`` holds the dataset's features (``_inference``'s first
+    output) when the caller has already run the forward.
     """
     if isinstance(out, (str, os.PathLike)):
         with open(out, "w", encoding="utf-8") as fh:
-            export_features(model, dataset, fh, header)
+            export_features(model, dataset, fh, header, features)
         return
     if header:
         out.write("origin_id,domain_tag,label,"
                   + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
-    z, _ = _inference(model, dataset.samples)
-    for i, sample in enumerate(dataset.samples):
-        feats = ",".join(f"{v:.12g}" for v in z[i])
-        out.write(f"{i},{sample.domain_tag},{sample.label},{feats}\n")
+    if features is None:
+        features, _ = _inference(model, dataset.samples)
+    for i, (sample, z) in enumerate(zip(dataset.samples, features)):
+        out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))

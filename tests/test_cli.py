@@ -9,11 +9,12 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpada import cli, signal
+from warpada import cli, signal, training
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
-from warpada.data import default_spec
+from warpada.data import default_spec, load_manifest
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
+from warpada.training import maximize_phase
 
 from test_warp import path_violations
 
@@ -290,6 +291,23 @@ class TestAugmentCommand:
         assert len(rows) == 36
         assert {r.split(",")[1] for r in rows} == {"ada", "tada"}
 
+    def test_logs_bytes_equal_per_value_format(self, workspace, tmp_path):
+        # a tada_plus union run: its ada rows carry no path
+        cfg = load_config(write_config(tmp_path / "c.yaml", {"mode": "tada_plus"}))
+        model = load_checkpoint(workspace["checkpoint"])
+        adv = maximize_phase(model, load_manifest(workspace["source"]), cfg.adv_config())
+        assert {s.path is None for s in adv} == {True, False}
+        cli._write_generation_logs(adv, str(tmp_path))
+        objectives = ["origin_id,mode,objective\n"]
+        paths = []
+        for s in adv:
+            objectives.append(f"{s.origin_id},{s.mode},{s.objective:.12g}\n")
+            if s.path is not None:
+                row = ",".join(f"{v:.17g}" for v in s.path)
+                paths.append(f"{s.origin_id},{s.mode},{row}\n")
+        assert (tmp_path / "objectives.csv").read_text() == "".join(objectives)
+        assert (tmp_path / "paths.csv").read_text() == "".join(paths)
+
     def test_logged_paths_satisfy_invariants(self, workspace, tmp_path):
         out = tmp_path / "aug"
         main(["augment", "--config", workspace["config"], "--out", str(out),
@@ -368,6 +386,19 @@ class TestEvalCommand:
             parts.extend(lines if not parts else lines[1:])
         assert (out / "embeddings.csv").read_text() == "".join(parts)
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+    def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
+        calls, inference = [], training._inference
+
+        def counted(model, samples):
+            calls.append(len(samples))
+            return inference(model, samples)
+
+        monkeypatch.setattr(training, "_inference", counted)
+        monkeypatch.setattr(cli, "_inference", counted)
+        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                     str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
+        assert calls == [18, 18]
 
     def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

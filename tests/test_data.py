@@ -6,19 +6,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from warpada.data import (
+    CSV_FORMAT,
     MANIFEST_HEADER,
     Component,
     DomainShift,
     _load_series_csv,
+    _prototype,
+    _write_series_csv,
     SynthSpec,
     default_spec,
     load_manifest,
     save_dataset,
     synth_generate,
 )
-from warpada.signal import TimeSeries
+from warpada.signal import TimeSeries, integer_warp_oracle
 from warpada.tensor import Tensor
 from warpada.training import Dataset
+from warpada.warp import make_path
 
 
 def tiny_spec(**kw):
@@ -112,6 +116,229 @@ class TestGenerate:
         src, tgt = source.samples[0].values.data[0], target.samples[0].values.data[0]
         corr = np.correlate(tgt - tgt.mean(), src - src.mean(), mode="full")
         assert int(np.argmax(corr)) - (len(src) - 1) == 0  # peak at zero lag
+
+
+def per_sample_synth(spec):
+    """Oracle: the generator one sample at a time, each sample drawing its
+    noise and then its path's noise, each path through make_path alone and
+    each warp through integer_warp_oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFF, 0xDA7A]))
+
+    def draw(label, sigma, tag):
+        base = _prototype(spec.classes[label], spec.length)
+        values = np.tile(base, (spec.channels, 1)) + sigma * rng.normal(
+            size=(spec.channels, spec.length))
+        return TimeSeries(Tensor(values), label=label, domain_tag=tag)
+
+    def shifted(x, shift):
+        values = x.values.data
+        if shift.kind in ("amplitude", "both"):
+            values = shift.scale * values + shift.offset
+        out = TimeSeries(Tensor(values), label=x.label, domain_tag=shift.tag)
+        if shift.kind in ("warp", "both") and shift.warp_d >= 0.5:
+            path = make_path(Tensor(rng.normal(size=(1, spec.length))), float(shift.warp_d))
+            out = integer_warp_oracle(out, np.round(path.data[0]))
+        return out
+
+    labels = [c for c in range(len(spec.classes)) for _ in range(spec.n_per_class)]
+    domains = [[draw(c, spec.noise_sigma, "source") for c in labels]]
+    for shift in spec.targets:
+        sigma = spec.noise_sigma if shift.noise_sigma is None else shift.noise_sigma
+        domains.append([shifted(draw(c, sigma, shift.tag), shift) for c in labels])
+    return domains
+
+
+class TestBatchedGenerate:
+    @pytest.mark.parametrize("spec", [
+        default_spec(0),
+        tiny_spec(channels=3, m_window=8, targets=(
+            DomainShift(kind="warp", tag="w", warp_d=0.3),
+            DomainShift(kind="both", tag="b", scale=2.0, offset=-1.0, warp_d=5.0,
+                        noise_sigma=0.1),
+            DomainShift(kind="amplitude", tag="a", scale=0.5))),
+    ], ids=["default", "three-channels"])
+    def test_bitwise_equal_to_per_sample_generation(self, spec):
+        source, targets = synth_generate(spec)
+        for got, want in zip([source] + targets, per_sample_synth(spec)):
+            assert len(got) == len(want)
+            for a, b in zip(got.samples, want):
+                assert (a.label, a.domain_tag) == (b.label, b.domain_tag)
+                assert a.values.data.tobytes() == b.values.data.tobytes()
+
+
+class TestDomainTags:
+    @pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb", "amp\n", " amp", "amp ", "a\x0bb"])
+    def test_shift_rejects_tag_a_manifest_cannot_hold(self, tag):
+        with pytest.raises(ValueError, match=re.escape(f"tag {tag!r}")):
+            DomainShift(kind="amplitude", tag=tag)
+
+    @pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb", " amp"])
+    def test_save_rejects_bad_domain_tag_before_writing(self, tmp_path, tag):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0, domain_tag="ok"),
+                      TimeSeries(Tensor(np.arange(8.0)), label=1, domain_tag=tag)],
+                     n_classes=2)
+        with pytest.raises(ValueError, match=re.escape(f"sample 1: domain_tag {tag!r}")):
+            save_dataset(ds, str(tmp_path / "out"), "d")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", " d", "d\r"])
+    def test_save_rejects_bad_name_before_writing(self, tmp_path, name):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        with pytest.raises(ValueError, match=re.escape(f"dataset name {name!r}")):
+            save_dataset(ds, str(tmp_path / "out"), name)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tag", ["amp", "a b", "a\tb", "a:b", "#a", ""])
+    def test_accepted_tags_round_trip(self, tmp_path, tag):
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0, domain_tag=tag)],
+                     n_classes=2)
+        loaded = load_manifest(save_dataset(ds, str(tmp_path), "d"))
+        assert loaded.samples[0].domain_tag == tag
+
+
+class TestSeriesWriter:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_bytes_equal_savetxt(self, tmp_path, channels, dtype):
+        special = [-0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 123456789012345.0,
+                   0.1, 1.0 / 3.0, 2.5e-11, 1e16, 99999999999.95]
+        rng = np.random.default_rng(channels)
+        flat = np.concatenate([special, rng.normal(size=60) * 10.0 ** rng.integers(-8, 9, 60)])
+        if dtype is np.int64:
+            flat = np.concatenate([[0, -1, 7, 2 ** 53 + 1, -(2 ** 62)],
+                                   rng.integers(-10 ** 6, 10 ** 6, 67)])
+        values = np.asarray(flat[:channels * (len(flat) // channels)], dtype=dtype)
+        values = values.reshape(channels, -1)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_series_csv(str(ours), values)
+        np.savetxt(str(ref), values.T, fmt=CSV_FORMAT, delimiter=",")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def reference_load(path, channels, length):
+    """Oracle: float() on every cell of every line split at "\n" and
+    stripped; a line 1 that float() cannot read is a header.  A cell with a
+    digit-group underscore or a non-ASCII digit is non-numeric, as numpy's
+    parser reads neither."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    rows, line_nos = [], []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            if line_no == 1:
+                continue
+            raise ValueError(f"{path}:{line_no}: non-numeric row: {line!r}") from None
+        if any("_" in c or not c.strip().isascii() for c in cells):
+            raise ValueError(f"{path}:{line_no}: non-numeric row: {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{line_no}: ragged row: {len(row)} columns, "
+                             f"expected {len(rows[0])}")
+        rows.append(row)
+        line_nos.append(line_no)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{line_nos[int(np.argmin(finite))]}: non-finite value")
+    arr = arr.T
+    if arr.shape != (channels, length):
+        raise ValueError(f"{path}: series shape {arr.shape}, manifest says "
+                         f"({channels},{length})")
+    return arr
+
+
+def load_outcome(load, path, shape):
+    try:
+        arr = load(path, *shape)
+    except ValueError as exc:
+        return str(exc)
+    return arr.shape, arr.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), "%.12g" % v, "%.17g" % v, "%.3e" % v])),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0.0", "5e-324", "1e308", "1e999", "1e-400", "nan", "-inf",
+                     "Infinity", ".5", "5.", "+1", "0x10", "1_0", "\u0661", "1\u0662",
+                     "", "x", "1 2", "\x00", "\ufeff1"]))
+_PADS = st.sampled_from(["", "", "", " ", "  ", "\t", "\r", "\xa0", "\x0b", "\x0c",
+                         "\x1c", "\x1f", "\x85", "\u3000"])
+_CELLS = st.tuples(_PADS, _NUMBERS, _PADS).map("".join)
+_LINES = st.one_of(
+    st.lists(_CELLS, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "", " ", "\t", "\r", "ch0", "ch0,ch1", "a,b,c", ",", "\x1c"]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_loader_parity_with_float_per_cell(tmp_path, lines, newline, final_newline):
+    # the np.loadtxt loader gives the float()-per-cell reference's array bit
+    # for bit, or its error text; CRLF, blank lines, padded cells, headers
+    series = tmp_path / "parity.csv"
+    series.write_bytes((newline.join(lines) + (newline if final_newline else ""))
+                       .encode("utf-8"))
+    shapes = [(1, 1)]
+    try:
+        shapes.append(reference_load(str(series), 1, 1).shape)
+    except ValueError as exc:
+        found = re.search(r"series shape \((\d+), (\d+)\)", str(exc))
+        if found:
+            shapes.append((int(found.group(1)), int(found.group(2))))
+    for shape in shapes:
+        assert (load_outcome(_load_series_csv, str(series), shape)
+                == load_outcome(reference_load, str(series), shape))
+
+
+class TestLoaderGrammar:
+    @pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\u0661", "\u0663.5", "1e\u0662"])
+    @pytest.mark.parametrize("line_no", [1, 3])
+    def test_underscore_and_non_ascii_digits_are_non_numeric(self, tmp_path, cell, line_no):
+        # float() reads these cells, numpy's parser does not; even on line 1
+        # such a row is rejected, not taken for a header
+        float(cell)
+        rows = ["1.0", "2.0", "3.0"]
+        rows[line_no - 1] = cell
+        series = tmp_path / "s.csv"
+        series.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{series}:{line_no}: non-numeric row: {cell!r}")):
+            _load_series_csv(str(series), 1, 3)
+
+    def test_crlf_padding_blank_lines_and_header(self, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_bytes(b"ch0,ch1\r\n 1.5 ,\t-2\r\n\r\n   \n3e0,4\x0b\r\n\n")
+        arr = _load_series_csv(str(series), 2, 2)
+        assert arr.tolist() == [[1.5, 3.0], [-2.0, 4.0]]
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # series are read with universal newlines, as they always were
+        series = tmp_path / "s.csv"
+        series.write_bytes(b"1\r,2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{series}:2: non-numeric row: ',2'")):
+            _load_series_csv(str(series), 1, 1)
+        series.write_bytes(b"1,2\r3,4\r")
+        assert _load_series_csv(str(series), 2, 2).tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_separator_inside_a_row_is_non_numeric(self, tmp_path):
+        # str.strip() removes \x1c at a line's ends, float() not inside it
+        series = tmp_path / "s.csv"
+        series.write_bytes(b"1,2\x1c\n\x1c3,4\n")
+        assert _load_series_csv(str(series), 2, 2).tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        series.write_bytes(b"1,2\n3\x1c,4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{series}:2: non-numeric row:")):
+            _load_series_csv(str(series), 2, 2)
 
 
 class TestRoundTrip:

@@ -453,6 +453,15 @@ class TestEvaluate:
         scores, _ = evaluate(model, [d_a, d_b])
         assert set(scores) == {"x", "x#1"}
 
+    def test_given_logits_skip_the_forward(self, monkeypatch):
+        model = Classifier(1, 2, seed=0)
+        domains = [toy_dataset(n_per_class=4, seed=s, domain_tag=t)
+                   for s, t in ((1, "a"), (2, "b"))]
+        want = evaluate(model, domains)
+        logits = [training._inference(model, d.samples)[1] for d in domains]
+        monkeypatch.setattr(training, "_inference", None)
+        assert evaluate(model, domains, logits) == want
+
 
 class TestExportFeatures:
     def test_csv_schema(self, tmp_path):
@@ -477,3 +486,28 @@ class TestExportFeatures:
         z, _ = forward(model, ds.samples[0].values)
         np.testing.assert_allclose([float(v) for v in row[3:]],
                                    z.data.ravel(), rtol=1e-10)
+
+    def test_bytes_equal_per_value_format(self, tmp_path):
+        model = Classifier(2, 3, seed=4)
+        rng = np.random.default_rng(4)
+        samples = [TimeSeries(Tensor(rng.normal(size=(2, 40)) * 10.0 ** k), label=k % 3,
+                              domain_tag=tag)
+                   for k, tag in zip(range(-6, 7), ["a", "b b", "%s", "c"] * 4)]
+        ds = Dataset(samples, n_classes=3)
+        out = tmp_path / "features.csv"
+        export_features(model, ds, str(out))
+        z, _ = training._inference(model, ds.samples)
+        want = ["origin_id,domain_tag,label," + ",".join(f"f{i}" for i in range(64)) + "\n"]
+        for i, sample in enumerate(ds.samples):
+            feats = ",".join(f"{v:.12g}" for v in z[i])
+            want.append(f"{i},{sample.domain_tag},{sample.label},{feats}\n")
+        assert out.read_text(encoding="utf-8") == "".join(want)
+
+    def test_given_features_skip_the_forward(self, tmp_path, monkeypatch):
+        model = Classifier(1, 2, seed=0)
+        ds = toy_dataset(n_per_class=3)
+        export_features(model, ds, str(tmp_path / "a.csv"))
+        z, _ = training._inference(model, ds.samples)
+        monkeypatch.setattr(training, "_inference", None)
+        export_features(model, ds, str(tmp_path / "b.csv"), features=z)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
