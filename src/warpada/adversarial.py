@@ -213,16 +213,24 @@ def _ascend_chunks(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list
     return done, None
 
 
-def _ascent_workers(n_chunks: int) -> int:
-    """Processes to share n_chunks between: one per usable CPU, at most one
-    per chunk and MAX_ASCENT_WORKERS, at least one.  One where the usable
+def fork_cpus() -> int:
+    """CPUs a fork may spread this process's work over, the one rule both
+    the ascent and the SGD partner (training.minimize_phase) follow: the
+    usable CPUs, but one where ``fork`` is unavailable, where the usable
     CPUs cannot be read, in a daemonic process (which may not have
     children), and while other threads run (a fork copies any lock they
-    hold, held for ever)."""
-    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+    hold, held for ever).  Neither starts a process when this is one."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_chunks, MAX_ASCENT_WORKERS))
+    return len(os.sched_getaffinity(0))
+
+
+def _ascent_workers(n_chunks: int) -> int:
+    """Processes to share n_chunks between: one per CPU of fork_cpus(), at
+    most one per chunk and MAX_ASCENT_WORKERS, at least one."""
+    return max(1, min(fork_cpus(), n_chunks, MAX_ASCENT_WORKERS))
 
 
 def _send_share(writer, ascend_share, w: int) -> None:
@@ -296,7 +304,7 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     chunk order.  The model is frozen and every chunk depends only on its own
     origins, so the output is bitwise the serial one.  An error is the serial
     one too: the exception of the earliest failing chunk.  The call runs
-    serially, starting no process, when W is one or the platform cannot fork.
+    serially, starting no process, when W is one (see fork_cpus).
     """
     if cfg.mode not in ("ada", "tada", "tada_plus"):
         raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
@@ -309,8 +317,7 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     if len(origin_ids) != len(xs):
         raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
     los = list(range(0, len(xs), ASCENT_CHUNK))
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    workers = _ascent_workers(len(los)) if forks else 1
+    workers = _ascent_workers(len(los))
 
     def ascend_share(w):
         return _ascend_chunks(model, xs, cfg, origin_ids, families, los[w::workers])

@@ -96,11 +96,10 @@ class Classifier:
         clone.weights = {name: w.copy() for name, w in self.weights.items()}
         return clone
 
-    def apply_gradients(self, params: dict[str, Tensor], lr: float) -> None:
-        """SGD step theta <- theta - lr * grad over the lifted tensors."""
-        for name, tensor in params.items():
-            if tensor.grad is not None:
-                self.weights[name] = self.weights[name] - lr * tensor.grad
+    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        """SGD step theta <- theta - lr * grad for every named gradient."""
+        for name, grad in grads.items():
+            self.weights[name] = self.weights[name] - lr * grad
 
 
 def forward(model: Classifier, x, params: dict[str, Tensor] | None = None):

@@ -5,18 +5,30 @@ of adversarial samples per ORIGINAL sample and appends them; the original
 samples are never re-perturbed and never mutated.  After the last round
 the model trains for a final stretch of epochs on the fully expanded
 dataset.  Evaluation reports macro-F1 per held-out domain.
+
+Each SGD step is the sum of two half-batch gradients (_sgd_step).  Where
+the process may fork onto a second CPU (adversarial.fork_cpus) and BLAS
+runs one thread (_one_blas_thread), a minimize_phase call of PARTNER_MIN_STEPS steps or more forks one partner
+process that computes each step's second half while this process computes
+the first (_Partner): one partner per round's fit, one for the whole final
+stretch.  Shorter calls, and every call elsewhere, compute both halves in
+this process.  Both ways give bitwise the same weights and losses, as the
+ascent's forked shares give bitwise the serial samples.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import mmap
+import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, AdvSample, maximize_many
+from .adversarial import AdvConfig, AdvSample, fork_cpus, maximize_many
 from .model import FEATURE_DIM, Classifier, forward, loss_ce
 from .signal import TimeSeries
 from .tensor import Tape, Tensor, op_sum
@@ -152,21 +164,180 @@ def _stack(samples: list[TimeSeries]) -> Tensor:
     return Tensor(np.stack([s.values.data for s in samples]))
 
 
-def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float) -> float:
-    """One forward and one backward over the stacked minibatch, then the
-    update; returns the mean loss.  A non-finite loss skips the update, so
-    the model keeps its last finite weights.  numpy's overflow warnings on
-    the way to such a loss are silenced: the caller reports the loss."""
+def _half_gradient(model: Classifier, samples: list[TimeSeries],
+                   scale: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Weight gradients of op_sum(per-row losses) * scale over one stacked
+    half-batch, from one forward and one backward, and the (h, 1) per-row
+    losses.  numpy's overflow warnings on the way to a non-finite loss are
+    silenced: the caller reports the loss."""
     params = model.tensors(requires_grad=True)
-    labels = np.array([s.label for s in batch])
+    labels = np.array([s.label for s in samples])
     with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
-        _, logits = forward(model, _stack(batch), params)
-        mean = op_sum(loss_ce(logits, labels)) * (1.0 / len(batch))
-        tape.backward(mean)
-    loss = float(mean.data)
+        _, logits = forward(model, _stack(samples), params)
+        rows = loss_ce(logits, labels)
+        tape.backward(op_sum(rows) * scale)
+    return {name: p.grad for name, p in params.items()}, rows.data
+
+
+def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float,
+              second_half=None) -> float:
+    """One SGD step on a minibatch of B series; returns its mean loss.
+
+    The step is the sum of two half-batch gradients: the first ceil(B/2)
+    series and the rest, each backpropagated from op_sum(its per-row
+    losses) * (1/B), then w - lr * (g_first + g_second).  A batch of one is
+    a single half.  The loss is op_sum over all B per-row losses, times
+    1/B.  (A row's loss can depend on the rows it runs with in the last bit:
+    OpenBLAS may round the head's (K, D) @ (D, B) product differently for
+    different B.  A batch of 32 split into halves of 16 kept every row's
+    loss bitwise on the default benchmark.)
+    ``second_half``, when given, returns the second half's gradients and
+    per-row losses computed elsewhere meanwhile (the SGD partner, see
+    minimize_phase); otherwise this process computes them after the first.
+    A non-finite loss skips the update, so the model keeps its last finite
+    weights.
+    """
+    first, scale = (len(batch) + 1) // 2, 1.0 / len(batch)
+    halves = [_half_gradient(model, batch[:first], scale)]
+    if len(batch) > first:
+        halves.append(second_half() if second_half is not None
+                      else _half_gradient(model, batch[first:], scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.concatenate([rows for _, rows in halves]).sum() * scale)
     if np.isfinite(loss):
-        model.apply_gradients(params, lr)
+        grads = halves[0][0]
+        if len(halves) == 2:
+            grads = {name: g + halves[1][0][name] for name, g in grads.items()}
+        model.apply_gradients(grads, lr)
     return loss
+
+
+# minimize_phase calls of fewer SGD steps stay in one process.  On the
+# default benchmark (2-core x86 sandbox, one BLAS thread) a partner that
+# forks, reads EOF and is joined cost 6-9 ms, and the parent then faults
+# ~1,350 copy-on-write pages; a batch-32 step gains 1.5-2.5 ms from it.
+# Over 12 alternating pairs the partner was slower at 4 steps (+4.8 ms,
+# faster in 1) and faster from 8 (-3.5 ms, faster in 9; -11.8 ms at 16).
+PARTNER_MIN_STEPS = 8
+
+
+# The variables through which OpenBLAS, MKL and OpenMP builds of BLAS take
+# their thread count, read once when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> bool:
+    """Whether the environment holds BLAS to one thread: at least one of
+    BLAS_THREAD_VARS is set, and each one set is 1.
+
+    The partner starts only then.  A BLAS thread pool (OpenBLAS's default:
+    one thread per CPU) spreads a step's larger products over the CPUs and
+    spins between them, so no CPU is idle for a partner: with the pool, an
+    erm run() on the default benchmark took 5.1-5.6 s with a partner and
+    1.0-1.1 s without.  The pool cannot be told from the process's thread
+    count, since OpenBLAS stops it for every fork and restarts it on the
+    next large product.
+    """
+    values = [os.environ[name].strip() for name in BLAS_THREAD_VARS if name in os.environ]
+    return bool(values) and all(v == "1" for v in values)
+
+
+class _Partner:
+    """A forked process that computes the second half of every minibatch
+    gradient of one minimize_phase call, from the dataset it inherited.
+
+    Both processes map one anonymous shared mmap.  Before each step this
+    process writes the weights and the second half's dataset indices into
+    it and sends one byte down a pipe; the partner writes that half's weight
+    gradients and per-row losses back and answers with one byte.  Used as a
+    context manager: on a clean exit the partner reads EOF and ends, on an
+    error it is killed; either way it is joined.
+    """
+
+    def __init__(self, model: Classifier, samples: list[TimeSeries], batch: int):
+        self._scale = 1.0 / batch
+        n_second = batch // 2
+        self._first = batch - n_second
+        n_weights = sum(w.size for w in model.weights.values())
+        self._shm = mmap.mmap(-1, 8 * (2 * n_weights + 2 * n_second))
+        floats = np.frombuffer(self._shm, np.float64, 2 * n_weights + n_second)
+        self._ids = np.frombuffer(self._shm, np.int64, n_second, 8 * floats.size)
+        self._rows = floats[2 * n_weights:].reshape(n_second, 1)
+        self._weights, self._grads, offset = {}, {}, 0
+        for name, w in model.weights.items():
+            for views, base in ((self._weights, offset), (self._grads, n_weights + offset)):
+                views[name] = floats[base:base + w.size].reshape(w.shape)
+            offset += w.size
+        self._model, self._samples = model, samples
+        self._requests, self._replies = os.pipe(), os.pipe()
+
+    def __enter__(self) -> "_Partner":
+        ctx = multiprocessing.get_context("fork")
+        self._process = ctx.Process(target=self._serve, daemon=True)
+        try:
+            self._process.start()
+        except BaseException:
+            os.close(self._requests[1])
+            os.close(self._replies[0])
+            raise
+        finally:
+            # the partner holds its own copies; with these closed, each side
+            # reads EOF once the other is gone
+            os.close(self._requests[0])
+            os.close(self._replies[1])
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        os.close(self._requests[1])
+        if exc_type is not None and self._process.is_alive():
+            self._process.kill()
+        self._process.join()
+        os.close(self._replies[0])
+
+    def _serve(self) -> None:
+        """The partner's loop: one second half per byte received."""
+        os.close(self._requests[1])
+        os.close(self._replies[0])
+        self._model.weights = self._weights
+        while os.read(self._requests[0], 1):
+            grads, rows = _half_gradient(self._model, [self._samples[i] for i in self._ids],
+                                         self._scale)
+            for name, g in grads.items():
+                self._grads[name][...] = g
+            self._rows[...] = rows
+            os.write(self._replies[1], b"\x01")
+
+    def post(self, weights: dict[str, np.ndarray], ids: np.ndarray):
+        """Hand the partner the second half of one step's minibatch, given
+        by the dataset indices of the whole batch; returns the call that
+        waits for that half's gradients and per-row losses."""
+        for name, w in weights.items():
+            self._weights[name][...] = w
+        self._ids[...] = ids[self._first:]
+        try:
+            os.write(self._requests[1], b"\x01")
+        except BrokenPipeError:
+            self._gone()
+        return self._receive
+
+    def _receive(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        if not os.read(self._replies[0], 1):
+            self._gone()
+        return self._grads, self._rows
+
+    def _gone(self):
+        self._process.join()
+        raise RuntimeError(f"SGD partner {self._process.pid} exited with code "
+                           f"{self._process.exitcode} before sending its gradients") from None
+
+
+class _NonFiniteLoss(ValueError):
+    """A minibatch loss that is not finite, at SGD step ``step`` of a call."""
+
+    def __init__(self, step: int):
+        super().__init__(f"minibatch loss became non-finite at SGD step {step}")
+        self.step = step
 
 
 def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
@@ -174,15 +345,31 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
     """t_min SGD steps on uniformly drawn minibatches; mutates the model
     in place and returns it with the per-step mean losses.  A non-finite
     minibatch loss raises ValueError naming its step, and its update is
-    not applied."""
+    not applied.
+
+    With PARTNER_MIN_STEPS steps or more, minibatches of two series or
+    more, fork_cpus() of two or more and one BLAS thread
+    (_one_blas_thread), one forked partner process computes each step's
+    second half while this process computes the first (_Partner);
+    otherwise this process computes both.  The two halves are
+    the same computations either way, so weights and losses are bitwise
+    those of the serial call.  A partner that dies raises RuntimeError
+    naming its pid and exit code.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")
+    size = min(batch, len(dataset))
+    partnered = (t_min >= PARTNER_MIN_STEPS and size > 1 and fork_cpus() > 1
+                 and _one_blas_thread())
     losses = []
-    for step in range(t_min):
-        idx = rng.integers(0, len(dataset), size=min(batch, len(dataset)))
-        losses.append(_sgd_step(model, [dataset.samples[i] for i in idx], lr))
-        if not np.isfinite(losses[-1]):
-            raise ValueError(f"minibatch loss became non-finite at SGD step {step}")
+    with (_Partner(model, dataset.samples, size) if partnered
+          else contextlib.nullcontext()) as partner:
+        for step in range(t_min):
+            idx = rng.integers(0, len(dataset), size=size)
+            second = partner.post(model.weights, idx) if partner else None
+            losses.append(_sgd_step(model, [dataset.samples[i] for i in idx], lr, second))
+            if not np.isfinite(losses[-1]):
+                raise _NonFiniteLoss(step)
     return model, losses
 
 
@@ -219,24 +406,31 @@ def run(d0: Dataset, cfg: AdvConfig,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5D]))
     report = TrainReport(seed=cfg.seed, config=asdict(cfg), dataset_sizes=[len(d0)])
 
-    def fit(stage: str, dataset: Dataset, steps: int) -> list[float]:
+    def fit(dataset: Dataset, steps: int, stage) -> list[float]:
+        """minimize_phase's losses; an error names the round or final epoch
+        and the step within it, which ``stage(step of the call)`` gives."""
         try:
             return minimize_phase(model, dataset, steps, cfg.lr, cfg.batch, rng)[1]
+        except _NonFiniteLoss as exc:
+            name, step = stage(exc.step)
+            raise ValueError(f"{name}: {_NonFiniteLoss(step)}") from exc
         except ValueError as exc:
-            raise ValueError(f"{stage}: {exc}") from exc
+            raise ValueError(f"{stage(0)[0]}: {exc}") from exc
 
     current = d0
     rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
     for k in range(1, rounds + 1):
-        report.round_losses.append(fit(f"round {k}", current, cfg.t_min))
+        report.round_losses.append(fit(current, cfg.t_min, lambda step: (f"round {k}", step)))
         adv = maximize_phase(model, d0, cfg)
         current = current.extended([a.series for a in adv])
         report.dataset_sizes.append(len(current))
 
-    steps_per_epoch = max(1, (len(current) + cfg.batch - 1) // cfg.batch)
-    for e in range(1, cfg.t_final + 1):
-        report.final_losses.append(float(np.mean(fit(f"final epoch {e}", current,
-                                                     steps_per_epoch))))
+    # the final stretch is one call, so one partner serves all its epochs
+    per_epoch = max(1, (len(current) + cfg.batch - 1) // cfg.batch)
+    losses = fit(current, cfg.t_final * per_epoch,
+                 lambda step: (f"final epoch {step // per_epoch + 1}", step % per_epoch))
+    report.final_losses = [float(np.mean(losses[lo:lo + per_epoch]))
+                           for lo in range(0, len(losses), per_epoch)]
 
     report.wall_clock = time.perf_counter() - start
     return model, report

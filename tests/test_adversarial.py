@@ -380,3 +380,15 @@ class TestForkedShares:
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
         monkeypatch.setattr(*FALLBACKS[fallback])
         assert_same_samples(maximize_many(model, xs, cfg, ids), want)
+
+    def test_fork_cpus_counts_the_usable_cpus(self, monkeypatch):
+        # the one rule both the ascent and the SGD partner fork by
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert adversarial.fork_cpus() == 3
+        assert adversarial._ascent_workers(2) == 2
+        for fallback in FALLBACKS.values():
+            with monkeypatch.context() as patch:
+                patch.setattr(*fallback)
+                assert adversarial.fork_cpus() == 1
+                assert adversarial._ascent_workers(5) == 1

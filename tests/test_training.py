@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import re
 import resource
 import types
 import warnings
@@ -12,6 +14,7 @@ from warpada.data import default_spec, synth_generate
 from warpada.model import Classifier, forward, loss_ce
 from warpada.signal import TimeSeries
 from warpada.tensor import Tape, Tensor
+from test_adversarial import FALLBACKS, deadline
 from warpada.training import (
     Dataset,
     TrainReport,
@@ -255,9 +258,212 @@ class TestBatchedStep:
         ds = toy_dataset(n_per_class=16)
         model = Classifier(1, 2, seed=0)
         training._sgd_step(model, ds.samples[:1], 0.05)
+        one = list(counts)
         training._sgd_step(model, ds.samples[:32], 0.05)
-        # eight forward nodes, the loss, its sum and the 1/B scale
-        assert counts == [11, 11]
+        # one tape per half, each with eight forward nodes, the loss, its
+        # sum and the 1/B scale; a batch of one is a single half
+        assert one == [11]
+        assert counts == [11, 11, 11]
+
+
+def weights_of(model):
+    return {name: w.copy() for name, w in model.weights.items()}
+
+
+def assert_same_weights(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+def partnered(monkeypatch, on: bool):
+    """Force the SGD partner on for every call, whatever its length and the
+    CPU count, or off; returns the batch sizes of the partners started."""
+    served = []
+    real = training._Partner
+
+    def counted(model, samples, batch):
+        served.append(batch)
+        return real(model, samples, batch)
+
+    monkeypatch.setattr(training, "fork_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+    monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 1)
+    monkeypatch.setattr(training, "_Partner", counted)
+    return served
+
+
+def serial_and_partnered(monkeypatch, call):
+    """call() once in this process alone and once with the partner forced
+    on; returns both results and the partners' batch sizes."""
+    results = []
+    for on in (False, True):
+        with monkeypatch.context() as patch:
+            served = partnered(patch, on)
+            with deadline(120):
+                results.append(call())
+        assert multiprocessing.active_children() == []
+    return results, served
+
+
+class TestSgdPartner:
+    @pytest.mark.parametrize("batch, n_per_class", [(1, 12), (2, 12), (5, 12), (32, 20),
+                                                    (32, 3)],
+                             ids=["batch1", "batch2", "batch5", "batch32", "smaller-dataset"])
+    def test_bitwise_equal_to_serial(self, monkeypatch, batch, n_per_class):
+        ds = toy_dataset(n_per_class=n_per_class)
+
+        def call():
+            model, losses = minimize_phase(Classifier(1, 2, seed=5), ds, t_min=40, lr=0.1,
+                                           batch=batch, rng=np.random.default_rng(3))
+            return losses, weights_of(model)
+
+        (serial, forked), served = serial_and_partnered(monkeypatch, call)
+        # a batch of one has no second half, so no partner starts
+        assert served == ([] if batch == 1 else [min(batch, len(ds))])
+        assert serial[0] == forked[0]
+        assert_same_weights(serial[1], forked[1])
+
+    @pytest.mark.parametrize("kw", [dict(mode="erm"), dict(mode="ada"), dict(mode="tada"),
+                                    dict(mode="tada_plus", combine="union"),
+                                    dict(mode="tada_plus", combine="composed")],
+                             ids=["erm", "ada", "tada", "tada_plus-union", "tada_plus-composed"])
+    def test_run_reports_equal(self, monkeypatch, kw):
+        ds = toy_dataset(n_per_class=6)
+        cfg = small_cfg(**kw)
+
+        def call():
+            model, report = run(ds, cfg)
+            return report.identity(), weights_of(model)
+
+        (serial, forked), served = serial_and_partnered(monkeypatch, call)
+        # one partner per round's fit and one for the whole final stretch
+        rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
+        assert served == [cfg.batch] * (rounds + 1)
+        assert serial[0] == forked[0]
+        assert_same_weights(serial[1], forked[1])
+
+    def test_one_step_calls_reproduce_run(self, monkeypatch):
+        # how perfbench/tracing.py replays run(): one call, and a span, per
+        # step, each call in this process
+        ds, cfg = toy_dataset(n_per_class=6), small_cfg(mode="erm")
+        served = partnered(monkeypatch, True)
+        monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 2)
+        with deadline(60):
+            _, report = run(ds, cfg)
+        assert served == [cfg.batch]
+        model = Classifier(1, 2, seed=cfg.seed)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5D]))
+        per_epoch = -(-len(ds) // cfg.batch)
+        replayed = [float(np.mean([minimize_phase(model, ds, 1, cfg.lr, cfg.batch, rng)[1][0]
+                                   for _ in range(per_epoch)]))
+                    for _ in range(cfg.t_final)]
+        assert replayed == report.final_losses
+        assert served == [cfg.batch]
+
+    def test_short_call_stays_in_process(self, monkeypatch):
+        served = partnered(monkeypatch, True)
+        monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 8)
+        minimize_phase(Classifier(1, 2, seed=0), toy_dataset(), t_min=7, lr=0.1, batch=8,
+                       rng=np.random.default_rng(0))
+        assert served == []
+
+    @pytest.mark.parametrize("fallback", list(FALLBACKS) + ["blas_threads"])
+    def test_fallback_starts_no_process(self, fallback, monkeypatch):
+        ds = toy_dataset()
+
+        def call():
+            model, losses = minimize_phase(Classifier(1, 2, seed=6), ds, t_min=10, lr=0.1,
+                                           batch=8, rng=np.random.default_rng(4))
+            return losses, weights_of(model)
+
+        with monkeypatch.context() as serial:
+            partnered(serial, False)
+            want = call()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 1)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
+        if fallback in FALLBACKS:
+            monkeypatch.setattr(*FALLBACKS[fallback])
+            assert training.fork_cpus() == 1
+        else:  # two usable CPUs, but BLAS may run a thread per CPU
+            monkeypatch.setattr(training, "fork_cpus", lambda: 2)
+            monkeypatch.setattr(training, "_one_blas_thread", lambda: False)
+        got = call()
+        assert got[0] == want[0]
+        assert_same_weights(got[1], want[1])
+
+    @pytest.mark.parametrize("values, one", [({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True),
+                                             ({"OMP_NUM_THREADS": " 1 "}, True),
+                                             ({"OPENBLAS_NUM_THREADS": "1",
+                                               "OMP_NUM_THREADS": "2"}, False),
+                                             ({"MKL_NUM_THREADS": "4"}, False)])
+    def test_one_blas_thread_reads_every_thread_variable(self, monkeypatch, values, one):
+        for name in training.BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+        assert training._one_blas_thread() is one
+
+    def test_dead_partner_raises_naming_pid_and_exit_code(self, monkeypatch):
+        parent, real = os.getpid(), training._half_gradient
+        calls = []
+
+        def dying(model, samples, scale):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 3:
+                    os._exit(3)
+            return real(model, samples, scale)
+
+        monkeypatch.setattr(training, "_half_gradient", dying)
+        partnered(monkeypatch, True)
+        with deadline(60), pytest.raises(RuntimeError) as err:
+            minimize_phase(Classifier(1, 2, seed=0), toy_dataset(), t_min=10, lr=0.1,
+                           batch=8, rng=np.random.default_rng(0))
+        found = re.fullmatch(r"SGD partner (\d+) exited with code 3 before sending "
+                             r"its gradients", str(err.value))
+        assert found and int(found[1]) != parent
+        assert multiprocessing.active_children() == []
+
+    def test_nonfinite_loss_in_the_second_half_names_its_step(self, monkeypatch):
+        # TestMinimize's case, with the bad sample first drawn into the half
+        # the partner computes
+        ds = toy_dataset()
+        replay = np.random.default_rng(7)
+        drawn = [replay.integers(0, len(ds), size=4).tolist() for _ in range(100)]
+        step, bad = next((k, d[3]) for k, d in enumerate(drawn)
+                         if k > 0 and d[3] not in d[:2] and all(d[3] not in e for e in drawn[:k]))
+        ds.samples[bad] = TimeSeries(Tensor(np.full(48, np.inf)), label=0)
+        served = partnered(monkeypatch, True)
+        with np.errstate(invalid="ignore", over="ignore"), deadline(60), \
+                pytest.raises(ValueError, match=f"^minibatch loss became non-finite at "
+                                                f"SGD step {step}$"):
+            minimize_phase(Classifier(1, 2, seed=0), ds, t_min=100, lr=0.1,
+                           batch=4, rng=np.random.default_rng(7))
+        assert served == [4]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "partner"])
+    @pytest.mark.parametrize("batch, stage",
+                             [(6, "final epoch 1: minibatch loss became non-finite at SGD step 1"),
+                              (64, "final epoch 2: minibatch loss became non-finite at SGD step 0")],
+                             ids=["two-steps-per-epoch", "one-step-per-epoch"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_final_stretch_names_epoch_and_step(self, monkeypatch, on, batch, stage):
+        # lr = 1e300 makes the first update huge but finite and the second
+        # step's loss non-finite; the final stretch is one call, so its
+        # global step 1 is mapped back to the epoch and the step within it
+        partnered(monkeypatch, on)
+        model = Classifier(1, 2, seed=0)
+        with deadline(60), pytest.raises(ValueError, match=f"^{stage}$"):
+            run(toy_dataset(n_per_class=6), small_cfg(mode="erm", lr=1e300, batch=batch,
+                                                       t_final=3), model_init=model)
+        assert all(np.all(np.isfinite(w)) for w in model.weights.values())
+        assert multiprocessing.active_children() == []
 
 
 class TestMaximize:
