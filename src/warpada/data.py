@@ -7,18 +7,24 @@ applied by integer index remapping).  The random draws are taken per
 sample, in a fixed order; the arithmetic, the paths and the remap run on
 batches of SYNTH_CHUNK samples.
 
-Datasets round-trip through a versioned manifest plus one CSV per series.
-A series file is written by one ``%`` over a whole-file template, with the
-bytes ``np.savetxt(fmt=CSV_FORMAT, delimiter=",")`` gives, and read by one
-``np.loadtxt`` call.  Only when that call fails is the file walked line by
-line, to name the first line it cannot read.  The reader accepts what
-``float()`` reads cell by cell, except digit-group underscores (``1_0``)
-and non-ASCII digits, which numpy's parser does not read.
+Datasets round-trip through a versioned manifest plus one CSV per dataset:
+the series one after another, each as `length` rows of one column per
+channel.  A series is written by one ``%`` over a whole-series template,
+with the bytes ``np.savetxt(fmt=CSV_FORMAT, delimiter=",")`` gives, and
+each distinct file a manifest names is read by one ``np.loadtxt`` call.
+Only a file holding a carriage return or an ASCII separator, or one that
+call cannot read, is walked line by line, to read it or name the first line
+it cannot.
+The reader accepts what ``float()`` reads cell by cell, except digit-group
+underscores (``1_0``) and non-ASCII digits, which numpy's parser does not
+read.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,11 @@ __all__ = ["Component", "DomainShift", "SynthSpec", "default_spec",
            "synth_generate", "save_dataset", "load_manifest",
            "MANIFEST_HEADER"]
 
-MANIFEST_HEADER = "WARPADA-MANIFEST v1"
+MANIFEST_HEADER = "WARPADA-MANIFEST v2"
+# v1 named one file per series; v2 names one file per dataset.  Both are
+# read by the same rule: the k-th entry that names a file is its k-th block
+# of `length` data rows, so v1 is the case of one entry per file.
+_READ_HEADERS = (MANIFEST_HEADER, "WARPADA-MANIFEST v1")
 CSV_FORMAT = "%.12g"
 # Samples per batch in synth_generate.  make_path holds about ten temporaries
 # of its batch's size at once: a whole 600-sample domain raised the peak
@@ -199,22 +209,28 @@ def _cell_problem(value: str) -> str | None:
     return None
 
 
-def _write_series_csv(path: str, values: np.ndarray) -> None:
-    # rows = timesteps, columns = channels
-    channels, length = values.shape
-    row = ",".join([CSV_FORMAT] * channels) + "\n"
+def _write_series_csv(path: str, series: list[np.ndarray]) -> None:
+    """Write each (channels, length) array of ``series`` in turn: rows =
+    timesteps, columns = channels."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write((row * length) % tuple(values.T.ravel().tolist()))
+        for values in series:
+            channels, length = values.shape
+            row = ",".join([CSV_FORMAT] * channels) + "\n"
+            fh.write((row * length) % tuple(values.T.ravel().tolist()))
 
 
 def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
-    """Write one CSV per series plus a manifest; returns the manifest path.
+    """Write every series to one CSV plus a manifest; returns the manifest
+    path.
 
-    Series go to <out_dir>/<name>/NNNN.csv; the manifest is
-    <out_dir>/<name>.manifest and references them relatively.  Class c is
-    named class<c>.  A name or domain tag that a manifest could not hold
-    unchanged raises ValueError before any file is made.
+    The series go, in order, to <out_dir>/<name>.csv; the manifest is
+    <out_dir>/<name>.manifest, one row per series naming that file
+    relatively.  Class c is named class<c>.  A name that is not one plain
+    path component, or a name or domain tag that a manifest could not hold
+    unchanged, raises ValueError before any file is made.
     """
+    if name in ("", ".", "..") or "/" in name or os.sep in name:
+        raise ValueError(f"dataset name {name!r} is not a single plain path component")
     problem = _cell_problem(name)
     if problem:
         raise ValueError(f"dataset name {name!r} {problem}")
@@ -223,13 +239,12 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
         if problem:
             raise ValueError(f"sample {i}: domain_tag {sample.domain_tag!r} {problem}")
     class_names = [f"class{c}" for c in range(dataset.n_classes)]
-    series_dir = os.path.join(out_dir, name)
-    os.makedirs(series_dir, exist_ok=True)
-    entries = []
-    for i, sample in enumerate(dataset.samples):
-        rel = os.path.join(name, f"{i:05d}.csv")
-        _write_series_csv(os.path.join(out_dir, rel), sample.values.data)
-        entries.append(f"{rel},{class_names[sample.label]},{sample.domain_tag}")
+    os.makedirs(out_dir or os.curdir, exist_ok=True)
+    series_file = f"{name}.csv"
+    _write_series_csv(os.path.join(out_dir, series_file),
+                      [sample.values.data for sample in dataset.samples])
+    entries = [f"{series_file},{class_names[sample.label]},{sample.domain_tag}"
+               for sample in dataset.samples]
     manifest_path = os.path.join(out_dir, f"{name}.manifest")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(MANIFEST_HEADER + "\n")
@@ -294,7 +309,8 @@ def _locate(path: str, lines: list[str]) -> ValueError | None:
     return None
 
 
-def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
+def _read_rows_by_line(path: str) -> np.ndarray:
+    """The data rows of any text, through the list of its lines."""
     text = _read_text(path)
     lines = text.split("\n")
     header = not _floats(lines[0].strip().split(","))
@@ -305,27 +321,95 @@ def _load_series_csv(path: str, channels: int, length: int) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
-        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise _locate(path, lines) or ValueError(f"{path}: {exc}") from None
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
+
+
+# Bytes that send a file to _read_rows_by_line: a "\r" (universal newlines
+# end a line there, numpy's parser does not) and the separators.
+_BY_LINE = (b"\r",) + tuple(ch.encode() for ch in _SEPARATORS)
+_NON_BLANK = re.compile(rb"\S")
+# A file is scanned for _BY_LINE in blocks of this many bytes.  One that
+# fits in a block is parsed from that block; np.loadtxt(open file) costs
+# ~15 us more per 128-row file, which a layout of one file per series pays
+# once per series.
+_SCAN_BYTES = 1 << 16
+
+
+def _plain(data: bytes) -> bool:
+    return not any(byte in data for byte in _BY_LINE)
+
+
+def _read_rows(path: str) -> np.ndarray:
+    """A series CSV's data rows as a (rows, columns) array.
+
+    A file without the bytes in _BY_LINE is parsed by one np.loadtxt call,
+    past an optional header line: from its bytes when it fits in one scan
+    block, else from the open file once a scan block by block has found
+    none, so no more than a block of the file is held beside the rows
+    (holding a 600-series file's bytes through the parse raised the eval
+    command's peak RSS by ~0.8 MB).  Other files, and one that call cannot
+    read (a whitespace-only line, a bad cell, bytes that are not UTF-8), go
+    through _read_rows_by_line, which reads them or names the line it
+    cannot read.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_SCAN_BYTES)
+        rows = io.BytesIO(head)
+        try:
+            header = not _floats(rows.readline().decode("utf-8").strip().split(","))
+            start = rows.tell() if header else 0
+            plain = _NON_BLANK.search(head, start) is not None and _plain(head)
+            if plain and len(head) < _SCAN_BYTES:  # the whole file
+                rows.seek(start)
+                return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                                  encoding="utf-8")
+            while plain and (block := fh.read(_SCAN_BYTES)):
+                plain = _plain(block)
+            if plain:
+                fh.seek(start)
+                with io.TextIOWrapper(fh, encoding="utf-8") as text:  # closes fh
+                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # not UTF-8, or a row np.loadtxt cannot read
+            pass
+    return _read_rows_by_line(path)
+
+
+def _load_series_blocks(path: str, count: int, channels: int, length: int) -> list[np.ndarray]:
+    """The ``count`` series of one CSV, each a (channels, length) array:
+    series k is data rows k*length to (k+1)*length - 1.
+
+    Each series is a copy, so the file's array is freed after the load.  As
+    views they kept it alive, and in a process that keeps freed memory
+    (training._keep_freed_memory) later loads grew the heap past it: the
+    eval command's peak RSS crept up over repeated calls.
+    """
+    arr = _read_rows(path)
+    if not np.isfinite(arr).all():
+        lines = _read_text(path).split("\n")
+        header = not _floats(lines[0].strip().split(","))
         line_nos = [no for no, line in enumerate(lines, start=1)
                     if line.strip() and not (no == 1 and header)]
+        finite = np.isfinite(arr).all(axis=1)
         raise _manifest_error(path, line_nos[int(np.argmin(finite))], "non-finite value")
-    arr = arr.T  # back to (channels, length)
-    if arr.shape != (channels, length):
-        raise ValueError(f"{path}: series shape {arr.shape}, manifest says "
-                         f"({channels},{length})")
-    return arr
+    if arr.shape != (count * length, channels):
+        blocks = f" for {count} series of length {length}" if count > 1 else ""
+        raise ValueError(f"{path}: series shape {arr.T.shape}, manifest says "
+                         f"({channels},{count * length}){blocks}")
+    return [block.T.copy() for block in arr.reshape(count, length, channels)]
 
 
 def load_manifest(path: str) -> Dataset:
-    """Read a manifest plus every series it references.  A malformed file
-    raises ValueError naming it, and its line where there is one."""
+    """Read a manifest plus every series it references.  The k-th entry
+    that names a file (by the same text) reads its k-th block of `length`
+    data rows, so a file named by m entries holds m * length rows; each
+    distinct file is checked and parsed once.  A malformed file raises ValueError naming it, and its
+    line where there is one."""
     lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != MANIFEST_HEADER:
-        raise ValueError(f"{path}:1: expected header {MANIFEST_HEADER!r}")
+    if not lines or lines[0].strip() not in _READ_HEADERS:
+        raise ValueError(f"{path}:1: expected header {MANIFEST_HEADER!r} "
+                         f"(or {_READ_HEADERS[1]!r})")
     meta: dict[str, tuple[int, str]] = {}
     entries: list[tuple[int, str]] = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -361,21 +445,28 @@ def load_manifest(path: str) -> Dataset:
         raise ValueError(f"{path}: manifest lists no series")
 
     base = os.path.dirname(os.path.abspath(path))
-    samples = []
+    files: dict[str, list] = {}  # file cell -> [path, entries naming it so far]
+    refs = []
     for line_no, entry in entries:
         parts = entry.split(",")
         if len(parts) != 3:
             raise _manifest_error(path, line_no,
                                   f"expected 'file,label,domain_tag', got {entry!r}")
-        rel, label_name, tag = (p.strip() for p in parts)
+        rel, label_name, tag = map(str.strip, parts)
         if label_name not in label_of:
             raise _manifest_error(path, line_no,
                                   f"unknown label {label_name!r}; "
                                   f"declared classes: {class_names}")
-        series_path = os.path.join(base, rel)
-        if not os.path.isfile(series_path):
-            raise _manifest_error(path, line_no, f"series file not found: {series_path}")
-        values = _load_series_csv(series_path, channels, length)
-        samples.append(TimeSeries(Tensor(values), label=label_of[label_name],
-                                  domain_tag=tag))
+        named = files.get(rel)
+        if named is None:
+            series_path = os.path.join(base, rel)
+            if not os.path.isfile(series_path):
+                raise _manifest_error(path, line_no, f"series file not found: {series_path}")
+            named = files[rel] = [series_path, 0]
+        refs.append((rel, named[1], label_of[label_name], tag))
+        named[1] += 1
+    blocks = {rel: _load_series_blocks(series_path, count, channels, length)
+              for rel, (series_path, count) in files.items()}
+    samples = [TimeSeries(Tensor(blocks[rel][block]), label=label, domain_tag=tag)
+               for rel, block, label, tag in refs]
     return Dataset(samples, n_classes=len(class_names))

@@ -235,8 +235,8 @@ class TestSynth:
         for d in ("one", "two"):
             assert main(["synth", "--config", cfg,
                          "--out", str(tmp_path / d)]) == 0
-        a = (tmp_path / "one" / "source" / "00003.csv").read_bytes()
-        b = (tmp_path / "two" / "source" / "00003.csv").read_bytes()
+        a = (tmp_path / "one" / "source.csv").read_bytes()
+        b = (tmp_path / "two" / "source.csv").read_bytes()
         assert a == b
 
     def test_bad_key_exits_2(self, tmp_path, capsys):
@@ -278,8 +278,11 @@ class TestAugmentCommand:
                      "--manifest", workspace["source"]]) == 0
         objectives = (out / "objectives.csv").read_text().strip().split("\n")
         assert len(objectives) == 1 + 18  # header + one row per input sample
-        series = list((out / "augmented").iterdir())
+        series = [line for line in (out / "augmented.manifest").read_text().splitlines()
+                  if line.startswith("augmented.csv,")]
         assert len(series) == 18
+        rows = (out / "augmented.csv").read_text().splitlines()
+        assert len(rows) == 18 * SMALL["synth_length"]
 
     def test_tada_plus_doubles(self, workspace, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {"mode": "tada_plus"})
@@ -403,14 +406,15 @@ class TestEvalCommand:
     def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(os.path.dirname(workspace["amp"]), data)
-        series = data / "amp" / "00004.csv"
+        series = data / "amp.csv"
         rows = series.read_text().splitlines()
-        rows[2] = "nan"
+        line_no = 4 * SMALL["synth_length"] + 3  # line 3 of the fifth series
+        rows[line_no - 1] = "nan"
         series.write_text("\n".join(rows) + "\n")
         code = main(["eval", "--checkpoint", workspace["checkpoint"],
                      "--out", str(tmp_path / "ev"), str(data / "amp.manifest")])
         assert code == 2
-        assert f"{series}:3: non-finite value" in capsys.readouterr().err
+        assert f"{series}:{line_no}: non-finite value" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, workspace, tmp_path, capsys):
         code = main(["eval", "--checkpoint", "/nope/ck.bin",

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from warpada.data import (
     MANIFEST_HEADER,
     Component,
     DomainShift,
-    _load_series_csv,
+    _load_series_blocks,
     _prototype,
     _write_series_csv,
     SynthSpec,
@@ -188,6 +189,15 @@ class TestDomainTags:
             save_dataset(ds, str(tmp_path / "out"), name)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["../x", "a/b", f"a{os.sep}b", ".", "..", ""])
+    def test_save_rejects_name_that_is_not_one_path_component(self, tmp_path, name):
+        # "../x" would write beside out_dir, "a/b" into a directory never made
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dataset name {name!r} is not a single plain path component")):
+            save_dataset(ds, str(tmp_path / "out"), name)
+        assert sorted(os.listdir(tmp_path)) == []
+
     @pytest.mark.parametrize("tag", ["amp", "a b", "a\tb", "a:b", "#a", ""])
     def test_accepted_tags_round_trip(self, tmp_path, tag):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0, domain_tag=tag)],
@@ -210,9 +220,14 @@ class TestSeriesWriter:
         values = np.asarray(flat[:channels * (len(flat) // channels)], dtype=dtype)
         values = values.reshape(channels, -1)
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        _write_series_csv(str(ours), values)
+        _write_series_csv(str(ours), [values])
         np.savetxt(str(ref), values.T, fmt=CSV_FORMAT, delimiter=",")
         assert ours.read_bytes() == ref.read_bytes()
+
+
+def _load_series_csv(path, channels, length):
+    """One series file through the manifest's reader."""
+    return _load_series_blocks(path, 1, channels, length)[0]
 
 
 def reference_load(path, channels, length):
@@ -341,6 +356,42 @@ class TestLoaderGrammar:
             _load_series_csv(str(series), 2, 2)
 
 
+_LONG_ROWS = 6_000  # about 150 kB: past data._SCAN_BYTES, so scanned in blocks
+
+
+def _long_series(edit):
+    values = np.random.default_rng(7).normal(size=(_LONG_ROWS, 2))
+    return edit([b"%.12g,%.12g" % tuple(row) for row in values])
+
+
+class TestLongFile:
+    # a file longer than one scan block is parsed from the open file; each
+    # case gives the float()-per-cell reference's array or its error text
+    @pytest.mark.parametrize("edit", [
+        lambda rows: b"\n".join(rows) + b"\n",
+        lambda rows: b"\n".join([b"ch0,ch1"] + rows) + b"\n",
+        lambda rows: b"\n".join(rows[:5000] + [b""] + rows[5000:]) + b"\n\n",
+        lambda rows: b"\n".join(rows[:5000] + [b"  "] + rows[5000:]),
+        lambda rows: b"\r\n".join(rows) + b"\r\n",
+        lambda rows: b"\n".join(rows[:5000]) + b"\r" + b"\n".join(rows[5000:]),
+        lambda rows: b"\n".join(rows[:5000] + [rows[5000].replace(b",", b"\x1c,")] + rows[5001:]),
+        lambda rows: b"\n".join(rows[:5000] + [b"nan,1"] + rows[5001:]),
+        lambda rows: b"\n".join(rows[:5000] + [b"x,1"] + rows[5001:]),
+        lambda rows: b"\n".join(rows[:5000] + [b"\xff1,1"] + rows[5001:]),
+        lambda rows: b"\n".join(rows + [b"1.5,1.5"]) + b"\n",
+        lambda rows: b"\n".join(rows + [b"1.5,1.5", b"x"]) + b"\n",
+        lambda rows: b"\n".join(rows[:-1]) + b"\n",
+    ], ids=["plain", "header", "blank-lines", "whitespace-line", "crlf", "lone-cr",
+            "separator", "nan", "non-numeric", "not-utf8", "one-row-more",
+            "bad-row-past-the-count", "one-row-less"])
+    def test_matches_reference(self, tmp_path, edit):
+        series = tmp_path / "long.csv"
+        series.write_bytes(_long_series(edit))
+        shape = (2, _LONG_ROWS)
+        assert (load_outcome(_load_series_csv, str(series), shape)
+                == load_outcome(reference_load, str(series), shape))
+
+
 class TestRoundTrip:
     def test_save_load_values(self, tmp_path):
         spec = tiny_spec()
@@ -364,14 +415,14 @@ class TestRoundTrip:
     def test_missing_file_diagnostic(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "gone")
-        (tmp_path / "gone" / "00000.csv").unlink()
+        (tmp_path / "gone.csv").unlink()
         with pytest.raises(ValueError, match="not found"):
             load_manifest(manifest)
 
     def test_ragged_row_names_line(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "rag")
-        series = tmp_path / "rag" / "00000.csv"
+        series = tmp_path / "rag.csv"
         series.write_text("1.0\n2.0,3.0\n")
         with pytest.raises(ValueError, match=":2"):
             load_manifest(manifest)
@@ -387,7 +438,7 @@ class TestRoundTrip:
     def test_length_mismatch_diagnostic(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "len")
-        series = tmp_path / "len" / "00000.csv"
+        series = tmp_path / "len.csv"
         series.write_text("\n".join(str(float(v)) for v in range(5)) + "\n")
         with pytest.raises(ValueError, match="shape"):
             load_manifest(manifest)
@@ -395,7 +446,7 @@ class TestRoundTrip:
     def test_header_row_tolerated(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "hdr")
-        series = tmp_path / "hdr" / "00000.csv"
+        series = tmp_path / "hdr.csv"
         series.write_text("ch0\n" + series.read_text())
         loaded = load_manifest(manifest)
         np.testing.assert_allclose(loaded.samples[0].values.data[0], np.arange(8.0))
@@ -404,7 +455,7 @@ class TestRoundTrip:
     def test_non_finite_value_names_file_and_line(self, tmp_path, cell):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "nf")
-        series = tmp_path / "nf" / "00000.csv"
+        series = tmp_path / "nf.csv"
         rows = series.read_text().splitlines()
         rows[5] = cell
         series.write_text("\n".join(rows) + "\n")
@@ -456,6 +507,125 @@ class TestRoundTrip:
         bad.write_text("NOT-A-MANIFEST\n")
         with pytest.raises(ValueError, match="header"):
             load_manifest(str(bad))
+
+
+def save_v1(dataset, out_dir, name):
+    """The v1 layout by hand: one _write_series_csv file per series under
+    <name>/, a v1 manifest naming each."""
+    os.makedirs(os.path.join(out_dir, name))
+    entries = []
+    for i, sample in enumerate(dataset.samples):
+        rel = f"{name}/{i:05d}.csv"
+        _write_series_csv(os.path.join(out_dir, rel), [sample.values.data])
+        entries.append(f"{rel},class{sample.label},{sample.domain_tag}")
+    return write_manifest(os.path.join(out_dir, f"{name}.manifest"), dataset, entries,
+                          header="WARPADA-MANIFEST v1")
+
+
+def write_manifest(path, dataset, entries, header=MANIFEST_HEADER):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\nchannels: {dataset.channels}\nlength: {dataset.length}\n"
+                 f"classes: {' '.join(f'class{c}' for c in range(dataset.n_classes))}\n")
+        fh.write("\n".join(entries) + "\n")
+    return str(path)
+
+
+def assert_same_dataset(got, want):
+    assert got.n_classes == want.n_classes and len(got) == len(want)
+    for a, b in zip(got.samples, want.samples):
+        assert (a.label, a.domain_tag) == (b.label, b.domain_tag)
+        assert a.values.data.shape == b.values.data.shape
+        assert a.values.data.tobytes() == b.values.data.tobytes()
+
+
+class TestLegacyLayout:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_v1_and_v2_load_bitwise_equal(self, tmp_path, channels):
+        source, _ = synth_generate(tiny_spec(channels=channels))
+        v1 = load_manifest(save_v1(source, str(tmp_path), "old"))
+        v2 = load_manifest(save_dataset(source, str(tmp_path), "new"))
+        assert [(s.label, s.domain_tag) for s in v1.samples] \
+            == [(s.label, s.domain_tag) for s in source.samples]
+        assert_same_dataset(v2, v1)
+        # the v2 file is the v1 files joined end to end, in manifest order
+        joined = b"".join((tmp_path / "old" / f"{i:05d}.csv").read_bytes()
+                          for i in range(len(source)))
+        assert (tmp_path / "new.csv").read_bytes() == joined
+        assert (tmp_path / "new.manifest").read_text().startswith("WARPADA-MANIFEST v2\n")
+
+    def test_mixed_manifest(self, tmp_path):
+        # series 3 has its own file; the rest share one, in entry order
+        source, _ = synth_generate(tiny_spec(n_per_class=3))
+        series = [s.values.data for s in source.samples]
+        _write_series_csv(str(tmp_path / "shared.csv"), series[:3] + series[4:])
+        _write_series_csv(str(tmp_path / "own.csv"), [series[3]])
+        entries = [f"{'own' if i == 3 else 'shared'}.csv,class{s.label},{s.domain_tag}"
+                   for i, s in enumerate(source.samples)]
+        loaded = load_manifest(write_manifest(tmp_path / "mixed.manifest", source, entries))
+        assert_same_dataset(loaded, load_manifest(save_dataset(source, str(tmp_path), "all")))
+
+
+class TestSharedFile:
+    @pytest.fixture
+    def shared(self, tmp_path):
+        """Three 8-sample series in one file: values 0-7, 10-17, 20-27."""
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0) + 10 * i), label=i % 2)
+                      for i in range(3)], n_classes=2)
+        return ds, save_dataset(ds, str(tmp_path), "sh"), tmp_path / "sh.csv"
+
+    @pytest.mark.parametrize("rows", [23, 25])
+    def test_row_count_names_file_and_both_counts(self, shared, rows):
+        _, manifest, csv = shared
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join((lines + lines)[:rows]) + "\n")
+        want = f"{csv}: series shape (1, {rows}), manifest says (1,24) for 3 series of length 8"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_non_finite_names_line_in_shared_file(self, shared, header):
+        # the third row of the third series is line 2 * 8 + 3 = 19 (20 under a header)
+        _, manifest, csv = shared
+        lines = csv.read_text().splitlines()
+        lines[2 * 8 + 2] = "inf"
+        csv.write_text("\n".join(["ch0"] * header + lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{csv}:{19 + header}: non-finite value")):
+            load_manifest(manifest)
+
+    def test_missing_file_reported_at_first_line_naming_it(self, shared, monkeypatch):
+        _, manifest, csv = shared
+        checked = []
+        isfile = os.path.isfile
+        monkeypatch.setattr(os.path, "isfile", lambda p: checked.append(p) or isfile(p))
+        load_manifest(manifest)
+        assert checked == [str(csv)]  # one check for three entries
+        csv.unlink()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest}:5: series file not found: {csv}")) as err:
+            load_manifest(manifest)
+        assert str(err.value).count("not found") == 1
+
+    def test_header_tolerated_once_at_top(self, shared):
+        ds, manifest, csv = shared
+        text = csv.read_text()
+        csv.write_text("ch0\n" + text)
+        assert_same_dataset(load_manifest(manifest), ds)
+        lines = text.splitlines()
+        csv.write_text("\n".join(lines[:8] + ["ch0"] + lines[8:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{csv}:9: non-numeric row: 'ch0'")):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("layout", ["v2", "v1"])
+    def test_one_parse_per_file(self, tmp_path, monkeypatch, layout):
+        source, _ = synth_generate(tiny_spec(n_per_class=300))
+        save = save_dataset if layout == "v2" else save_v1
+        manifest = save(source, str(tmp_path), "d")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        loaded = load_manifest(manifest)
+        assert len(calls) == (1 if layout == "v2" else 600)
+        assert len(loaded) == 600
 
 
 @settings(max_examples=200, deadline=None,
