@@ -12,10 +12,13 @@ chunks of one call are shared out between forked processes.
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
+import pickle
 import threading
+import traceback
 from dataclasses import dataclass
+from signal import SIGKILL
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .signal import TimeSeries, warp_apply
 from .tensor import Tape, Tensor, op_sum
 from .warp import make_path
 
-__all__ = ["AdvConfig", "AdvSample", "maximize_one", "maximize_many"]
+__all__ = ["AdvConfig", "AdvSample", "Child", "maximize_one", "maximize_many"]
 
 MODES = ("erm", "ada", "tada", "tada_plus")
 COMBINE_MODES = ("union", "composed")
@@ -102,6 +105,8 @@ class AdvConfig:
             raise ValueError(f"me_beta must be nonnegative, got {self.me_beta}")
         if self.lr <= 0 or self.batch < 1:
             raise ValueError("lr must be positive and batch at least 1")
+        if not 0 <= self.seed < 2**63:  # numpy's and the checkpoint's range
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
 @dataclass
@@ -216,13 +221,11 @@ def _ascend_chunks(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list
 def fork_cpus() -> int:
     """CPUs a fork may spread this process's work over, the one rule both
     the ascent and the SGD partner (training.minimize_phase) follow: the
-    usable CPUs, but one where ``fork`` is unavailable, where the usable
-    CPUs cannot be read, in a daemonic process (which may not have
-    children), and while other threads run (a fork copies any lock they
+    usable CPUs, but one where ``os.fork`` is missing, where the usable CPUs
+    cannot be read, and while other threads run (a fork copies any lock they
     hold, held for ever).  Neither starts a process when this is one."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -233,56 +236,87 @@ def _ascent_workers(n_chunks: int) -> int:
     return max(1, min(fork_cpus(), n_chunks, MAX_ASCENT_WORKERS))
 
 
-def _send_share(writer, ascend_share, w: int) -> None:
-    """Body of a forked worker: ascend share w and send it to the parent."""
-    try:
-        writer.send(ascend_share(w))
-    finally:
-        writer.close()
+class Child:
+    """The package's one way to start a process: a fork that runs
+    ``target(rx, tx)``, rx and tx being its ends of pipes from and to this
+    process (``self.tx``, ``self.rx``).  It ends with os._exit, never
+    returning into the caller's frames: code 0 if the target returns, else 1
+    after printing the traceback.  The context forks on entry; on exit it
+    closes this side's ends, kills the child if an error cut the block short
+    before it was reaped, and reaps it."""
+
+    def __init__(self, target, name: str, what: str):
+        self._target, self._name, self._what = target, name, what
+
+    def __enter__(self):
+        down, up = os.pipe(), os.pipe()  # to the child, from the child
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in down + up:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(down[1])
+                os.close(up[0])
+                self._target(down[0], up[1])
+                code = 0
+            except BaseException:
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        # each side keeps its own ends only: EOF or EPIPE once the other is gone
+        os.close(down[0])
+        os.close(up[1])
+        self._target = None  # only the child calls it; a bound method here is a cycle
+        self.rx, self.tx, self._code = up[0], down[1], None
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        os.close(self.tx)
+        os.close(self.rx)
+        if exc_type is not None and self._code is None:
+            os.kill(self.pid, SIGKILL)
+        self.reap()
+
+    def reap(self) -> int:
+        """Wait for the child to end, once; returns its exit code."""
+        if self._code is None:
+            self._code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self._code
+
+    def fail(self):
+        """Reap the child and raise the error of one that ended early."""
+        raise RuntimeError(f"{self._name} {self.pid} exited with code {self.reap()} "
+                           f"before sending its {self._what}") from None
 
 
 def _forked_shares(workers: int, ascend_share) -> list:
     """[ascend_share(w) for w in range(workers)], with shares 1.. ascended by
-    forked children while this process ascends share 0.
+    forked children, which inherit the model and the data by copy-on-write,
+    while this process ascends share 0.  Child k pickles its share into its
+    pipe, which is read to EOF (a share can be larger than a pipe buffer),
+    and is reaped before child k + 1's pipe is read, so a child that died
+    raises at once and the others are killed."""
+    def sender(w):
+        def send(rx, tx):
+            with open(tx, "wb") as out:  # flushed before the child exits
+                pickle.dump(ascend_share(w), out)
+        return send
 
-    The children inherit the model and the data by copy-on-write, so nothing
-    is pickled on the way in; each sends its share back through a one-way
-    pipe.  A share is received before its child is joined, because it can
-    be larger than a pipe buffer.  Every child is joined, or killed and
-    joined, before this returns or raises.
-    """
-    ctx = multiprocessing.get_context("fork")
-    readers, children = [], []
-    try:
-        for w in range(1, workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            child = ctx.Process(target=_send_share, args=(writer, ascend_share, w),
-                                daemon=True)
-            try:
-                child.start()
-            finally:
-                # the child holds its own copy; with this one closed, the
-                # reader sees EOF if the child dies before sending
-                writer.close()
-            children.append(child)
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(Child(sender(w), "ascent worker", "samples"))
+                    for w in range(1, workers)]
         shares = [ascend_share(0)]
-        for reader, child in zip(readers, children):
-            try:
-                shares.append(reader.recv())
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"ascent worker {child.pid} exited with code "
-                                   f"{child.exitcode} before sending its samples") from None
-            child.join()
-        return shares
-    finally:
         for child in children:
-            if child.is_alive():  # an error cut the call short
-                child.kill()
-            child.join()
-        for reader in readers:
-            reader.close()
+            with open(child.rx, "rb", closefd=False) as reader:
+                share = reader.read()
+            if child.reap() != 0:
+                child.fail()
+            shares.append(pickle.loads(share))
+        return shares
 
 
 def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,

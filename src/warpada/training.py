@@ -6,14 +6,14 @@ samples are never re-perturbed and never mutated.  After the last round
 the model trains for a final stretch of epochs on the fully expanded
 dataset.  Evaluation reports macro-F1 per held-out domain.
 
-Each SGD step is the sum of two half-batch gradients (_sgd_step).  Where
-the process may fork onto a second CPU (adversarial.fork_cpus) and BLAS
-runs one thread (_one_blas_thread), a minimize_phase call of PARTNER_MIN_STEPS steps or more forks one partner
-process that computes each step's second half while this process computes
-the first (_Partner): one partner per round's fit, one for the whole final
-stretch.  Shorter calls, and every call elsewhere, compute both halves in
-this process.  Both ways give bitwise the same weights and losses, as the
-ascent's forked shares give bitwise the serial samples.
+Each SGD step is the sum of two half-batch gradients (_sgd_step).  Where the
+process may fork onto a second CPU (adversarial.fork_cpus) and BLAS runs one
+thread (_one_blas_thread), a minimize_phase call of PARTNER_MIN_STEPS steps
+or more forks one partner process that computes each step's second half while
+this process computes the first (_Partner): one partner per round's fit, one
+for the whole final stretch.  Shorter calls, and every call elsewhere,
+compute both halves in this process.  Both ways give bitwise the same weights
+and losses, as the ascent's forked shares give bitwise the serial samples.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import mmap
-import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, AdvSample, fork_cpus, maximize_many
+from .adversarial import AdvConfig, AdvSample, Child, fork_cpus, maximize_many
 from .model import FEATURE_DIM, Classifier, forward, loss_ce
 from .signal import TimeSeries
 from .tensor import Tape, Tensor, op_sum
@@ -243,19 +242,17 @@ def _one_blas_thread() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
-class _Partner:
+class _Partner(Child):
     """A forked process that computes the second half of every minibatch
     gradient of one minimize_phase call, from the dataset it inherited.
 
     Both processes map one anonymous shared mmap.  Before each step this
     process writes the weights and the second half's dataset indices into
     it and sends one byte down a pipe; the partner writes that half's weight
-    gradients and per-row losses back and answers with one byte.  Used as a
-    context manager: on a clean exit the partner reads EOF and ends, on an
-    error it is killed; either way it is joined.
-    """
+    gradients and per-row losses back and answers with one byte."""
 
     def __init__(self, model: Classifier, samples: list[TimeSeries], batch: int):
+        super().__init__(self._serve, "SGD partner", "gradients")
         self._scale = 1.0 / batch
         n_second = batch // 2
         self._first = batch - n_second
@@ -270,43 +267,17 @@ class _Partner:
                 views[name] = floats[base:base + w.size].reshape(w.shape)
             offset += w.size
         self._model, self._samples = model, samples
-        self._requests, self._replies = os.pipe(), os.pipe()
 
-    def __enter__(self) -> "_Partner":
-        ctx = multiprocessing.get_context("fork")
-        self._process = ctx.Process(target=self._serve, daemon=True)
-        try:
-            self._process.start()
-        except BaseException:
-            os.close(self._requests[1])
-            os.close(self._replies[0])
-            raise
-        finally:
-            # the partner holds its own copies; with these closed, each side
-            # reads EOF once the other is gone
-            os.close(self._requests[0])
-            os.close(self._replies[1])
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        os.close(self._requests[1])
-        if exc_type is not None and self._process.is_alive():
-            self._process.kill()
-        self._process.join()
-        os.close(self._replies[0])
-
-    def _serve(self) -> None:
+    def _serve(self, rx: int, tx: int) -> None:
         """The partner's loop: one second half per byte received."""
-        os.close(self._requests[1])
-        os.close(self._replies[0])
         self._model.weights = self._weights
-        while os.read(self._requests[0], 1):
+        while os.read(rx, 1):
             grads, rows = _half_gradient(self._model, [self._samples[i] for i in self._ids],
                                          self._scale)
             for name, g in grads.items():
                 self._grads[name][...] = g
             self._rows[...] = rows
-            os.write(self._replies[1], b"\x01")
+            os.write(tx, b"\x01")
 
     def post(self, weights: dict[str, np.ndarray], ids: np.ndarray):
         """Hand the partner the second half of one step's minibatch, given
@@ -316,20 +287,15 @@ class _Partner:
             self._weights[name][...] = w
         self._ids[...] = ids[self._first:]
         try:
-            os.write(self._requests[1], b"\x01")
+            os.write(self.tx, b"\x01")
         except BrokenPipeError:
-            self._gone()
+            self.fail()
         return self._receive
 
     def _receive(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        if not os.read(self._replies[0], 1):
-            self._gone()
+        if not os.read(self.rx, 1):
+            self.fail()
         return self._grads, self._rows
-
-    def _gone(self):
-        self._process.join()
-        raise RuntimeError(f"SGD partner {self._process.pid} exited with code "
-                           f"{self._process.exitcode} before sending its gradients") from None
 
 
 class _NonFiniteLoss(ValueError):

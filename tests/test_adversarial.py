@@ -1,10 +1,8 @@
 import contextlib
-import multiprocessing
 import os
 import signal
 import threading
 import time
-import types
 
 import numpy as np
 import pytest
@@ -283,13 +281,22 @@ def assert_same_samples(got, want):
 GENERATING = [dict(mode="ada"), dict(mode="tada"), dict(mode="tada_plus", combine="union"),
               dict(mode="tada_plus", combine="composed")]
 
-# what makes maximize_many stay serial, as (object, attribute, stand-in)
+# what makes maximize_many stay serial, each applied through a monkeypatch
 FALLBACKS = {
-    "one_cpu": (os, "sched_getaffinity", lambda pid: {0}),
-    "no_fork": (multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]),
-    "live_thread": (threading, "active_count", lambda: 2),
-    "daemonic": (multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True)),
+    "one_cpu": lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0}),
+    "no_fork": lambda patch: patch.delattr(os, "fork"),
+    "live_thread": lambda patch: patch.setattr(threading, "active_count", lambda: 2),
 }
+
+
+def no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+
+def assert_no_children():
+    """No child of this process remains, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkedShares:
@@ -312,7 +319,7 @@ class TestForkedShares:
             got = maximize_many(model, xs, cfg, ids)
         assert forked == [workers]
         assert_same_samples(got, want)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_share_larger_than_a_pipe_buffer(self, monkeypatch):
         # the child's 8 samples of 2048 values pickle to over 128 KiB, twice
@@ -326,7 +333,7 @@ class TestForkedShares:
             got = maximize_many(model, xs, cfg)
         assert forked == [2]
         assert_same_samples(got, want)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_earliest_failing_origin_raised_as_serial(self, workers, monkeypatch):
@@ -344,7 +351,7 @@ class TestForkedShares:
                 maximize_many(model, xs, toy_cfg(mode="tada"), ids)
             errors.append(str(err.value))
             assert forked == ([] if w == 1 else [w])
-            assert multiprocessing.active_children() == []
+            assert_no_children()
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -366,19 +373,15 @@ class TestForkedShares:
         force_workers(monkeypatch, workers)
         with deadline(60), pytest.raises(RuntimeError, match="exited with code 3 "):
             maximize_many(Classifier(1, 3, seed=15), xs, toy_cfg(), ids)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("fallback", list(FALLBACKS))
     def test_fallback_starts_no_process(self, fallback, monkeypatch):
         monkeypatch.setattr(adversarial, "ASCENT_CHUNK", self.CHUNK)
         model, (xs, ids), cfg = Classifier(1, 3, seed=16), self.origins(), toy_cfg()
         want = serial_samples(monkeypatch, model, xs, cfg, ids)
-
-        def no_process(*args, **kwargs):
-            raise AssertionError("a process was started")
-
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
-        monkeypatch.setattr(*FALLBACKS[fallback])
+        monkeypatch.setattr(os, "fork", no_process)
+        FALLBACKS[fallback](monkeypatch)
         assert_same_samples(maximize_many(model, xs, cfg, ids), want)
 
     def test_fork_cpus_counts_the_usable_cpus(self, monkeypatch):
@@ -389,6 +392,32 @@ class TestForkedShares:
         assert adversarial._ascent_workers(2) == 2
         for fallback in FALLBACKS.values():
             with monkeypatch.context() as patch:
-                patch.setattr(*fallback)
+                fallback(patch)
                 assert adversarial.fork_cpus() == 1
                 assert adversarial._ascent_workers(5) == 1
+
+
+@pytest.mark.parametrize("error", [SystemExit(0), KeyboardInterrupt()],
+                         ids=["SystemExit", "KeyboardInterrupt"])
+def test_child_that_raises_exits_1_and_never_returns(tmp_path, error):
+    # whatever the target raises, the child ends in os._exit(1) and never
+    # runs the code after the with block; the marker names every process
+    # that does
+    parent, marker = os.getpid(), tmp_path / "marker"
+
+    def target(rx, tx):
+        raise error
+
+    try:
+        with deadline(60), pytest.raises(RuntimeError) as err:
+            with adversarial.Child(target, "test child", "reply") as child:
+                if not os.read(child.rx, 1):
+                    child.fail()
+    finally:
+        with open(marker, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != parent:  # a child that came back: stop it here
+            os._exit(0)
+    assert str(err.value) == f"test child {child.pid} exited with code 1 before sending its reply"
+    assert marker.read_text(encoding="utf-8") == f"{parent}\n"
+    assert_no_children()

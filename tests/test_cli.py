@@ -2,6 +2,8 @@ import dataclasses
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import warpada
 from warpada import cli, signal, training
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
@@ -218,6 +221,42 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, monkeypatch, command)
     assert main(argv + ["--config", write_config(tmp_path / "c.yaml")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(named) in err
+
+
+@pytest.mark.parametrize("argv, env_seed, seed",
+                         [(["train", "--seed", "-3"], None, -3), (["train"], "-2", -2),
+                          (["gradcheck", "--seed", "-1"], None, -1),
+                          (["synth", "--seed", "-1"], None, -1),
+                          (["train", "--seed", str(2**63)], None, 2**63)],
+                         ids=["train-flag", "train-env", "gradcheck", "synth", "train-2**63"])
+def test_seed_out_of_range_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, env_seed,
+                                             seed):
+    # numpy takes no negative seed and the checkpoint stores a signed 64-bit
+    # one: both are rejected on load, before config_echo.yaml is written
+    if env_seed is not None:
+        monkeypatch.setenv("WARPADA_SEED", env_seed)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", write_config(tmp_path / "c.yaml"), "--out", str(out)]) == 2
+    assert f"seed must be in [0, 2**63), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_trains_and_saves(tmp_path):
+    seed, out = 2**63 - 1, tmp_path / "run"
+    assert main(["train", "--seed", str(seed), "--config", write_config(tmp_path / "c.yaml"),
+                 "--out", str(out)]) == 0
+    assert load_checkpoint(str(out / "checkpoint.bin")).seed == seed
+    assert f"seed: {seed}\n" in (out / "report.txt").read_text(encoding="utf-8")
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # processes are started by os.fork alone; a fresh interpreter shows what
+    # importing the command line pulls in
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(warpada.__file__)))
+    found = subprocess.run([sys.executable, "-c", "import sys, warpada.cli; "
+                            "print('multiprocessing' in sys.modules)"],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert found.stdout == "False\n"
 
 
 class TestSynth:

@@ -1,9 +1,10 @@
-import multiprocessing
+import gc
 import os
 import re
 import resource
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from warpada.data import default_spec, synth_generate
 from warpada.model import Classifier, forward, loss_ce
 from warpada.signal import TimeSeries
 from warpada.tensor import Tape, Tensor
-from test_adversarial import FALLBACKS, deadline
+from test_adversarial import FALLBACKS, assert_no_children, deadline, no_process
 from warpada.training import (
     Dataset,
     TrainReport,
@@ -302,7 +303,7 @@ def serial_and_partnered(monkeypatch, call):
             served = partnered(patch, on)
             with deadline(120):
                 results.append(call())
-        assert multiprocessing.active_children() == []
+        assert_no_children()
     return results, served
 
 
@@ -368,6 +369,28 @@ class TestSgdPartner:
                        rng=np.random.default_rng(0))
         assert served == []
 
+    def test_partner_freed_when_its_call_returns(self, monkeypatch):
+        # nothing but the call holds the partner, so its shared mmap goes by
+        # reference counting, without waiting for the cycle collector
+        partnered(monkeypatch, True)
+        real, partners = training._Partner, []
+
+        def tracked(*args):
+            partners.append(real(*args))
+            return partners[-1]
+
+        monkeypatch.setattr(training, "_Partner", tracked)
+        gc.disable()
+        try:
+            with deadline(60):
+                minimize_phase(Classifier(1, 2, seed=0), toy_dataset(), t_min=10, lr=0.1,
+                               batch=8, rng=np.random.default_rng(0))
+            freed = weakref.ref(partners.pop())
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert_no_children()
+
     @pytest.mark.parametrize("fallback", list(FALLBACKS) + ["blas_threads"])
     def test_fallback_starts_no_process(self, fallback, monkeypatch):
         ds = toy_dataset()
@@ -381,13 +404,10 @@ class TestSgdPartner:
             partnered(serial, False)
             want = call()
 
-        def no_process(*args, **kwargs):
-            raise AssertionError("a process was started")
-
         monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 1)
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
         if fallback in FALLBACKS:
-            monkeypatch.setattr(*FALLBACKS[fallback])
+            FALLBACKS[fallback](monkeypatch)
             assert training.fork_cpus() == 1
         else:  # two usable CPUs, but BLAS may run a thread per CPU
             monkeypatch.setattr(training, "fork_cpus", lambda: 2)
@@ -427,7 +447,7 @@ class TestSgdPartner:
         found = re.fullmatch(r"SGD partner (\d+) exited with code 3 before sending "
                              r"its gradients", str(err.value))
         assert found and int(found[1]) != parent
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_nonfinite_loss_in_the_second_half_names_its_step(self, monkeypatch):
         # TestMinimize's case, with the bad sample first drawn into the half
@@ -445,7 +465,7 @@ class TestSgdPartner:
             minimize_phase(Classifier(1, 2, seed=0), ds, t_min=100, lr=0.1,
                            batch=4, rng=np.random.default_rng(7))
         assert served == [4]
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "partner"])
     @pytest.mark.parametrize("batch, stage",
@@ -463,7 +483,7 @@ class TestSgdPartner:
             run(toy_dataset(n_per_class=6), small_cfg(mode="erm", lr=1e300, batch=batch,
                                                        t_final=3), model_init=model)
         assert all(np.all(np.isfinite(w)) for w in model.weights.values())
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 class TestMaximize:
