@@ -27,7 +27,7 @@ from .signal import TimeSeries, warp_apply
 from .tensor import Tape, Tensor, op_sum
 from .warp import make_path
 
-__all__ = ["AdvConfig", "AdvSample", "Child", "maximize_one", "maximize_many"]
+__all__ = ["AdvConfig", "AdvSample", "Child", "map_chunks", "maximize_one", "maximize_many"]
 
 MODES = ("erm", "ada", "tada", "tada_plus")
 COMBINE_MODES = ("union", "composed")
@@ -126,7 +126,7 @@ class AdvSample:
 
 def _sample_rng(cfg: AdvConfig, origin_id: int) -> np.random.Generator:
     # per-origin stream, so a sample does not depend on which chunk it ran in
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, origin_id]))
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, origin_id]))
 
 
 def _objective_rows(model, candidate: Tensor, labels: np.ndarray, z_ref: Tensor,
@@ -200,22 +200,6 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
                       origin_id=o, mode=family, objective=float(j.data[i, 0]),
                       path=None if path is None else path.data[i].copy())
             for i, (x, o) in enumerate(zip(xs, origin_ids))]
-
-
-def _ascend_chunks(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
-                   families: list[str], los: list[int]):
-    """Samples of the chunks that start at ``los``, one list per chunk in that
-    order, and the first failure as (chunk start, exception), else None.  A
-    failure ends the share, as it ends the serial loop."""
-    done = []
-    for lo in los:
-        chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]
-        try:
-            per_family = [_ascend(model, chunk, cfg, ids, f) for f in families]
-        except Exception as exc:  # reported to the caller, which raises the earliest
-            return done, (lo, exc)
-        done.append([sample for group in zip(*per_family) for sample in group])
-    return done, None
 
 
 def fork_cpus() -> int:
@@ -293,30 +277,56 @@ class Child:
                            f"before sending its {self._what}") from None
 
 
-def _forked_shares(workers: int, ascend_share) -> list:
-    """[ascend_share(w) for w in range(workers)], with shares 1.. ascended by
-    forked children, which inherit the model and the data by copy-on-write,
-    while this process ascends share 0.  Child k pickles its share into its
-    pipe, which is read to EOF (a share can be larger than a pipe buffer),
-    and is reaped before child k + 1's pipe is read, so a child that died
-    raises at once and the others are killed."""
+def _forked_shares(workers: int, run_share, name: str, what: str) -> list:
+    """[run_share(w) for w in range(workers)], with shares 1.. run by forked
+    children (Child(..., name, what)), which inherit the model and the data
+    by copy-on-write, while this process runs share 0.  Child k pickles its
+    share into its pipe, unpickled as it streams in (a share can be larger
+    than a pipe buffer), and is reaped before child k + 1's pipe is read, so
+    a child that died raises at once and the others are killed."""
     def sender(w):
         def send(rx, tx):
             with open(tx, "wb") as out:  # flushed before the child exits
-                pickle.dump(ascend_share(w), out)
+                pickle.dump(run_share(w), out)
         return send
 
     with contextlib.ExitStack() as stack:
-        children = [stack.enter_context(Child(sender(w), "ascent worker", "samples"))
+        children = [stack.enter_context(Child(sender(w), name, what))
                     for w in range(1, workers)]
-        shares = [ascend_share(0)]
+        shares = [run_share(0)]
         for child in children:
-            with open(child.rx, "rb", closefd=False) as reader:
-                share = reader.read()
+            try:
+                with open(child.rx, "rb", closefd=False) as reader:
+                    shares.append(pickle.load(reader))
+            except (EOFError, pickle.UnpicklingError):  # cut short: the exit code says why
+                if child.reap() == 0:
+                    raise
             if child.reap() != 0:
                 child.fail()
-            shares.append(pickle.loads(share))
         return shares
+
+
+def map_chunks(run_chunk, chunks: list, workers: int, name: str, what: str) -> list:
+    """[run_chunk(c) for c in chunks].  With ``workers`` above one the chunks
+    are split into that many interleaved shares, forked children named
+    ``name`` run shares 1.. while this process runs share 0 (_forked_shares),
+    and the results are put back in chunk order.  An error is the serial one:
+    the exception of the earliest failing chunk, which also ends its share."""
+    def run_share(w):
+        done = []
+        for k in range(w, len(chunks), workers):
+            try:
+                done.append(run_chunk(chunks[k]))
+            except Exception as exc:  # reported to the caller, which raises the earliest
+                return done, (k, exc)
+        return done, None
+
+    shares = ([run_share(0)] if workers == 1
+              else _forked_shares(workers, run_share, name, what))
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[k % workers][0][k // workers] for k in range(len(chunks))]
 
 
 def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
@@ -332,13 +342,10 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     samples and reports in every mode; chunks of 4 differ from 8 in the
     last bits.
 
-    With W = _ascent_workers(number of chunks) above one, the chunks are
-    split into W interleaved shares: W - 1 forked children ascend shares
-    1.. while this process ascends share 0, and the samples are put back in
-    chunk order.  The model is frozen and every chunk depends only on its own
-    origins, so the output is bitwise the serial one.  An error is the serial
-    one too: the exception of the earliest failing chunk.  The call runs
-    serially, starting no process, when W is one (see fork_cpus).
+    The chunks are shared between W = _ascent_workers(number of chunks)
+    processes (map_chunks).  The model is frozen and every chunk depends
+    only on its own origins, so the output is bitwise the serial one.  The
+    call runs serially, starting no process, when W is one (see fork_cpus).
     """
     if cfg.mode not in ("ada", "tada", "tada_plus"):
         raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
@@ -350,17 +357,15 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         origin_ids = list(range(len(xs)))
     if len(origin_ids) != len(xs):
         raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
+
+    def ascend(lo):
+        chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]
+        per_family = [_ascend(model, chunk, cfg, ids, f) for f in families]
+        return [sample for group in zip(*per_family) for sample in group]
+
     los = list(range(0, len(xs), ASCENT_CHUNK))
-    workers = _ascent_workers(len(los))
-
-    def ascend_share(w):
-        return _ascend_chunks(model, xs, cfg, origin_ids, families, los[w::workers])
-
-    shares = [ascend_share(0)] if workers == 1 else _forked_shares(workers, ascend_share)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [sample for k in range(len(los)) for sample in shares[k % workers][0][k // workers]]
+    done = map_chunks(ascend, los, _ascent_workers(len(los)), "ascent worker", "samples")
+    return [sample for chunk in done for sample in chunk]
 
 
 def maximize_one(model, x: TimeSeries, cfg: AdvConfig, origin_id: int = 0) -> list[AdvSample]:

@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
+import numpy as np
 import yaml
 
 from .adversarial import AdvConfig, AdvSample
@@ -231,13 +232,13 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     domains = [load_manifest(m) for m in manifests]
     for domain, manifest in zip(domains, manifests):
         _check_fits(model, checkpoint, domain, manifest)
-    # one forward per domain feeds both embeddings.csv and f1.txt
-    logits = []
+    # one inference call over every domain feeds both embeddings.csv and f1.txt
+    bounds = np.cumsum([len(d) for d in domains])[:-1]
+    z, logits = (np.split(rows, bounds)
+                 for rows in _inference(model, *(d.samples for d in domains)))
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        for i, domain in enumerate(domains):
-            z, domain_logits = _inference(model, domain.samples)
-            export_features(model, domain, fh, header=i == 0, features=z)
-            logits.append(domain_logits)
+        for i, (domain, features) in enumerate(zip(domains, z)):
+            export_features(model, domain, fh, header=i == 0, features=features)
     scores, average = evaluate(model, domains, logits)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]

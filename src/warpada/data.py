@@ -192,7 +192,7 @@ def _domain(spec: SynthSpec, protos: np.ndarray, rng: np.random.Generator,
 def synth_generate(spec: SynthSpec) -> tuple[Dataset, list[Dataset]]:
     """Source dataset plus one shifted dataset per target, deterministically
     from spec.seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFF, 0xDA7A]))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     protos = np.stack([_prototype(proto, spec.length) for proto in spec.classes])
     source = _domain(spec, protos, rng)
     return source, [_domain(spec, protos, rng, shift) for shift in spec.targets]

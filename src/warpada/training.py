@@ -14,6 +14,8 @@ this process computes the first (_Partner): one partner per round's fit, one
 for the whole final stretch.  Shorter calls, and every call elsewhere,
 compute both halves in this process.  Both ways give bitwise the same weights
 and losses, as the ascent's forked shares give bitwise the serial samples.
+Inference (_inference) forks one worker under the same rule, for calls of
+INFERENCE_MIN_CHUNKS forwards or more.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, AdvSample, Child, fork_cpus, maximize_many
+from .adversarial import AdvConfig, AdvSample, Child, fork_cpus, map_chunks, maximize_many
 from .model import FEATURE_DIM, Classifier, forward, loss_ce
 from .signal import TimeSeries
 from .tensor import Tape, Tensor, op_sum
@@ -116,9 +118,15 @@ class TrainReport:
 
 
 # Series per batched forward in inference, so memory stays flat in the
-# dataset size.  On the default benchmark chunks of 8 evaluated 1,800 series
-# no slower than chunks of 64 and raised peak memory by 1.5 MB, not 4 MB.
-EVAL_CHUNK = 8
+# dataset size.  One process forwarded the three default targets (1,800
+# series; 2-core x86 sandbox, one BLAS thread) in 57 ms in chunks of 8, 46 in
+# 16, 45 in 32, 48 in 64 and 58 in 128 (medians of 15), all bitwise equal.
+EVAL_CHUNK = 32
+# Inference calls of fewer forwards stay in one process.  On the same host,
+# over 21 alternating calls each, the inference worker was slower at 8 and
+# 12 forwards (faster in 0 and 5-9 calls), even at 16 (11), and faster from
+# 20 (15-16; 19-21 at the 57 forwards of the three targets, 61 -> 40-43 ms).
+INFERENCE_MIN_CHUNKS = 20
 
 
 # glibc's malloc policy for the process (mallopt parameters from malloc.h).
@@ -369,7 +377,7 @@ def run(d0: Dataset, cfg: AdvConfig,
     start = time.perf_counter()
     model = model_init if model_init is not None else Classifier(
         d0.channels, d0.n_classes, seed=cfg.seed)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5D]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5D]))
     report = TrainReport(seed=cfg.seed, config=asdict(cfg), dataset_sizes=[len(d0)])
 
     def fit(dataset: Dataset, steps: int, stage) -> list[float]:
@@ -407,16 +415,25 @@ def predict(model: Classifier, x: TimeSeries) -> int:
     return int(np.argmax(logits.data))
 
 
-def _inference(model: Classifier, samples: list[TimeSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """Features (S, 64) and logits (S, n_classes) of every sample, from
-    batched forwards of at most EVAL_CHUNK series."""
-    z = np.empty((len(samples), FEATURE_DIM))
-    logits = np.empty((len(samples), model.n_classes))
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        z_t, logits_t = forward(model, _stack(samples[lo:lo + EVAL_CHUNK]))
-        z[lo:lo + EVAL_CHUNK] = z_t.data
-        logits[lo:lo + EVAL_CHUNK] = logits_t.data
-    return z, logits
+def _inference(model: Classifier, *domains: list[TimeSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """Features (S, 64) and logits (S, n_classes) of every sample of the
+    given lists, in order, from batched forwards of at most EVAL_CHUNK
+    series; no forward spans two lists, whose series lengths may differ.
+
+    With INFERENCE_MIN_CHUNKS forwards or more, and under the SGD partner's
+    rule (fork_cpus() of two or more and _one_blas_thread), one forked child
+    runs every second forward (adversarial.map_chunks).  Each forward is the
+    same in either process, so the outputs are bitwise the serial ones."""
+    chunks = [samples[lo:lo + EVAL_CHUNK] for samples in domains
+              for lo in range(0, len(samples), EVAL_CHUNK)]
+    forked = len(chunks) >= INFERENCE_MIN_CHUNKS and fork_cpus() > 1 and _one_blas_thread()
+
+    def infer(chunk):
+        z_t, logits_t = forward(model, _stack(chunk))
+        return z_t.data, logits_t.data
+
+    done = map_chunks(infer, chunks, 2 if forked else 1, "inference worker", "features")
+    return tuple(np.concatenate(rows) for rows in zip(*done))
 
 
 def macro_f1(preds, truth, n_classes: int) -> float:
@@ -452,8 +469,9 @@ def evaluate(model: Classifier, domains: list[Dataset],
     """
     if not domains:
         raise ValueError("no domains to evaluate")
-    if logits is None:
-        logits = [_inference(model, domain.samples)[1] for domain in domains]
+    if logits is None:  # one call, so a forked inference worker is started once
+        logits = np.split(_inference(model, *(d.samples for d in domains))[1],
+                          np.cumsum([len(d) for d in domains])[:-1])
     per_domain: dict[str, float] = {}
     for i, (domain, domain_logits) in enumerate(zip(domains, logits)):
         preds = np.argmax(domain_logits, axis=1)

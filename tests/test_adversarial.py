@@ -73,6 +73,12 @@ class TestTadaMaximize:
         want = warp_apply(x, make_path(Tensor(phi0), cfg.phi_max), cfg.m_window)
         np.testing.assert_array_equal(out.series.values.data, want.values.data)
 
+    def test_seeds_apart_by_2_to_the_32_start_from_different_phi(self):
+        model, x = Classifier(1, 3, seed=0), toy_sample(1)
+        first, second = (maximize_one(model, x, toy_cfg(t_max=1, eta=0.0, seed=seed))[0]
+                         for seed in (0, 2**32))
+        assert not np.array_equal(first.path, second.path)
+
     def test_label_and_length_preserved(self):
         model = Classifier(1, 3, seed=0)
         x = toy_sample(2, label=2)
@@ -251,9 +257,9 @@ def force_workers(monkeypatch, workers):
     forked = []
     real = adversarial._forked_shares
 
-    def counted(w, ascend_share):
+    def counted(w, run_share, *names):
         forked.append(w)
-        return real(w, ascend_share)
+        return real(w, run_share, *names)
 
     monkeypatch.setattr(adversarial, "_ascent_workers", lambda n_chunks: min(workers, n_chunks))
     monkeypatch.setattr(adversarial, "_forked_shares", counted)
@@ -395,6 +401,27 @@ class TestForkedShares:
                 fallback(patch)
                 assert adversarial.fork_cpus() == 1
                 assert adversarial._ascent_workers(5) == 1
+
+
+class _EndsItsPickler:
+    """Ends the process that pickles it, with exit code 5."""
+
+    def __reduce__(self):
+        os._exit(5)
+
+
+@pytest.mark.parametrize("sent", [0, 1 << 18], ids=["nothing_sent", "cut_mid_stream"])
+def test_share_cut_short_mid_pickle_raises_exit_code(sent):
+    # the child dies while it pickles its share, after 0 or 256 KiB of it:
+    # the parent, unpickling the stream as it arrives, reaps the child and
+    # raises the one exit-code error, not the unpickler's own
+    def run_share(w):
+        return [b"x" * sent, _EndsItsPickler()] if w else []
+
+    with deadline(60), pytest.raises(RuntimeError, match=r"^test worker \d+ exited with "
+                                     r"code 5 before sending its rows$"):
+        adversarial._forked_shares(2, run_share, "test worker", "rows")
+    assert_no_children()
 
 
 @pytest.mark.parametrize("error", [SystemExit(0), KeyboardInterrupt()],

@@ -19,6 +19,8 @@ from warpada.data import default_spec, load_manifest
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
 from warpada.training import maximize_phase
 
+from test_adversarial import assert_no_children, deadline
+from test_training import forced_inference
 from test_warp import path_violations
 
 SMALL = {
@@ -430,17 +432,45 @@ class TestEvalCommand:
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
-        calls, inference = [], training._inference
+        # one inference call over both domains forwards every series once,
+        # in chunks that never span two domains
+        calls, real = [], training.map_chunks
 
-        def counted(model, samples):
-            calls.append(len(samples))
-            return inference(model, samples)
+        def counted(run_chunk, chunks, *args):
+            calls.append([[(id(s), s.domain_tag) for s in chunk] for chunk in chunks])
+            return real(run_chunk, chunks, *args)
 
-        monkeypatch.setattr(training, "_inference", counted)
-        monkeypatch.setattr(cli, "_inference", counted)
+        monkeypatch.setattr(training, "map_chunks", counted)
         assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
                      str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
-        assert calls == [18, 18]
+        [chunks] = calls
+        forwarded = [series for chunk in chunks for series, _ in chunk]
+        assert len(forwarded) == len(set(forwarded)) == 18 + 18
+        assert all(len({tag for _, tag in chunk}) == 1 for chunk in chunks)
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_inference_worker_writes_the_serial_bytes(self, workspace, tmp_path, monkeypatch,
+                                                      on):
+        # two domains of different series lengths, 18 and 18 series in
+        # chunks of 4 (neither a multiple): the outputs are the bytes of the
+        # serial run, and no inference worker is left
+        longer = tmp_path / "longer.yaml"
+        write_config(longer, {"synth_length": 80})
+        assert main(["synth", "--config", str(longer), "--out", str(tmp_path / "long")]) == 0
+        argv = ["eval", "--checkpoint", workspace["checkpoint"], workspace["amp"],
+                str(tmp_path / "long" / "warp.manifest")]
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        with monkeypatch.context() as serial:
+            forced_inference(serial, False)
+            assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        workers = forced_inference(monkeypatch, on)
+        with deadline(60):
+            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert workers == [2 if on else 1]
+        assert_no_children()
+        for name in ("f1.txt", "embeddings.csv"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
 
     def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

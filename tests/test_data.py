@@ -78,6 +78,12 @@ class TestGenerate:
         for sa, sb in zip(a_tgt[0].samples, b_tgt[0].samples):
             np.testing.assert_array_equal(sa.values.data, sb.values.data)
 
+    def test_seeds_apart_by_2_to_the_32_give_different_data(self):
+        # the seed enters the stream whole, not its low 32 bits
+        first, second = (synth_generate(tiny_spec(seed=seed))[0] for seed in (0, 2**32))
+        assert not any(np.array_equal(a.values.data, b.values.data)
+                       for a, b in zip(first.samples, second.samples))
+
     def test_identity_amplitude_shift_matches_source_statistics(self):
         spec = tiny_spec(
             n_per_class=100,

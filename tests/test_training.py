@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import re
@@ -307,6 +308,23 @@ def serial_and_partnered(monkeypatch, call):
     return results, served
 
 
+def forced_inference(monkeypatch, on: bool):
+    """Force the inference worker on for every inference call of two chunks
+    or more, whatever the CPU count and the BLAS variables, or off; returns
+    the process counts the calls shared their chunks between."""
+    workers, real = [], training.map_chunks
+
+    def counted(run_chunk, chunks, n, *names):
+        workers.append(n)
+        return real(run_chunk, chunks, n, *names)
+
+    monkeypatch.setattr(training, "fork_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+    monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 2)
+    monkeypatch.setattr(training, "map_chunks", counted)
+    return workers
+
+
 class TestSgdPartner:
     @pytest.mark.parametrize("batch, n_per_class", [(1, 12), (2, 12), (5, 12), (32, 20),
                                                     (32, 3)],
@@ -571,6 +589,22 @@ class TestRun:
         _, r2 = run(ds, small_cfg(mode="tada", seed=1))
         assert r1.identity() != r2.identity()
 
+    def test_seeds_apart_by_2_to_the_32_draw_different_minibatches(self):
+        # same data and initial weights: only the minibatch draws differ
+        d0 = toy_dataset()
+        losses = [run(d0, small_cfg(mode="erm", seed=seed), Classifier(1, 2, seed=0))[1]
+                  .final_losses for seed in (0, 2**32)]
+        assert losses[0] != losses[1]
+
+    def test_seed_0_reproduces_its_report(self):
+        spec = dataclasses.replace(default_spec(seed=0), n_per_class=4, length=48)
+        cfg = small_cfg(mode="tada", t_max=2)
+        _, report = run(synth_generate(spec)[0], cfg)
+        assert report.to_text().splitlines()[-4:-1] == [
+            "dataset_sizes: 12 24",
+            "round1_mean_loss: 0.795553483212 1.80047729649 1.50065253808",
+            "final_mean_loss: 0.914165480735 0.848341779796"]
+
     def test_report_text_format(self):
         ds = toy_dataset(n_per_class=2)
         _, report = run(ds, small_cfg(mode="tada"))
@@ -661,6 +695,100 @@ class TestPredictAndF1:
     def test_macro_f1_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             macro_f1(np.array([0, 5]), np.array([0, 1]), 2)
+
+
+class TestInferenceWorker:
+    # domains of 14 and 10 series of lengths 48 and 40, in chunks of 4: the
+    # last chunk of each is short, and the chunks alternate between processes
+    @staticmethod
+    def domains():
+        return [toy_dataset(n_per_class=7, length=48, seed=1, domain_tag="a"),
+                toy_dataset(n_per_class=5, length=40, seed=2, domain_tag="b")]
+
+    @staticmethod
+    def outputs(model, domains, tmp_path):
+        features = []
+        for domain in domains:
+            export_features(model, domain, str(tmp_path / "features.csv"))
+            features.append((tmp_path / "features.csv").read_bytes())
+        rows = training._inference(model, *(d.samples for d in domains))
+        return evaluate(model, domains), features, [r.tobytes() for r in rows]
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_bitwise_equal_to_serial(self, monkeypatch, tmp_path, on):
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        model, domains = Classifier(1, 2, seed=3), self.domains()
+        with monkeypatch.context() as serial:
+            forced_inference(serial, False)
+            want = self.outputs(model, domains, tmp_path)
+        workers = forced_inference(monkeypatch, on)
+        with deadline(60):
+            got = self.outputs(model, domains, tmp_path)
+        assert workers == [2 if on else 1] * 4  # evaluate, two exports, the call
+        assert_no_children()
+        assert got == want
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_earliest_failing_forward_raised_as_serial(self, monkeypatch, on):
+        # chunk 1 (the worker's share) and chunk 2 (this process's) fail
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        model, domains = Classifier(1, 2, seed=3), self.domains()
+        # each series is told by its first value
+        bad = {domains[0].samples[k].values.data.flat[0]: k for k in (5, 9)}
+        real = training.forward
+
+        def forward(model, batch, *args):
+            for first in batch.data[:, 0, 0]:
+                if first in bad:
+                    raise ValueError(f"series {bad[first]} cannot be forwarded")
+            return real(model, batch, *args)
+
+        monkeypatch.setattr(training, "forward", forward)
+        workers = forced_inference(monkeypatch, on)
+        with deadline(60), pytest.raises(ValueError, match="^series 5 cannot be forwarded$"):
+            evaluate(model, domains)
+        assert workers == [2 if on else 1]
+        assert_no_children()
+
+    def test_dead_worker_raises_naming_exit_code(self, monkeypatch):
+        parent, real = os.getpid(), training._stack
+
+        def dying(samples):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(samples)
+
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        monkeypatch.setattr(training, "_stack", dying)
+        forced_inference(monkeypatch, True)
+        with deadline(60), pytest.raises(RuntimeError, match=r"^inference worker \d+ exited "
+                                         r"with code 3 before sending its features$"):
+            evaluate(Classifier(1, 2, seed=3), self.domains())
+        assert_no_children()
+
+    def test_default_environment_starts_no_process(self, monkeypatch):
+        # no BLAS variable: OpenBLAS runs its thread pool, and inference
+        # stays in this process whatever the CPU and chunk counts
+        model, domains = Classifier(1, 2, seed=3), self.domains()
+        want = evaluate(model, domains)
+        for name in training.BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 1)
+        monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
+        monkeypatch.setattr(training, "fork_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_process)
+        assert evaluate(model, domains) == want
+
+    @pytest.mark.parametrize("fallback", list(FALLBACKS))
+    def test_fallback_starts_no_process(self, fallback, monkeypatch):
+        model, domains = Classifier(1, 2, seed=3), self.domains()
+        want = evaluate(model, domains)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 1)
+        monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
+        monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+        monkeypatch.setattr(os, "fork", no_process)
+        FALLBACKS[fallback](monkeypatch)
+        assert evaluate(model, domains) == want
 
 
 class TestEvaluate:
