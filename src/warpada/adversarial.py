@@ -46,6 +46,10 @@ ASCENT_CHUNK = 32
 # Processes that share one call's chunks, at most: each extra one costs a
 # fork and one pipe transfer of its samples.
 MAX_ASCENT_WORKERS = 8
+# Whether a map_chunks call's shares are running, in this process's share
+# or in a forked child's (which inherits it set): a call made from inside a
+# share runs its chunks where it is called, so a share never forks again.
+_in_share = False
 
 
 @dataclass(frozen=True)
@@ -310,8 +314,14 @@ def map_chunks(run_chunk, chunks: list, workers: int, name: str, what: str) -> l
     """[run_chunk(c) for c in chunks].  With ``workers`` above one the chunks
     are split into that many interleaved shares, forked children named
     ``name`` run shares 1.. while this process runs share 0 (_forked_shares),
-    and the results are put back in chunk order.  An error is the serial one:
-    the exception of the earliest failing chunk, which also ends its share."""
+    and the results are put back in chunk order.  A call made while the
+    shares of another run, in this process or in a child, runs all its
+    chunks in the process it is made in.  An error is the serial one: the
+    exception of the earliest failing chunk, which also ends its share."""
+    global _in_share
+    if _in_share:
+        workers = 1
+
     def run_share(w):
         done = []
         for k in range(w, len(chunks), workers):
@@ -321,8 +331,14 @@ def map_chunks(run_chunk, chunks: list, workers: int, name: str, what: str) -> l
                 return done, (k, exc)
         return done, None
 
-    shares = ([run_share(0)] if workers == 1
-              else _forked_shares(workers, run_share, name, what))
+    if workers == 1:
+        shares = [run_share(0)]
+    else:
+        _in_share = True
+        try:
+            shares = _forked_shares(workers, run_share, name, what)
+        finally:
+            _in_share = False
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -12,19 +12,20 @@ written.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-import numpy as np
 import yaml
 
-from .adversarial import AdvConfig, AdvSample
+from .adversarial import AdvConfig, AdvSample, map_chunks
 from .data import default_spec, load_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
-from .training import Dataset, _inference, evaluate, export_features, maximize_phase, run
+from .training import (Dataset, _inference, _keyed_scores, _second_cpu, evaluate,
+                       export_features, maximize_phase, run)
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -228,18 +229,30 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
+    """f1.txt and embeddings.csv of the target datasets, in command-line
+    order.  Each manifest is loaded, checked against the checkpoint, run
+    through the model, formatted and scored as one unit; with two or more,
+    and under _second_cpu's rule, one forked eval worker takes every second
+    unit (adversarial.map_chunks), so an error is the first manifest's in
+    command-line order.  The files are the bytes of a serial run."""
     model = load_checkpoint(checkpoint)
-    domains = [load_manifest(m) for m in manifests]
-    for domain, manifest in zip(domains, manifests):
-        _check_fits(model, checkpoint, domain, manifest)
-    # one inference call over every domain feeds both embeddings.csv and f1.txt
-    bounds = np.cumsum([len(d) for d in domains])[:-1]
-    z, logits = (np.split(rows, bounds)
-                 for rows in _inference(model, *(d.samples for d in domains)))
+
+    def score(k: int) -> tuple[str, str, float]:
+        """Manifest k's embedding rows (after the header, for the first),
+        its domain tag and its macro-F1."""
+        domain = load_manifest(manifests[k])
+        _check_fits(model, checkpoint, domain, manifests[k])
+        z, logits = _inference(model, domain.samples)
+        rows = io.StringIO()
+        export_features(model, domain, rows, header=k == 0, features=z)
+        [f1] = evaluate(model, [domain], [logits])[0].values()
+        return rows.getvalue(), domain.samples[0].domain_tag, f1
+
+    workers = 2 if len(manifests) > 1 and _second_cpu() else 1
+    done = map_chunks(score, list(range(len(manifests))), workers, "eval worker", "rows")
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        for i, (domain, features) in enumerate(zip(domains, z)):
-            export_features(model, domain, fh, header=i == 0, features=features)
-    scores, average = evaluate(model, domains, logits)
+        fh.writelines(rows for rows, _, _ in done)
+    scores, average = _keyed_scores([tag for _, tag, _ in done], [f1 for _, _, f1 in done])
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
     lines.append(f"{'average'.ljust(width)}  {average:.4f}")

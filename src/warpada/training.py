@@ -15,7 +15,8 @@ for the whole final stretch.  Shorter calls, and every call elsewhere,
 compute both halves in this process.  Both ways give bitwise the same weights
 and losses, as the ascent's forked shares give bitwise the serial samples.
 Inference (_inference) forks one worker under the same rule, for calls of
-INFERENCE_MIN_CHUNKS forwards or more.
+INFERENCE_MIN_CHUNKS forwards or more, and so does the eval command
+(cli.cmd_eval) for two target datasets or more.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def _one_blas_thread() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
+def _second_cpu() -> bool:
+    """The one rule under which a forked process shares this one's work:
+    fork_cpus() of two or more and one BLAS thread (_one_blas_thread)."""
+    return fork_cpus() > 1 and _one_blas_thread()
+
+
 class _Partner(Child):
     """A forked process that computes the second half of every minibatch
     gradient of one minimize_phase call, from the dataset it inherited.
@@ -333,8 +340,7 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")
     size = min(batch, len(dataset))
-    partnered = (t_min >= PARTNER_MIN_STEPS and size > 1 and fork_cpus() > 1
-                 and _one_blas_thread())
+    partnered = t_min >= PARTNER_MIN_STEPS and size > 1 and _second_cpu()
     losses = []
     with (_Partner(model, dataset.samples, size) if partnered
           else contextlib.nullcontext()) as partner:
@@ -415,25 +421,45 @@ def predict(model: Classifier, x: TimeSeries) -> int:
     return int(np.argmax(logits.data))
 
 
-def _inference(model: Classifier, *domains: list[TimeSeries]) -> tuple[np.ndarray, np.ndarray]:
+def _inference(model: Classifier, *domains: list[TimeSeries],
+               features: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Features (S, 64) and logits (S, n_classes) of every sample of the
     given lists, in order, from batched forwards of at most EVAL_CHUNK
     series; no forward spans two lists, whose series lengths may differ.
+    With ``features`` False the features are None, and not kept.
 
     With INFERENCE_MIN_CHUNKS forwards or more, and under the SGD partner's
-    rule (fork_cpus() of two or more and _one_blas_thread), one forked child
-    runs every second forward (adversarial.map_chunks).  Each forward is the
-    same in either process, so the outputs are bitwise the serial ones."""
-    chunks = [samples[lo:lo + EVAL_CHUNK] for samples in domains
-              for lo in range(0, len(samples), EVAL_CHUNK)]
-    forked = len(chunks) >= INFERENCE_MIN_CHUNKS and fork_cpus() > 1 and _one_blas_thread()
+    rule (_second_cpu), one forked child runs every second forward
+    (adversarial.map_chunks).  Each forward is the same in either process,
+    so the outputs are bitwise the serial ones.  Every forward's rows go
+    straight into the outputs, so beside them this process holds at most the
+    child's rows, as they arrive."""
+    chunks, size = [], 0  # (first output row, series) per forward
+    for samples in domains:
+        chunks += [(size + lo, samples[lo:lo + EVAL_CHUNK])
+                   for lo in range(0, len(samples), EVAL_CHUNK)]
+        size += len(samples)
+    z = np.empty((size, FEATURE_DIM)) if features else None
+    logits = np.empty((size, model.n_classes))
+    forked = len(chunks) >= INFERENCE_MIN_CHUNKS and _second_cpu()
 
     def infer(chunk):
-        z_t, logits_t = forward(model, _stack(chunk))
-        return z_t.data, logits_t.data
+        lo, samples = chunk
+        rows = slice(lo, lo + len(samples))
+        z_t, logits_t = forward(model, _stack(samples))
+        logits[rows] = logits_t.data
+        if z is not None:
+            z[rows] = z_t.data
+        return None if z is None else z[rows], logits[rows]  # views: a child pickles these rows
 
     done = map_chunks(infer, chunks, 2 if forked else 1, "inference worker", "features")
-    return tuple(np.concatenate(rows) for rows in zip(*done))
+    for (lo, samples), (z_rows, logit_rows) in zip(chunks, done):
+        if logit_rows.base is not logits:  # a child's copies; this process's rows are in place
+            rows = slice(lo, lo + len(samples))
+            logits[rows] = logit_rows
+            if z is not None:
+                z[rows] = z_rows
+    return z, logits
 
 
 def macro_f1(preds, truth, n_classes: int) -> float:
@@ -470,15 +496,22 @@ def evaluate(model: Classifier, domains: list[Dataset],
     if not domains:
         raise ValueError("no domains to evaluate")
     if logits is None:  # one call, so a forked inference worker is started once
-        logits = np.split(_inference(model, *(d.samples for d in domains))[1],
+        logits = np.split(_inference(model, *(d.samples for d in domains), features=False)[1],
                           np.cumsum([len(d) for d in domains])[:-1])
+    f1s = [macro_f1(np.argmax(domain_logits, axis=1), [x.label for x in domain.samples],
+                    domain.n_classes)
+           for domain, domain_logits in zip(domains, logits)]
+    return _keyed_scores([d.samples[0].domain_tag for d in domains], f1s)
+
+
+def _keyed_scores(tags: list[str], f1s: list[float]) -> tuple[dict[str, float], float]:
+    """evaluate's result from each domain's tag and macro-F1, in order: each
+    F1 keyed by its tag, by ``domain<i>`` for an untagged domain i and by
+    ``<tag>#<i>`` for a key already taken, and the mean of the keyed F1s."""
     per_domain: dict[str, float] = {}
-    for i, (domain, domain_logits) in enumerate(zip(domains, logits)):
-        preds = np.argmax(domain_logits, axis=1)
-        truth = [x.label for x in domain.samples]
-        tag = domain.samples[0].domain_tag or f"domain{i}"
-        key = tag if tag not in per_domain else f"{tag}#{i}"
-        per_domain[key] = macro_f1(preds, truth, domain.n_classes)
+    for i, (tag, f1) in enumerate(zip(tags, f1s)):
+        tag = tag or f"domain{i}"
+        per_domain[tag if tag not in per_domain else f"{tag}#{i}"] = f1
     return per_domain, float(np.mean(list(per_domain.values())))
 
 

@@ -403,6 +403,27 @@ class TestForkedShares:
                 assert adversarial._ascent_workers(5) == 1
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_chunks_inside_a_share_runs_where_it_is_called(workers):
+    # each chunk of a shared call makes a call of its own that asks for two
+    # processes: that call runs in the share's process, in this one or a
+    # child, and the flag is down again once the shared call returns
+    def inner(chunk):
+        return chunk, os.getpid()
+
+    def outer(chunk):
+        return os.getpid(), adversarial.map_chunks(inner, [chunk, chunk + 1], 2, "inner", "x")
+
+    with deadline(60):
+        done = adversarial.map_chunks(outer, list(range(5)), workers, "outer", "x")
+    assert [[k for k, _ in inner_done] for _, inner_done in done] == [[k, k + 1]
+                                                                      for k in range(5)]
+    assert all({pid for _, pid in inner_done} == {pid} for pid, inner_done in done)
+    assert len({pid for pid, _ in done}) == workers and done[0][0] == os.getpid()
+    assert not adversarial._in_share
+    assert_no_children()
+
+
 class _EndsItsPickler:
     """Ends the process that pickles it, with exit code 5."""
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import shutil
 import struct
@@ -17,9 +18,9 @@ from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
 from warpada.data import default_spec, load_manifest
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
-from warpada.training import maximize_phase
+from warpada.training import evaluate, maximize_phase
 
-from test_adversarial import assert_no_children, deadline
+from test_adversarial import assert_no_children, deadline, no_process
 from test_training import forced_inference
 from test_warp import path_violations
 
@@ -39,6 +40,49 @@ def write_config(path, extra=None):
     body.update(extra or {})
     path.write_text(yaml.safe_dump(body))
     return str(path)
+
+
+def forced_eval(monkeypatch, on: bool):
+    """forced_inference, which forces the eval worker on or off with the
+    inference worker; returns the process counts the eval commands shared
+    their manifests between."""
+    forced_inference(monkeypatch, on)
+    workers, real = [], cli.map_chunks
+
+    def counted(run_chunk, chunks, n, *names):
+        workers.append(n)
+        return real(run_chunk, chunks, n, *names)
+
+    monkeypatch.setattr(cli, "map_chunks", counted)
+    return workers
+
+
+@pytest.fixture
+def fork_count(tmp_path, monkeypatch):
+    """os.fork logs every call, made in this process or in any child, to one
+    file; the fixture is the function that counts them."""
+    log = tmp_path / "forks.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real = os.fork
+
+    def fork():
+        os.write(fd, b"f")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield lambda: log.stat().st_size
+    os.close(fd)
+
+
+def copy_manifest(src: str, out_dir, edit=lambda line: line) -> str:
+    """Copy the directory of manifest ``src`` to ``out_dir``, pass each line
+    of the copied manifest through ``edit``, and return its path."""
+    shutil.copytree(os.path.dirname(src), out_dir)
+    path = os.path.join(out_dir, os.path.basename(src))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(edit(line) + "\n" for line in lines))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -432,28 +476,43 @@ class TestEvalCommand:
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
-        # one inference call over both domains forwards every series once,
-        # in chunks that never span two domains
-        calls, real = [], training.map_chunks
+        # with the eval worker and the inference worker forced on, every
+        # series is forwarded exactly once, in whichever process, in chunks
+        # that never span two domains; each chunk logs its series' tags and
+        # value digests to one file
+        log = tmp_path / "forwards.log"
+        fd, real = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND), training._stack
 
-        def counted(run_chunk, chunks, *args):
-            calls.append([[(id(s), s.domain_tag) for s in chunk] for chunk in chunks])
-            return real(run_chunk, chunks, *args)
+        def logged(samples):
+            os.write(fd, (" ".join(f"{s.domain_tag}:{digest(s)}" for s in samples)
+                          + "\n").encode())
+            return real(samples)
 
-        monkeypatch.setattr(training, "map_chunks", counted)
-        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
-                     str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
-        [chunks] = calls
-        forwarded = [series for chunk in chunks for series, _ in chunk]
-        assert len(forwarded) == len(set(forwarded)) == 18 + 18
-        assert all(len({tag for _, tag in chunk}) == 1 for chunk in chunks)
+        def digest(series):
+            return hashlib.sha256(series.values.data.tobytes()).hexdigest()
+
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        monkeypatch.setattr(training, "_stack", logged)
+        forced_eval(monkeypatch, True)
+        try:
+            with deadline(60):
+                assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                             str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
+        finally:
+            os.close(fd)
+        chunks = [line.split() for line in log.read_text().splitlines()]
+        forwarded = [entry for chunk in chunks for entry in chunk]
+        series = [f"{s.domain_tag}:{digest(s)}" for name in ("source", "amp")
+                  for s in load_manifest(workspace[name]).samples]
+        assert sorted(forwarded) == sorted(series) and len(set(series)) == 18 + 18
+        assert all(len({entry.split(":")[0] for entry in chunk}) == 1 for chunk in chunks)
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     def test_inference_worker_writes_the_serial_bytes(self, workspace, tmp_path, monkeypatch,
                                                       on):
         # two domains of different series lengths, 18 and 18 series in
         # chunks of 4 (neither a multiple): the outputs are the bytes of the
-        # serial run, and no inference worker is left
+        # serial run, and no worker is left
         longer = tmp_path / "longer.yaml"
         write_config(longer, {"synth_length": 80})
         assert main(["synth", "--config", str(longer), "--out", str(tmp_path / "long")]) == 0
@@ -461,9 +520,9 @@ class TestEvalCommand:
                 str(tmp_path / "long" / "warp.manifest")]
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         with monkeypatch.context() as serial:
-            forced_inference(serial, False)
+            forced_eval(serial, False)
             assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        workers = forced_inference(monkeypatch, on)
+        workers = forced_eval(monkeypatch, on)
         with deadline(60):
             assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         assert workers == [2 if on else 1]
@@ -472,18 +531,148 @@ class TestEvalCommand:
             assert ((tmp_path / "run" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
 
-    def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
-        data = tmp_path / "data"
-        shutil.copytree(os.path.dirname(workspace["amp"]), data)
-        series = data / "amp.csv"
+    @pytest.fixture
+    def targets(self, workspace, tmp_path):
+        """amp twice (keys amp and amp#1), amp without its tag (key
+        domain2) and a warp target of longer series (key warp)."""
+        untagged = copy_manifest(workspace["amp"], tmp_path / "untagged",
+                                 lambda line: line[:-len("amp")] if line.endswith(",amp")
+                                 else line)
+        assert main(["synth", "--config", write_config(tmp_path / "long.yaml",
+                                                       {"synth_length": 80}),
+                     "--out", str(tmp_path / "long")]) == 0
+        return [workspace["amp"], workspace["amp"], untagged,
+                str(tmp_path / "long" / "warp.manifest")]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_eval_worker_writes_the_serial_bytes(self, workspace, tmp_path, monkeypatch,
+                                                 targets, n):
+        # the first n targets: the serial run's f1.txt is evaluate()'s table
+        # (its keys too), and the forked run writes the serial bytes
+        argv = ["eval", "--checkpoint", workspace["checkpoint"], *targets[:n]]
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        with monkeypatch.context() as serial:
+            forced_eval(serial, False)
+            assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        scores, average = evaluate(load_checkpoint(workspace["checkpoint"]),
+                                   [load_manifest(m) for m in targets[:n]])
+        assert list(scores) == ["amp", "amp#1", "domain2", "warp"][:n]
+        width = max(len(key) for key in scores)
+        table = "".join(f"{key.ljust(width)}  {f1:.4f}\n"
+                        for key, f1 in list(scores.items()) + [("average", average)])
+        assert (tmp_path / "serial" / "f1.txt").read_text() == table
+        workers = forced_eval(monkeypatch, True)
+        with deadline(60):
+            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert workers == [2 if n > 1 else 1]
+        assert_no_children()
+        for name in ("f1.txt", "embeddings.csv"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    @pytest.mark.parametrize("manifests, forks", [(3, 1), (1, 1), (1, 0)],
+                             ids=["three-targets", "one-target", "one-target-few-forwards"])
+    def test_one_fork_per_eval_command(self, workspace, tmp_path, monkeypatch, fork_count,
+                                       manifests, forks):
+        # with the eval worker forced on and every inference call of two
+        # forwards or more shared, one eval command forks once: the worker,
+        # or for one target the inference worker; a share's inference runs in
+        # its own process.  One target of fewer than INFERENCE_MIN_CHUNKS
+        # forwards forks none.
+        argv = ["eval", "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev"),
+                workspace["source"], workspace["amp"], workspace["amp"]][:5 + manifests]
+        forced_eval(monkeypatch, True)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # 5 forwards per target
+        if not forks:
+            monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 6)
+        with deadline(60):
+            assert main(argv) == 0
+        assert fork_count() == forks
+        assert_no_children()
+
+    def test_default_environment_starts_no_process(self, workspace, tmp_path, monkeypatch):
+        # no BLAS variable: OpenBLAS runs its thread pool, and the eval
+        # command stays in this process whatever the CPU and chunk counts
+        for name in training.BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(training, "fork_cpus", lambda: 2)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 1)
+        monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
+        monkeypatch.setattr(os, "fork", no_process)
+        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                     str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
+
+    def bad_csv(self, workspace, tmp_path):
+        """A copy of the amp target whose fifth series reads nan on its line
+        3; returns its manifest and the 'path:line:' text of the error."""
+        manifest = copy_manifest(workspace["amp"], tmp_path / "bad")
+        series = tmp_path / "bad" / "amp.csv"
         rows = series.read_text().splitlines()
-        line_no = 4 * SMALL["synth_length"] + 3  # line 3 of the fifth series
+        line_no = 4 * SMALL["synth_length"] + 3
         rows[line_no - 1] = "nan"
         series.write_text("\n".join(rows) + "\n")
+        return manifest, f"{series}:{line_no}: non-finite value"
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_bad_csv_line_in_worker_share_exits_2_naming_it(self, workspace, tmp_path,
+                                                            monkeypatch, capsys, on):
+        # the second target is the eval worker's
+        bad, problem = self.bad_csv(workspace, tmp_path)
+        workers = forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), workspace["source"], bad]) == 2
+        assert workers == [2 if on else 1]
+        assert_no_children()
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "ev" / "embeddings.csv").exists()
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("lead", [0, 1], ids=["first", "after-a-good-one"])
+    @pytest.mark.parametrize("first", ["unloadable", "unfit"])
+    def test_first_bad_manifest_in_command_line_order_reported(
+            self, workspace, tmp_path, monkeypatch, capsys, on, lead, first):
+        # one target fails to load, another does not fit the checkpoint (4
+        # classes declared for its 3): the earlier of the two on the command
+        # line is reported, whichever process read it
+        unloadable, problem = self.bad_csv(workspace, tmp_path)
+        unfit = copy_manifest(workspace["amp"], tmp_path / "four",
+                              lambda line: line + " class3" if line.startswith("classes:")
+                              else line)
+        bad = [unloadable, unfit] if first == "unloadable" else [unfit, unloadable]
+        forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), *[workspace["source"]] * lead, *bad]) == 2
+        assert_no_children()
+        err = capsys.readouterr().err
+        if first == "unloadable":
+            assert err == f"error: {problem}\n"
+        else:
+            assert err.startswith(f"error: {unfit} holds 1-channel series of 4 classes")
+
+    def test_dead_eval_worker_raises_naming_exit_code(self, workspace, tmp_path, monkeypatch):
+        parent, real = os.getpid(), cli.load_manifest
+
+        def dying(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_manifest", dying)
+        forced_eval(monkeypatch, True)
+        with deadline(60), pytest.raises(RuntimeError, match=r"^eval worker \d+ exited with "
+                                         r"code 3 before sending its rows$"):
+            main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                  str(tmp_path / "ev"), workspace["source"], workspace["amp"]])
+        assert_no_children()
+
+    def test_non_finite_series_exit_2(self, workspace, tmp_path, capsys):
+        bad, problem = self.bad_csv(workspace, tmp_path)
         code = main(["eval", "--checkpoint", workspace["checkpoint"],
-                     "--out", str(tmp_path / "ev"), str(data / "amp.manifest")])
+                     "--out", str(tmp_path / "ev"), bad])
         assert code == 2
-        assert f"{series}:{line_no}: non-finite value" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, workspace, tmp_path, capsys):
         code = main(["eval", "--checkpoint", "/nope/ck.bin",
