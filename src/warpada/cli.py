@@ -18,14 +18,16 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
+import numpy as np
 import yaml
 
+from . import training
 from .adversarial import AdvConfig, AdvSample, map_chunks
-from .data import default_spec, load_manifest, save_dataset, synth_generate
+from .data import default_spec, load_manifest, read_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
-from .training import (Dataset, _inference, _keyed_scores, _second_cpu, evaluate,
-                       export_features, maximize_phase, run)
+from .training import (Dataset, _inference, _second_cpu, evaluate, export_features,
+                       maximize_phase, run)
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -230,29 +232,63 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     """f1.txt and embeddings.csv of the target datasets, in command-line
-    order.  Each manifest is loaded, checked against the checkpoint, run
-    through the model, formatted and scored as one unit; with two or more,
-    and under _second_cpu's rule, one forked eval worker takes every second
-    unit (adversarial.map_chunks), so an error is the first manifest's in
-    command-line order.  The files are the bytes of a serial run."""
+    order.  With two manifests or more, and under _second_cpu's rule, each
+    manifest is checked here (read_manifest) and, when it has more than
+    EVAL_CHUNK entries, split into two contiguous halves cut at a multiple of
+    EVAL_CHUNK, so that every forward is a serial run's; one forked eval
+    worker takes every second unit (adversarial.map_chunks), for the default
+    targets every second half.  Otherwise each manifest is one unit in this
+    process.  A unit loads its entries, checks them against the checkpoint,
+    runs them through the model and formats their rows; this process then
+    scores each manifest over its units' logits.  An error is the first
+    manifest's in command-line order, and the files are the bytes of a
+    serial run."""
     model = load_checkpoint(checkpoint)
+    forked = len(manifests) > 1 and _second_cpu()
+    sources: list = list(manifests)  # each a path, read_manifest's result or its error
+    units = []  # (manifest index, its entries, the first one's index)
+    for m, path in enumerate(manifests):
+        n = cut = 0
+        if forked:
+            try:
+                sources[m] = read_manifest(path)
+            except (ValueError, OSError) as exc:  # raised by its unit, in command-line order
+                sources[m] = exc
+            else:
+                n, chunk = len(sources[m].entries), training.EVAL_CHUNK
+                cut = min(n, chunk * -(-n // (2 * chunk)))
+        units += ([(m, slice(cut), 0), (m, slice(cut, None), cut)] if 0 < cut < n
+                  else [(m, slice(None), 0)])
 
-    def score(k: int) -> tuple[str, str, float]:
-        """Manifest k's embedding rows (after the header, for the first),
-        its domain tag and its macro-F1."""
-        domain = load_manifest(manifests[k])
-        _check_fits(model, checkpoint, domain, manifests[k])
+    def unit(u):
+        """Manifest m's entries, the first of them its entry ``first``: their
+        embedding rows (after the header, for the first unit), domain tag,
+        labels and logits."""
+        m, entries, first = u
+        if isinstance(sources[m], Exception):
+            raise sources[m]
+        try:
+            domain = load_manifest(sources[m], entries)
+            _check_fits(model, checkpoint, domain, manifests[m])
+        except ValueError:
+            if entries != slice(None):  # a serial run's error: the whole load's, then its fit's
+                _check_fits(model, checkpoint, load_manifest(sources[m]), manifests[m])
+            raise
         z, logits = _inference(model, domain.samples)
         rows = io.StringIO()
-        export_features(model, domain, rows, header=k == 0, features=z)
-        [f1] = evaluate(model, [domain], [logits])[0].values()
-        return rows.getvalue(), domain.samples[0].domain_tag, f1
+        export_features(model, domain, rows, header=m == first == 0, features=z, first=first)
+        return (m, rows.getvalue(), domain.samples[0].domain_tag,
+                [x.label for x in domain.samples], logits)
 
-    workers = 2 if len(manifests) > 1 and _second_cpu() else 1
-    done = map_chunks(score, list(range(len(manifests))), workers, "eval worker", "rows")
+    done = map_chunks(unit, units, 2 if forked else 1, "eval worker", "rows")
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(rows for rows, _, _ in done)
-    scores, average = _keyed_scores([tag for _, tag, _ in done], [f1 for _, _, f1 in done])
+        fh.writelines(rows for _, rows, *_ in done)
+    domains, logits = [], []
+    for m in range(len(manifests)):
+        _, _, tags, labels, unit_logits = zip(*(d for d in done if d[0] == m))
+        domains.append((tags[0], sum(labels, [])))
+        logits.append(np.concatenate(unit_logits))
+    scores, average = evaluate(model, domains, logits)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
     lines.append(f"{'average'.ljust(width)}  {average:.4f}")

@@ -11,10 +11,11 @@ Datasets round-trip through a versioned manifest plus one CSV per dataset:
 the series one after another, each as `length` rows of one column per
 channel.  A series is written by one ``%`` over a whole-series template,
 with the bytes ``np.savetxt(fmt=CSV_FORMAT, delimiter=",")`` gives, and
-each distinct file a manifest names is read by one ``np.loadtxt`` call.
-Only a file holding a carriage return or an ASCII separator, or one that
-call cannot read, is walked line by line, to read it or name the first line
-it cannot.
+each distinct file a manifest names is read by one ``np.loadtxt`` call: all
+of it, or for some of the entries (load_manifest's ``entries``) only their
+rows.  Only a file holding a carriage return or an ASCII separator, or one
+that call cannot read, is read whole and walked line by line, to read it or
+name the first line it cannot.
 The reader accepts what ``float()`` reads cell by cell, except digit-group
 underscores (``1_0``) and non-ASCII digits, which numpy's parser does not
 read.
@@ -35,8 +36,8 @@ from .training import Dataset
 from .warp import make_path
 
 __all__ = ["Component", "DomainShift", "SynthSpec", "default_spec",
-           "synth_generate", "save_dataset", "load_manifest",
-           "MANIFEST_HEADER"]
+           "synth_generate", "save_dataset", "Manifest", "read_manifest",
+           "load_manifest", "MANIFEST_HEADER"]
 
 MANIFEST_HEADER = "WARPADA-MANIFEST v2"
 # v1 named one file per series; v2 names one file per dataset.  Both are
@@ -341,50 +342,87 @@ def _plain(data: bytes) -> bool:
     return not any(byte in data for byte in _BY_LINE)
 
 
-def _read_rows(path: str) -> np.ndarray:
-    """A series CSV's data rows as a (rows, columns) array.
+def _read_rows(path: str, skip: int = 0, rows: int | None = None) -> np.ndarray:
+    """Data rows skip to skip + rows - 1 of a series CSV (to its end when
+    ``rows`` is None, so all of them by default) as a (rows, columns) array.
 
     A file without the bytes in _BY_LINE is parsed by one np.loadtxt call,
     past an optional header line: from its bytes when it fits in one scan
     block, else from the open file once a scan block by block has found
     none, so no more than a block of the file is held beside the rows
     (holding a 600-series file's bytes through the parse raised the eval
-    command's peak RSS by ~0.8 MB).  Other files, and one that call cannot
+    command's peak RSS by ~0.8 MB).  A range is found by counting lines, so
+    the lines before it, and a range's own lines where it stops short of the
+    end (max_rows warns at a blank line), must each be a line that every
+    reading path counts as one data row: bytes 0x21 to 0x7E only, so no
+    blank, no whitespace, nothing that is not ASCII.  The scan of such a
+    range ends at its last line.  Other files, and rows that call cannot
     read (a whitespace-only line, a bad cell, bytes that are not UTF-8), go
-    through _read_rows_by_line, which reads them or names the line it
-    cannot read.
+    through _read_rows_by_line, which reads the whole file, the range then
+    sliced from it, or names the line it cannot read.
     """
+    counted = skip + (rows or (skip > 0))  # the lines that must each be one data row
     with open(path, "rb") as fh:
         head = fh.read(_SCAN_BYTES)
-        rows = io.BytesIO(head)
+        text = io.BytesIO(head)
         try:
-            header = not _floats(rows.readline().decode("utf-8").strip().split(","))
-            start = rows.tell() if header else 0
-            plain = _NON_BLANK.search(head, start) is not None and _plain(head)
-            if plain and len(head) < _SCAN_BYTES:  # the whole file
-                rows.seek(start)
-                return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                                  encoding="utf-8")
-            while plain and (block := fh.read(_SCAN_BYTES)):
-                plain = _plain(block)
-            if plain:
-                fh.seek(start)
+            line = text.readline()
+            header = not _floats(line.decode("utf-8").strip().split(","))
+            start = text.tell() if header else 0
+            plain = _plain(line) and (counted or _NON_BLANK.search(head, start) is not None)
+            seen, offset, pos, fresh, block = 0, start, start, True, head[start:]
+            while plain and block and (seen < counted or rows is None):
+                plain = rows is not None or _plain(block)
+                if seen < counted:
+                    codes = np.frombuffer(block, np.uint8)
+                    ends = codes == 10
+                    lines = int(np.count_nonzero(ends))
+                    if seen < skip <= seen + lines or seen + lines >= counted:
+                        at = np.flatnonzero(ends)
+                        if seen < skip <= seen + lines:
+                            offset = pos + int(at[skip - seen - 1]) + 1
+                        if seen + lines >= counted:
+                            lines = counted - seen
+                            codes, ends = codes[:at[lines - 1] + 1], ends[:at[lines - 1] + 1]
+                    # in uint8, a byte below 0x21 wraps past 0x7E - 0x21
+                    plain = (plain and not (((codes - 0x21) > 0x7E - 0x21) & ~ends).any()
+                             and not (ends[1:] & ends[:-1]).any() and not (fresh and ends[0]))
+                    seen, fresh = seen + lines, bool(ends[-1])
+                pos += len(block)
+                block = fh.read(_SCAN_BYTES)
+            if plain and seen >= counted:
+                if len(head) < _SCAN_BYTES:  # the whole file
+                    text.seek(offset)
+                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
+                                      encoding="utf-8", max_rows=rows)
+                fh.seek(offset)
                 with io.TextIOWrapper(fh, encoding="utf-8") as text:  # closes fh
-                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
+                                      max_rows=rows)
         except ValueError:  # not UTF-8, or a row np.loadtxt cannot read
             pass
-    return _read_rows_by_line(path)
+    return _read_rows_by_line(path)[skip:None if rows is None else skip + rows]
 
 
-def _load_series_blocks(path: str, count: int, channels: int, length: int) -> list[np.ndarray]:
-    """The ``count`` series of one CSV, each a (channels, length) array:
-    series k is data rows k*length to (k+1)*length - 1.
+def _load_series_blocks(path: str, count: int, channels: int, length: int,
+                        first: int = 0, stop: int | None = None) -> list[np.ndarray]:
+    """Series first to stop - 1 of the ``count`` of one CSV, each a
+    (channels, length) array: series k is data rows k*length to
+    (k+1)*length - 1.
+
+    Only the range's rows are read, and a range that reaches the file's end
+    checks the row count.  When they do not have the range's shape or are
+    not finite, the whole file is read and checked, raising its error.
 
     Each series is a copy, so the file's array is freed after the load.  As
     views they kept it alive, and in a process that keeps freed memory
     (training._keep_freed_memory) later loads grew the heap past it: the
     eval command's peak RSS crept up over repeated calls.
     """
+    stop = count if stop is None else stop
+    arr = _read_rows(path, first * length, None if stop == count else (stop - first) * length)
+    if arr.shape == ((stop - first) * length, channels) and np.isfinite(arr).all():
+        return [block.T.copy() for block in arr.reshape(stop - first, length, channels)]
     arr = _read_rows(path)
     if not np.isfinite(arr).all():
         lines = _read_text(path).split("\n")
@@ -397,14 +435,24 @@ def _load_series_blocks(path: str, count: int, channels: int, length: int) -> li
         blocks = f" for {count} series of length {length}" if count > 1 else ""
         raise ValueError(f"{path}: series shape {arr.T.shape}, manifest says "
                          f"({channels},{count * length}){blocks}")
-    return [block.T.copy() for block in arr.reshape(count, length, channels)]
+    return [block.T.copy() for block in arr.reshape(count, length, channels)[first:stop]]
 
 
-def load_manifest(path: str) -> Dataset:
-    """Read a manifest plus every series it references.  The k-th entry
-    that names a file (by the same text) reads its k-th block of `length`
-    data rows, so a file named by m entries holds m * length rows; each
-    distinct file is checked and parsed once.  A malformed file raises ValueError naming it, and its
+@dataclass(frozen=True)
+class Manifest:
+    """A checked manifest (read_manifest): what load_manifest needs to read
+    the series of any of its entries."""
+
+    channels: int
+    length: int
+    n_classes: int
+    files: dict[str, list]  # file cell -> [its path, entries naming it]
+    entries: list[tuple[str, int, int, str]]  # (file cell, its block, label, domain tag)
+
+
+def read_manifest(path: str) -> Manifest:
+    """Check a manifest, and that every series file it names exists; read
+    no series.  A malformed manifest raises ValueError naming it, and its
     line where there is one."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() not in _READ_HEADERS:
@@ -465,8 +513,30 @@ def load_manifest(path: str) -> Dataset:
             named = files[rel] = [series_path, 0]
         refs.append((rel, named[1], label_of[label_name], tag))
         named[1] += 1
-    blocks = {rel: _load_series_blocks(series_path, count, channels, length)
-              for rel, (series_path, count) in files.items()}
-    samples = [TimeSeries(Tensor(blocks[rel][block]), label=label, domain_tag=tag)
-               for rel, block, label, tag in refs]
-    return Dataset(samples, n_classes=len(class_names))
+    return Manifest(channels, length, len(class_names), files, refs)
+
+
+def load_manifest(manifest: str | Manifest, entries: slice = slice(None)) -> Dataset:
+    """Read a manifest (a path, or read_manifest's result) plus the series
+    of its ``entries``, all by default.  The k-th entry that names a file
+    (by the same text) reads its k-th block of `length` data rows, so a file
+    named by m entries holds m * length rows; each file is parsed once, all
+    of it or only the given entries' rows (_load_series_blocks).  A
+    malformed file raises ValueError naming it, and its line where there is
+    one: a slice of the entries raises a file's whole-load error when it
+    meets a bad, non-finite or missing row among its rows, or the wrong row
+    count in rows that end the file.  (Of a manifest of several files a
+    whole load may report another file's error first.)"""
+    if not isinstance(manifest, Manifest):
+        manifest = read_manifest(manifest)
+    chosen = manifest.entries[entries]
+    wanted: dict[str, list[int]] = {}  # file cell -> [first block, stop] of the entries
+    for rel, block, _, _ in chosen:
+        wanted.setdefault(rel, [block, block])[1] = block + 1
+    blocks = {rel: _load_series_blocks(*manifest.files[rel], manifest.channels,
+                                       manifest.length, first, stop)
+              for rel, (first, stop) in wanted.items()}
+    samples = [TimeSeries(Tensor(blocks[rel][block - wanted[rel][0]]), label=label,
+                          domain_tag=tag)
+               for rel, block, label, tag in chosen]
+    return Dataset(samples, n_classes=manifest.n_classes)

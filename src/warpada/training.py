@@ -16,7 +16,7 @@ compute both halves in this process.  Both ways give bitwise the same weights
 and losses, as the ascent's forked shares give bitwise the serial samples.
 Inference (_inference) forks one worker under the same rule, for calls of
 INFERENCE_MIN_CHUNKS forwards or more, and so does the eval command
-(cli.cmd_eval) for two target datasets or more.
+(cli.cmd_eval) for two target datasets or more, sharing them by halves.
 """
 
 from __future__ import annotations
@@ -486,32 +486,31 @@ def macro_f1(preds, truth, n_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def evaluate(model: Classifier, domains: list[Dataset],
+def evaluate(model: Classifier, domains: list[Dataset | tuple[str, list[int]]],
              logits: list[np.ndarray] | None = None) -> tuple[dict[str, float], float]:
-    """Macro-F1 per domain (keyed by the domain's tag) and their mean.
+    """Macro-F1 per domain and their mean.  Domain i's F1 is keyed by its
+    tag, by ``domain<i>`` when it has none, and, when that key is taken, by
+    the first free one of ``<key>#<i>``, ``<key>#<i+1>``, ...
 
     ``logits`` holds each domain's logits (``_inference``'s second output)
-    when the caller has already run the forward; the model is then not run.
+    when the caller has already run the forward; the model is then not run,
+    and a domain may be given as its tag and its samples' labels instead of
+    as a Dataset (its classes are then the model's).
     """
     if not domains:
         raise ValueError("no domains to evaluate")
     if logits is None:  # one call, so a forked inference worker is started once
         logits = np.split(_inference(model, *(d.samples for d in domains), features=False)[1],
                           np.cumsum([len(d) for d in domains])[:-1])
-    f1s = [macro_f1(np.argmax(domain_logits, axis=1), [x.label for x in domain.samples],
-                    domain.n_classes)
-           for domain, domain_logits in zip(domains, logits)]
-    return _keyed_scores([d.samples[0].domain_tag for d in domains], f1s)
-
-
-def _keyed_scores(tags: list[str], f1s: list[float]) -> tuple[dict[str, float], float]:
-    """evaluate's result from each domain's tag and macro-F1, in order: each
-    F1 keyed by its tag, by ``domain<i>`` for an untagged domain i and by
-    ``<tag>#<i>`` for a key already taken, and the mean of the keyed F1s."""
+    labelled = [(d.samples[0].domain_tag, [x.label for x in d.samples], d.n_classes)
+                if isinstance(d, Dataset) else (*d, model.n_classes) for d in domains]
     per_domain: dict[str, float] = {}
-    for i, (tag, f1) in enumerate(zip(tags, f1s)):
-        tag = tag or f"domain{i}"
-        per_domain[tag if tag not in per_domain else f"{tag}#{i}"] = f1
+    for i, ((tag, labels, n_classes), domain_logits) in enumerate(zip(labelled, logits)):
+        key = tag = tag or f"domain{i}"
+        j = i
+        while key in per_domain:
+            key, j = f"{tag}#{j}", j + 1
+        per_domain[key] = macro_f1(np.argmax(domain_logits, axis=1), labels, n_classes)
     return per_domain, float(np.mean(list(per_domain.values())))
 
 
@@ -519,22 +518,23 @@ _FEATURE_ROW = "%d,%s,%d," + ",".join(["%.12g"] * FEATURE_DIM) + "\n"
 
 
 def export_features(model: Classifier, dataset: Dataset, out, header: bool = True,
-                    features: np.ndarray | None = None) -> None:
+                    features: np.ndarray | None = None, first: int = 0) -> None:
     """CSV of pooled features: origin_id, domain_tag, label, then 64 values.
 
     ``out`` is a path to write, or an open text file to append the rows to
     (with ``header`` False, after the first dataset of several).
     ``features`` holds the dataset's features (``_inference``'s first
-    output) when the caller has already run the forward.
+    output) when the caller has already run the forward.  Origin ids count
+    from ``first``, the first sample's place in its manifest.
     """
     if isinstance(out, (str, os.PathLike)):
         with open(out, "w", encoding="utf-8") as fh:
-            export_features(model, dataset, fh, header, features)
+            export_features(model, dataset, fh, header, features, first)
         return
     if header:
         out.write("origin_id,domain_tag,label,"
                   + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
     if features is None:
         features, _ = _inference(model, dataset.samples)
-    for i, (sample, z) in enumerate(zip(dataset.samples, features)):
+    for i, (sample, z) in enumerate(zip(dataset.samples, features), start=first):
         out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))

@@ -16,11 +16,12 @@ import warpada
 from warpada import cli, signal, training
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
-from warpada.data import default_spec, load_manifest
+from warpada.data import _write_series_csv, default_spec, load_manifest, save_dataset
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
-from warpada.training import evaluate, maximize_phase
+from warpada.training import Dataset, evaluate, maximize_phase
 
 from test_adversarial import assert_no_children, deadline, no_process
+from test_data import save_v1, write_manifest
 from test_training import forced_inference
 from test_warp import path_violations
 
@@ -477,35 +478,44 @@ class TestEvalCommand:
 
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
         # with the eval worker and the inference worker forced on, every
-        # series is forwarded exactly once, in whichever process, in chunks
-        # that never span two domains; each chunk logs its series' tags and
-        # value digests to one file
-        log = tmp_path / "forwards.log"
-        fd, real = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND), training._stack
-
-        def logged(samples):
-            os.write(fd, (" ".join(f"{s.domain_tag}:{digest(s)}" for s in samples)
-                          + "\n").encode())
-            return real(samples)
+        # series is forwarded exactly once, in whichever process, in the
+        # serial run's chunks, which never span two domains; each chunk logs
+        # its series' tags and value digests to one file
+        real = training._stack
 
         def digest(series):
             return hashlib.sha256(series.values.data.tobytes()).hexdigest()
 
+        def chunks(on):
+            log = tmp_path / f"forwards-{on}.log"
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+            def logged(samples):
+                os.write(fd, (" ".join(f"{s.domain_tag}:{digest(s)}" for s in samples)
+                              + "\n").encode())
+                return real(samples)
+
+            with monkeypatch.context() as ctx:
+                ctx.setattr(training, "_stack", logged)
+                forced_eval(ctx, on)
+                try:
+                    with deadline(60):
+                        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                                     str(tmp_path / f"ev{on}"), workspace["source"],
+                                     workspace["amp"]]) == 0
+                finally:
+                    os.close(fd)
+            return [line.split() for line in log.read_text().splitlines()]
+
+        # 18 series per domain: halves of 12 and 6, chunks of 4, 4, 4 and 4, 2
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
-        monkeypatch.setattr(training, "_stack", logged)
-        forced_eval(monkeypatch, True)
-        try:
-            with deadline(60):
-                assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
-                             str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
-        finally:
-            os.close(fd)
-        chunks = [line.split() for line in log.read_text().splitlines()]
-        forwarded = [entry for chunk in chunks for entry in chunk]
+        forked = chunks(True)
+        forwarded = [entry for chunk in forked for entry in chunk]
         series = [f"{s.domain_tag}:{digest(s)}" for name in ("source", "amp")
                   for s in load_manifest(workspace[name]).samples]
         assert sorted(forwarded) == sorted(series) and len(set(series)) == 18 + 18
-        assert all(len({entry.split(":")[0] for entry in chunk}) == 1 for chunk in chunks)
+        assert all(len({entry.split(":")[0] for entry in chunk}) == 1 for chunk in forked)
+        assert sorted(forked) == sorted(chunks(False))
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     def test_inference_worker_writes_the_serial_bytes(self, workspace, tmp_path, monkeypatch,
@@ -602,13 +612,15 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
                      str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 0
 
-    def bad_csv(self, workspace, tmp_path):
-        """A copy of the amp target whose fifth series reads nan on its line
-        3; returns its manifest and the 'path:line:' text of the error."""
-        manifest = copy_manifest(workspace["amp"], tmp_path / "bad")
+    def bad_csv(self, workspace, tmp_path, series=4, edit=lambda line: line):
+        """A copy of the amp target, its manifest lines passed through
+        ``edit``, whose series ``series`` (of 18: the fifth by default, in
+        the first half) reads nan on its line 3; returns its manifest and the
+        'path:line:' text of the error."""
+        manifest = copy_manifest(workspace["amp"], tmp_path / "bad", edit)
+        line_no = series * SMALL["synth_length"] + 3
         series = tmp_path / "bad" / "amp.csv"
         rows = series.read_text().splitlines()
-        line_no = 4 * SMALL["synth_length"] + 3
         rows[line_no - 1] = "nan"
         series.write_text("\n".join(rows) + "\n")
         return manifest, f"{series}:{line_no}: non-finite value"
@@ -651,13 +663,159 @@ class TestEvalCommand:
         else:
             assert err.startswith(f"error: {unfit} holds 1-channel series of 4 classes")
 
+    @staticmethod
+    def four_classes(line):
+        """A manifest edit that declares 4 classes, so the checkpoint's 3 do
+        not fit it."""
+        return line + " class3" if line.startswith("classes:") else line
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("series", [4, 13], ids=["first-half", "second-half"])
+    @pytest.mark.parametrize("unfit", ["next-target", "same-target"])
+    def test_bad_line_in_either_half_reported_before_an_unfit_target(
+            self, workspace, tmp_path, monkeypatch, capsys, on, series, unfit):
+        # the first target's bad line, in the half the parent reads or in the
+        # worker's, comes before the next target's misfit and before its own
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # halves of 12 and 6 series
+        bad, problem = self.bad_csv(workspace, tmp_path, series,
+                                    self.four_classes if unfit == "same-target" else str)
+        targets = [bad] + [copy_manifest(workspace["amp"], tmp_path / "four",
+                                         self.four_classes)] * (unfit == "next-target")
+        workers = forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), *targets, workspace["source"]]) == 2
+        assert workers == [2 if on else 1]
+        assert_no_children()
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("unreadable_first", [False, True])
+    @pytest.mark.parametrize("kind", ["bad-length", "missing"])
+    def test_unreadable_manifest_reported_in_command_line_order(
+            self, workspace, tmp_path, monkeypatch, capsys, on, unreadable_first, kind):
+        # the forked command checks every manifest before it starts; an
+        # unreadable one is still reported only where a serial run meets it
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # halves of 12 and 6 series
+        bad, problem = self.bad_csv(workspace, tmp_path, 13)
+        unreadable = (copy_manifest(workspace["amp"], tmp_path / "unreadable",
+                                    lambda line: "length: 0" if line.startswith("length:")
+                                    else line)
+                      if kind == "bad-length" else str(tmp_path / "missing.manifest"))
+        targets = [unreadable, bad] if unreadable_first else [bad, unreadable]
+        forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), *targets]) == 2
+        assert_no_children()
+        err = capsys.readouterr().err
+        if unreadable_first:
+            assert f"{unreadable}" in err and ("length must be" in err
+                                               or "No such file" in err)
+        else:
+            assert err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("rows", [-1, 1], ids=["one-row-short", "one-row-long"])
+    def test_row_count_reported_for_the_whole_file(self, workspace, tmp_path, monkeypatch,
+                                                   capsys, on, rows):
+        manifest = copy_manifest(workspace["amp"], tmp_path / "bad")
+        series = tmp_path / "bad" / "amp.csv"
+        lines = series.read_text().splitlines()
+        series.write_text("\n".join(lines[:rows] if rows < 0 else lines + lines[:rows]) + "\n")
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # halves of 12 and 6 series
+        forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), workspace["source"], manifest]) == 2
+        assert_no_children()
+        assert capsys.readouterr().err == (
+            f"error: {series}: series shape (1, {len(lines) + rows}), manifest says "
+            f"(1,{len(lines)}) for 18 series of length {SMALL['synth_length']}\n")
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_first_named_file_reported_when_a_half_fails_in_another(
+            self, workspace, tmp_path, monkeypatch, capsys, on):
+        # 8 entries alternate between a.csv and b.csv, halves of 4 entries;
+        # a.csv's bad row is in the second half, b.csv's in the first, which
+        # fails on b.csv and then reports a.csv's, as a serial run does
+        samples = load_manifest(workspace["amp"]).samples[:8]
+        length = SMALL["synth_length"]
+        for name, bad_row in (("a", 3 * length + 2), ("b", 0)):
+            _write_series_csv(str(tmp_path / f"{name}.csv"),
+                              [s.values.data for s in samples["ab".index(name)::2]])
+            rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+            rows[bad_row] = "nan"
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        manifest = write_manifest(tmp_path / "ab.manifest", Dataset(samples, 3),
+                                  [f"{'ab'[i % 2]}.csv,class{s.label},{s.domain_tag}"
+                                   for i, s in enumerate(samples)])
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), manifest, workspace["source"]]) == 2
+        assert_no_children()
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'a.csv'}:{3 * length + 3}: non-finite value\n")
+
+    @pytest.fixture
+    def layouts(self, workspace, tmp_path):
+        """The amp target cut to 17 series (halves of 12 and 5 in chunks of
+        4), cut to one (a whole unit), and in the v1 layout (one file per
+        series)."""
+        amp = load_manifest(workspace["amp"])
+        return {"odd": save_dataset(Dataset(amp.samples[:17], 3), str(tmp_path / "odd"), "amp"),
+                "one-series": save_dataset(Dataset(amp.samples[:1], 3), str(tmp_path / "one"),
+                                           "amp"),
+                "v1": save_v1(amp, str(tmp_path / "v1"), "amp")}
+
+    @pytest.mark.parametrize("lead", [0, 1], ids=["first", "after-a-good-one"])
+    @pytest.mark.parametrize("layout", ["odd", "one-series", "v1"])
+    def test_halves_write_the_serial_bytes(self, workspace, tmp_path, monkeypatch, layouts,
+                                           layout, lead):
+        argv = ["eval", "--checkpoint", workspace["checkpoint"],
+                *[workspace["source"]] * lead, layouts[layout], workspace["amp"]]
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        with monkeypatch.context() as serial:
+            forced_eval(serial, False)
+            assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        workers = forced_eval(monkeypatch, True)
+        with deadline(60):
+            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert workers == [2]
+        assert_no_children()
+        for name in ("f1.txt", "embeddings.csv"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    def test_every_target_keyed_once(self, workspace, tmp_path, monkeypatch):
+        # tags amp, amp#2 and amp: keys amp, amp#2 and amp#3, all three in
+        # the average, forked or not
+        renamed = copy_manifest(workspace["amp"], tmp_path / "renamed",
+                                lambda line: line + "#2" if line.endswith(",amp") else line)
+        targets = [workspace["amp"], renamed, workspace["amp"]]
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # halves of 12 and 6 series
+        scores, average = evaluate(load_checkpoint(workspace["checkpoint"]),
+                                   [load_manifest(m) for m in targets])
+        assert list(scores) == ["amp", "amp#2", "amp#3"]
+        table = "".join(f"{key.ljust(5)}  {f1:.4f}\n"
+                        for key, f1 in list(scores.items()) + [("average", average)])
+        for on in (False, True):
+            with monkeypatch.context() as ctx:
+                forced_eval(ctx, on)
+                with deadline(60):
+                    assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                                 str(tmp_path / f"ev{on}"), *targets]) == 0
+            assert (tmp_path / f"ev{on}" / "f1.txt").read_text() == table
+
     def test_dead_eval_worker_raises_naming_exit_code(self, workspace, tmp_path, monkeypatch):
         parent, real = os.getpid(), cli.load_manifest
 
-        def dying(path):
+        def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(path)
+            return real(*args)
 
         monkeypatch.setattr(cli, "load_manifest", dying)
         forced_eval(monkeypatch, True)

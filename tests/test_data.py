@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from warpada import data
 from warpada.data import (
     CSV_FORMAT,
     MANIFEST_HEADER,
@@ -17,6 +18,7 @@ from warpada.data import (
     SynthSpec,
     default_spec,
     load_manifest,
+    read_manifest,
     save_dataset,
     synth_generate,
 )
@@ -387,9 +389,10 @@ class TestLongFile:
         lambda rows: b"\n".join(rows + [b"1.5,1.5"]) + b"\n",
         lambda rows: b"\n".join(rows + [b"1.5,1.5", b"x"]) + b"\n",
         lambda rows: b"\n".join(rows[:-1]) + b"\n",
+        lambda rows: b"\n".join([b"ch\r0,ch1"] + rows) + b"\n",
     ], ids=["plain", "header", "blank-lines", "whitespace-line", "crlf", "lone-cr",
             "separator", "nan", "non-numeric", "not-utf8", "one-row-more",
-            "bad-row-past-the-count", "one-row-less"])
+            "bad-row-past-the-count", "one-row-less", "cr-in-header"])
     def test_matches_reference(self, tmp_path, edit):
         series = tmp_path / "long.csv"
         series.write_bytes(_long_series(edit))
@@ -632,6 +635,221 @@ class TestSharedFile:
         loaded = load_manifest(manifest)
         assert len(calls) == (1 if layout == "v2" else 600)
         assert len(loaded) == 600
+
+
+def part_outcomes(manifest, parts):
+    """Each part's load of ``manifest``, entries n*p//parts to
+    n*(p+1)//parts - 1: (its first entry, its samples), or its error text."""
+    checked = read_manifest(manifest)
+    n, outcomes = len(checked.entries), []
+    for p in range(parts):
+        lo, hi = n * p // parts, n * (p + 1) // parts
+        try:
+            samples = load_manifest(checked, slice(lo, hi)).samples if hi > lo else []
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((lo, samples))
+    return outcomes
+
+
+def assert_parts_load_as_whole(manifest, parts):
+    """The parts' samples, in order, are the whole load's; or the whole load
+    fails and so does a part, which, when the manifest names one file,
+    raises the whole load's error."""
+    outcomes = part_outcomes(manifest, parts)
+    try:
+        whole = load_manifest(manifest)
+    except ValueError as exc:
+        failed = [o for o in outcomes if isinstance(o, str)]
+        assert failed
+        if len(read_manifest(manifest).files) == 1:
+            assert failed[0] == str(exc)
+        return
+    assert_same_dataset(Dataset([s for _, share in outcomes for s in share], whole.n_classes),
+                        whole)
+
+
+_PART_SERIES, _PART_LENGTH = 45, 128  # two-channel rows, about 200 kB in all
+
+
+def _edit_at(row, line):
+    return lambda rows: b"\n".join(rows[:row] + [line] + rows[row + 1:]) + b"\n"
+
+
+def _insert_at(row, line):
+    return lambda rows: b"\n".join(rows[:row] + [line] + rows[row:]) + b"\n"
+
+
+class TestManifestParts:
+    # 45 series in one file: halves of 22 and 23 series, thirds of 15; row
+    # 22 * 128 = 2816 opens the second half
+    @pytest.fixture
+    def shared(self, tmp_path):
+        """The manifest and its series file."""
+        values = np.random.default_rng(3).normal(size=(_PART_SERIES, 2, _PART_LENGTH))
+        ds = Dataset([TimeSeries(Tensor(v), label=i % 2, domain_tag="s")
+                      for i, v in enumerate(values)], n_classes=2)
+        return save_dataset(ds, str(tmp_path), "sh"), tmp_path / "sh.csv"
+
+    @pytest.mark.parametrize("scan", [64, None], ids=["small-blocks", "default-blocks"])
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("edit", [
+        lambda rows: b"\n".join(rows) + b"\n",
+        lambda rows: b"\n".join([b"ch0,ch1"] + rows) + b"\n",
+        lambda rows: b"\n".join([b"ch\r0,ch1"] + rows) + b"\n",
+        lambda rows: b"\n".join([b"1," * 40 + b"x"] + rows) + b"\n",
+        lambda rows: b"\n".join(rows) + b"\n\n\n",
+        lambda rows: b"\n".join(rows),
+        _insert_at(100, b""),
+        _insert_at(2816, b""),
+        _insert_at(4000, b""),
+        _insert_at(100, b"  "),
+        lambda rows: b"\r\n".join(rows) + b"\r\n",
+        _edit_at(4000, b"1,2\r3,4"),
+        _edit_at(100, b"1\x1c,2"),
+        _edit_at(4000, b"1\x1c,2"),
+        _edit_at(4000, b" 1.5 ,\t2"),
+        _edit_at(100, b"nan,1"),
+        _edit_at(2815, b"nan,1"),
+        _edit_at(2816, b"1,inf"),
+        _edit_at(4000, b"x,1"),
+        _edit_at(4000, b"1,2,3"),
+        _edit_at(4000, b"\xff1,1"),
+        _edit_at(0, b"1_0,1"),
+        lambda rows: b"\n".join(rows + [b"1.5,1.5"]) + b"\n",
+        lambda rows: b"\n".join(rows + [b"1.5,1.5", b"x"]) + b"\n",
+        lambda rows: b"\n".join(rows[:-1]) + b"\n",
+        lambda rows: b"\n".join(rows[:2000]) + b"\n",
+        lambda rows: b"\n".join(row.split(b",")[0] for row in rows) + b"\n",
+    ], ids=["plain", "header", "cr-in-header", "header-past-a-scan-block",
+            "trailing-blank-lines", "no-final-newline", "blank-line-first",
+            "blank-line-at-the-half", "blank-line-second", "whitespace-line", "crlf",
+            "lone-cr-second", "separator-first", "separator-second", "padded-cells-second",
+            "nan-first",
+            "nan-last-row-of-first", "inf-first-row-of-second", "non-numeric-second",
+            "ragged-second", "not-utf8-second", "underscore-line-1", "one-row-more",
+            "bad-row-past-the-count", "one-row-less", "far-too-short", "one-channel"])
+    def test_parts_load_as_whole(self, shared, monkeypatch, edit, parts, scan):
+        manifest, csv = shared
+        csv.write_bytes(edit(csv.read_bytes().splitlines()))
+        if scan:
+            monkeypatch.setattr(data, "_SCAN_BYTES", scan)
+        assert_parts_load_as_whole(manifest, parts)
+
+    def test_part_parses_only_its_rows(self, shared, monkeypatch):
+        manifest, _ = shared
+        whole = load_manifest(manifest)
+        shapes, loadtxt = [], np.loadtxt
+
+        def logged(*args, **kwargs):
+            arr = loadtxt(*args, **kwargs)
+            shapes.append(arr.shape)
+            return arr
+
+        monkeypatch.setattr(np, "loadtxt", logged)
+        first = load_manifest(manifest, slice(22))
+        second = load_manifest(manifest, slice(22, None))
+        assert shapes == [(22 * _PART_LENGTH, 2), (23 * _PART_LENGTH, 2)]
+        assert_same_dataset(Dataset(first.samples + second.samples, 2), whole)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_blank_line_opening_a_scan_block(self, tmp_path, monkeypatch, parts):
+        # rows of 8 bytes fill the 64-byte scan blocks exactly, and the blank
+        # line after row 7 opens the second block; 9 series of 10 rows
+        rows = [b"%d.5,2.5" % (i % 10) for i in range(90)]
+        (tmp_path / "f.csv").write_bytes(b"\n".join(rows[:8] + [b""] + rows[8:]) + b"\n")
+        ds = Dataset([TimeSeries(Tensor(np.zeros((2, 10))), label=i % 2) for i in range(9)], 2)
+        manifest = write_manifest(tmp_path / "f.manifest", ds,
+                                  [f"f.csv,class{i % 2}," for i in range(9)])
+        monkeypatch.setattr(data, "_SCAN_BYTES", 64)
+        assert_parts_load_as_whole(manifest, parts)
+
+    @pytest.mark.parametrize("scan", [64, None], ids=["small-blocks", "default-blocks"])
+    def test_first_half_scan_ends_at_its_last_line(self, shared, monkeypatch, scan):
+        # a carriage return past the first half's rows, which sends a whole
+        # read line by line, leaves the first half's one np.loadtxt call
+        manifest, csv = shared
+        rows = csv.read_bytes().splitlines()
+        csv.write_bytes(_edit_at(4000, rows[4000] + b"\r")(rows))
+        if scan:
+            monkeypatch.setattr(data, "_SCAN_BYTES", scan)
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(kw) or loadtxt(*a, **kw))
+        first = load_manifest(manifest, slice(22))
+        assert [kw["max_rows"] for kw in calls] == [22 * _PART_LENGTH]
+        assert_same_dataset(first, Dataset(load_manifest(manifest).samples[:22], 2))
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_bad_row_fails_only_the_part_that_reads_it(self, shared, bad):
+        # a bad row in one half: the other half loads, this one raises the
+        # whole load's error
+        manifest, csv = shared
+        rows = csv.read_bytes().splitlines()
+        rows[[100, 4000][bad]] = b"nan,1"
+        csv.write_bytes(b"\n".join(rows) + b"\n")
+        problem = f"{csv}:{[101, 4001][bad]}: non-finite value"
+        outcomes = part_outcomes(manifest, 2)
+        assert outcomes[bad] == problem
+        assert outcomes[1 - bad][0] == [0, 22][1 - bad]
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_manifest(manifest)
+
+    def test_each_part_reports_the_file_it_fails_in(self, tmp_path):
+        # entries alternate between a.csv and b.csv; a.csv's bad row is in
+        # the second half, b.csv's in the first: each half raises its own
+        # file's error, and the whole load the first-named file's
+        values = np.arange(8 * 4.0).reshape(8, 1, 4)
+        ds = Dataset([TimeSeries(Tensor(v), label=i % 2) for i, v in enumerate(values)], 2)
+        for name, blocks in (("a", values[0::2]), ("b", values[1::2])):
+            rows = [b"%d" % v for block in blocks for v in block.ravel()]
+            rows[{"a": 3 * 4, "b": 0}[name]] = b"nan"
+            (tmp_path / f"{name}.csv").write_bytes(b"\n".join(rows) + b"\n")
+        manifest = write_manifest(tmp_path / "ab.manifest", ds,
+                                  [f"{'ab'[i % 2]}.csv,class{i % 2}," for i in range(8)])
+        assert part_outcomes(manifest, 2) == [f"{tmp_path / name}:{line}: non-finite value"
+                                              for name, line in (("b.csv", 1), ("a.csv", 13))]
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'a.csv'}:13:")):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("layout", ["v2", "v1", "mixed"])
+    def test_layouts_and_counts(self, tmp_path, layout, n):
+        source, _ = synth_generate(tiny_spec(n_per_class=3))
+        ds = Dataset(source.samples[:n], source.n_classes)
+        if layout == "v2":
+            manifest = save_dataset(ds, str(tmp_path), "d")
+        elif layout == "v1":
+            manifest = save_v1(ds, str(tmp_path), "d")
+        else:  # the last series has its own file
+            series = [s.values.data for s in ds.samples]
+            _write_series_csv(str(tmp_path / "shared.csv"), series[:-1])
+            _write_series_csv(str(tmp_path / "own.csv"), series[-1:])
+            manifest = write_manifest(tmp_path / "m.manifest", ds, [
+                f"{'own' if i == n - 1 else 'shared'}.csv,class{s.label},{s.domain_tag}"
+                for i, s in enumerate(ds.samples)])
+        for parts in (2, 3):
+            assert_parts_load_as_whole(manifest, parts)
+        with pytest.raises(ValueError, match="dataset has no samples"):
+            load_manifest(manifest, slice(n, None))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.sampled_from(["1", "-2.5", "3e1"]), _LINES), min_size=1,
+                max_size=10),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(), st.sampled_from([2, 3]))
+def test_fuzz_parts_load_as_whole(tmp_path, monkeypatch, lines, newline, final_newline,
+                                  parts):
+    # three one-channel series of length 2 in one file of any text, read in
+    # scan blocks of 8 bytes
+    (tmp_path / "f.csv").write_bytes(
+        (newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+    ds = Dataset([TimeSeries(Tensor(np.zeros(2)), label=i % 2) for i in range(3)], 2)
+    manifest = write_manifest(tmp_path / "f.manifest", ds,
+                              [f"f.csv,class{i % 2}," for i in range(3)])
+    monkeypatch.setattr(data, "_SCAN_BYTES", 8)
+    assert_parts_load_as_whole(manifest, parts)
 
 
 @settings(max_examples=200, deadline=None,

@@ -807,6 +807,29 @@ class TestEvaluate:
         scores, _ = evaluate(model, [d_a, d_b])
         assert set(scores) == {"x", "x#1"}
 
+    @pytest.mark.parametrize("tags, keys", [
+        (["a", "a#2", "a"], ["a", "a#2", "a#3"]),
+        (["a", "a#1", "a", "a"], ["a", "a#1", "a#2", "a#3"]),
+        (["domain1", ""], ["domain1", "domain1#1"]),
+    ])
+    def test_every_domain_gets_its_own_key(self, tags, keys):
+        # a taken key is suffixed #<i>, #<i+1>, ... until one is free, so
+        # every domain counts in the mean
+        model = Classifier(1, 2, seed=0)
+        domains = [toy_dataset(n_per_class=2, seed=i, domain_tag=t) for i, t in enumerate(tags)]
+        scores, avg = evaluate(model, domains)
+        assert list(scores) == keys
+        assert avg == np.mean([evaluate(model, [d])[0][d.samples[0].domain_tag or "domain0"]
+                               for d in domains])
+
+    def test_domain_given_as_tag_and_labels(self):
+        model = Classifier(1, 2, seed=0)
+        domains = [toy_dataset(n_per_class=4, seed=s, domain_tag=t)
+                   for s, t in ((1, "a"), (2, "b"))]
+        logits = [training._inference(model, d.samples)[1] for d in domains]
+        labelled = [(d.samples[0].domain_tag, [x.label for x in d.samples]) for d in domains]
+        assert evaluate(model, labelled, logits) == evaluate(model, domains)
+
     def test_given_logits_skip_the_forward(self, monkeypatch):
         model = Classifier(1, 2, seed=0)
         domains = [toy_dataset(n_per_class=4, seed=s, domain_tag=t)
