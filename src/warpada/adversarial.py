@@ -7,27 +7,22 @@ with the path built from free parameters), and their combination.  The
 constraint chain lives inside path construction, so ascent iterates are
 admissible by construction and need no projection step.  All three run
 through one ascent loop, which moves a chunk of origins at a time; the
-chunks of one call are shared out between forked processes.
+chunks of one call are shared out between forked processes (procs).
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import threading
-import traceback
 from dataclasses import dataclass
-from signal import SIGKILL
 
 import numpy as np
 
+from . import procs
 from .model import entropy, forward, loss_ce, semantic_distance
 from .signal import TimeSeries, warp_apply
 from .tensor import Tape, Tensor, op_sum
 from .warp import make_path
 
-__all__ = ["AdvConfig", "AdvSample", "Child", "map_chunks", "maximize_one", "maximize_many"]
+__all__ = ["AdvConfig", "AdvSample", "maximize_one", "maximize_many"]
 
 MODES = ("erm", "ada", "tada", "tada_plus")
 COMBINE_MODES = ("union", "composed")
@@ -44,12 +39,10 @@ PHI_INIT_SCALE = 1.0
 # the same whichever process ascends it.
 ASCENT_CHUNK = 32
 # Processes that share one call's chunks, at most: each extra one costs a
-# fork and one pipe transfer of its samples.
+# fork and one pipe transfer of its samples.  They fork beside a BLAS pool
+# too: two took a default tada run() from 5.83 to 4.64 s wall there (2-core
+# x86 sandbox, medians of 5 seeds).
 MAX_ASCENT_WORKERS = 8
-# Whether a map_chunks call's shares are running, in this process's share
-# or in a forked child's (which inherits it set): a call made from inside a
-# share runs its chunks where it is called, so a share never forks again.
-_in_share = False
 
 
 @dataclass(frozen=True)
@@ -206,145 +199,6 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
             for i, (x, o) in enumerate(zip(xs, origin_ids))]
 
 
-def fork_cpus() -> int:
-    """CPUs a fork may spread this process's work over, the one rule both
-    the ascent and the SGD partner (training.minimize_phase) follow: the
-    usable CPUs, but one where ``os.fork`` is missing, where the usable CPUs
-    cannot be read, and while other threads run (a fork copies any lock they
-    hold, held for ever).  Neither starts a process when this is one."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _ascent_workers(n_chunks: int) -> int:
-    """Processes to share n_chunks between: one per CPU of fork_cpus(), at
-    most one per chunk and MAX_ASCENT_WORKERS, at least one."""
-    return max(1, min(fork_cpus(), n_chunks, MAX_ASCENT_WORKERS))
-
-
-class Child:
-    """The package's one way to start a process: a fork that runs
-    ``target(rx, tx)``, rx and tx being its ends of pipes from and to this
-    process (``self.tx``, ``self.rx``).  It ends with os._exit, never
-    returning into the caller's frames: code 0 if the target returns, else 1
-    after printing the traceback.  The context forks on entry; on exit it
-    closes this side's ends, kills the child if an error cut the block short
-    before it was reaped, and reaps it."""
-
-    def __init__(self, target, name: str, what: str):
-        self._target, self._name, self._what = target, name, what
-
-    def __enter__(self):
-        down, up = os.pipe(), os.pipe()  # to the child, from the child
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in down + up:
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(down[1])
-                os.close(up[0])
-                self._target(down[0], up[1])
-                code = 0
-            except BaseException:
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(code)
-        # each side keeps its own ends only: EOF or EPIPE once the other is gone
-        os.close(down[0])
-        os.close(up[1])
-        self._target = None  # only the child calls it; a bound method here is a cycle
-        self.rx, self.tx, self._code = up[0], down[1], None
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        os.close(self.tx)
-        os.close(self.rx)
-        if exc_type is not None and self._code is None:
-            os.kill(self.pid, SIGKILL)
-        self.reap()
-
-    def reap(self) -> int:
-        """Wait for the child to end, once; returns its exit code."""
-        if self._code is None:
-            self._code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self._code
-
-    def fail(self):
-        """Reap the child and raise the error of one that ended early."""
-        raise RuntimeError(f"{self._name} {self.pid} exited with code {self.reap()} "
-                           f"before sending its {self._what}") from None
-
-
-def _forked_shares(workers: int, run_share, name: str, what: str) -> list:
-    """[run_share(w) for w in range(workers)], with shares 1.. run by forked
-    children (Child(..., name, what)), which inherit the model and the data
-    by copy-on-write, while this process runs share 0.  Child k pickles its
-    share into its pipe, unpickled as it streams in (a share can be larger
-    than a pipe buffer), and is reaped before child k + 1's pipe is read, so
-    a child that died raises at once and the others are killed."""
-    def sender(w):
-        def send(rx, tx):
-            with open(tx, "wb") as out:  # flushed before the child exits
-                pickle.dump(run_share(w), out)
-        return send
-
-    with contextlib.ExitStack() as stack:
-        children = [stack.enter_context(Child(sender(w), name, what))
-                    for w in range(1, workers)]
-        shares = [run_share(0)]
-        for child in children:
-            try:
-                with open(child.rx, "rb", closefd=False) as reader:
-                    shares.append(pickle.load(reader))
-            except (EOFError, pickle.UnpicklingError):  # cut short: the exit code says why
-                if child.reap() == 0:
-                    raise
-            if child.reap() != 0:
-                child.fail()
-        return shares
-
-
-def map_chunks(run_chunk, chunks: list, workers: int, name: str, what: str) -> list:
-    """[run_chunk(c) for c in chunks].  With ``workers`` above one the chunks
-    are split into that many interleaved shares, forked children named
-    ``name`` run shares 1.. while this process runs share 0 (_forked_shares),
-    and the results are put back in chunk order.  A call made while the
-    shares of another run, in this process or in a child, runs all its
-    chunks in the process it is made in.  An error is the serial one: the
-    exception of the earliest failing chunk, which also ends its share."""
-    global _in_share
-    if _in_share:
-        workers = 1
-
-    def run_share(w):
-        done = []
-        for k in range(w, len(chunks), workers):
-            try:
-                done.append(run_chunk(chunks[k]))
-            except Exception as exc:  # reported to the caller, which raises the earliest
-                return done, (k, exc)
-        return done, None
-
-    if workers == 1:
-        shares = [run_share(0)]
-    else:
-        _in_share = True
-        try:
-            shares = _forked_shares(workers, run_share, name, what)
-        finally:
-            _in_share = False
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [shares[k % workers][0][k // workers] for k in range(len(chunks))]
-
-
 def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
                   origin_ids: list[int] | None = None) -> list[AdvSample]:
     """Samples for every origin, grouped by origin in input order.
@@ -358,10 +212,11 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     samples and reports in every mode; chunks of 4 differ from 8 in the
     last bits.
 
-    The chunks are shared between W = _ascent_workers(number of chunks)
-    processes (map_chunks).  The model is frozen and every chunk depends
-    only on its own origins, so the output is bitwise the serial one.  The
-    call runs serially, starting no process, when W is one (see fork_cpus).
+    The chunks are shared between procs.workers processes, up to
+    MAX_ASCENT_WORKERS (procs.map_chunks).  The model is frozen and every
+    chunk depends only on its own origins, so the output is bitwise the
+    serial one.  The call runs serially, starting no process, when that
+    is one.
     """
     if cfg.mode not in ("ada", "tada", "tada_plus"):
         raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
@@ -380,7 +235,8 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         return [sample for group in zip(*per_family) for sample in group]
 
     los = list(range(0, len(xs), ASCENT_CHUNK))
-    done = map_chunks(ascend, los, _ascent_workers(len(los)), "ascent worker", "samples")
+    processes = procs.workers(len(los), 2, MAX_ASCENT_WORKERS, one_blas_thread=False)
+    done = procs.map_chunks(ascend, los, processes, "ascent worker", "samples")
     return [sample for chunk in done for sample in chunk]
 
 

@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from . import training
-from .adversarial import AdvConfig, AdvSample, map_chunks
+from . import procs, training
+from .adversarial import AdvConfig, AdvSample
 from .data import default_spec, load_manifest, read_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
-from .training import (Dataset, _inference, _second_cpu, evaluate, export_features,
-                       maximize_phase, run)
+from .training import Dataset, _inference, evaluate, export_features, maximize_phase, run
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -151,11 +150,17 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
+# libyaml's dumper where PyYAML has it (0.32 against 0.70 ms per default echo,
+# 2-core x86): its bytes may differ from SafeDumper's, but both load back.
+_ECHO_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def _write_echo(cfg: RunConfig) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config_echo.yaml"), "w",
               encoding="utf-8") as fh:
-        yaml.safe_dump(asdict(cfg), fh, sort_keys=True, default_flow_style=False)
+        yaml.dump(asdict(cfg), fh, Dumper=_ECHO_DUMPER, sort_keys=True,
+                  default_flow_style=False)
 
 
 def _check_fits(model: Classifier, checkpoint: str, dataset: Dataset, manifest: str) -> None:
@@ -232,11 +237,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     """f1.txt and embeddings.csv of the target datasets, in command-line
-    order.  With two manifests or more, and under _second_cpu's rule, each
+    order.  With two processes from procs.workers (two manifests or more), each
     manifest is checked here (read_manifest) and, when it has more than
     EVAL_CHUNK entries, split into two contiguous halves cut at a multiple of
     EVAL_CHUNK, so that every forward is a serial run's; one forked eval
-    worker takes every second unit (adversarial.map_chunks), for the default
+    worker takes every second unit (procs.map_chunks), for the default
     targets every second half.  Otherwise each manifest is one unit in this
     process.  A unit loads its entries, checks them against the checkpoint,
     runs them through the model and formats their rows; this process then
@@ -244,12 +249,12 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     manifest's in command-line order, and the files are the bytes of a
     serial run."""
     model = load_checkpoint(checkpoint)
-    forked = len(manifests) > 1 and _second_cpu()
+    processes = procs.workers(len(manifests), 2, 2)
     sources: list = list(manifests)  # each a path, read_manifest's result or its error
     units = []  # (manifest index, its entries, the first one's index)
     for m, path in enumerate(manifests):
         n = cut = 0
-        if forked:
+        if processes > 1:
             try:
                 sources[m] = read_manifest(path)
             except (ValueError, OSError) as exc:  # raised by its unit, in command-line order
@@ -280,7 +285,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
         return (m, rows.getvalue(), domain.samples[0].domain_tag,
                 [x.label for x in domain.samples], logits)
 
-    done = map_chunks(unit, units, 2 if forked else 1, "eval worker", "rows")
+    done = procs.map_chunks(unit, units, processes, "eval worker", "rows")
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(rows for _, rows, *_ in done)
     domains, logits = [], []

@@ -160,9 +160,9 @@ def _domain(spec: SynthSpec, protos: np.ndarray, rng: np.random.Generator,
     Each sample draws its noise and then, for a warp of at least half a
     sample, the white noise of its path.  Chunks of SYNTH_CHUNK samples go
     through make_path together and are rounded, which keeps the paths'
-    monotonicity, boundary zeros and bound, then remapped as
-    signal.integer_warp_oracle remaps one series.  An amplitude shift comes
-    before the warp.
+    monotonicity, boundary zeros and bound, then remapped by clamped index
+    shifting, x'[i] = x[clamp(i + path_i, 0, N-1)] (the integer-path oracle
+    of tests/oracles.py).  An amplitude shift comes before the warp.
     """
     sigma = spec.noise_sigma if shift is None or shift.noise_sigma is None else shift.noise_sigma
     tag = "source" if shift is None else shift.tag
@@ -416,7 +416,7 @@ def _load_series_blocks(path: str, count: int, channels: int, length: int,
 
     Each series is a copy, so the file's array is freed after the load.  As
     views they kept it alive, and in a process that keeps freed memory
-    (training._keep_freed_memory) later loads grew the heap past it: the
+    (procs._keep_freed_memory) later loads grew the heap past it: the
     eval command's peak RSS crept up over repeated calls.
     """
     stop = count if stop is None else stop

@@ -22,7 +22,7 @@ import numpy as np
 
 from .tensor import Tensor, _lift, _record, as_batch, op_reshape
 
-__all__ = ["TimeSeries", "warp_apply", "integer_warp_oracle"]
+__all__ = ["TimeSeries", "warp_apply"]
 
 
 @dataclass
@@ -194,19 +194,3 @@ def warp_apply(x, path, half_width: int):
         return warped
     return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,
                       domain_tag=series.domain_tag)
-
-
-def integer_warp_oracle(x: TimeSeries, path) -> TimeSeries:
-    """Plain index remapping x'[i] = x[clamp(i + path_i, 0, N-1)].
-
-    Reference implementation for integer paths; not differentiable.
-    """
-    displacements = np.asarray(path.data if isinstance(path, Tensor) else path,
-                               dtype=np.float64)
-    if displacements.ndim != 1 or displacements.shape[0] != x.length:
-        raise ValueError(f"path shape {displacements.shape} does not match series length {x.length}")
-    if not np.all(displacements == np.round(displacements)):
-        raise ValueError("integer_warp_oracle requires integer displacements")
-    shifted = np.clip(np.arange(x.length) + displacements.astype(np.int64), 0, x.length - 1)
-    return TimeSeries(Tensor(x.values.data[:, shifted].copy()),
-                      label=x.label, domain_tag=x.domain_tag)

@@ -6,23 +6,19 @@ samples are never re-perturbed and never mutated.  After the last round
 the model trains for a final stretch of epochs on the fully expanded
 dataset.  Evaluation reports macro-F1 per held-out domain.
 
-Each SGD step is the sum of two half-batch gradients (_sgd_step).  Where the
-process may fork onto a second CPU (adversarial.fork_cpus) and BLAS runs one
-thread (_one_blas_thread), a minimize_phase call of PARTNER_MIN_STEPS steps
-or more forks one partner process that computes each step's second half while
-this process computes the first (_Partner): one partner per round's fit, one
-for the whole final stretch.  Shorter calls, and every call elsewhere,
-compute both halves in this process.  Both ways give bitwise the same weights
-and losses, as the ascent's forked shares give bitwise the serial samples.
-Inference (_inference) forks one worker under the same rule, for calls of
-INFERENCE_MIN_CHUNKS forwards or more, and so does the eval command
-(cli.cmd_eval) for two target datasets or more, sharing them by halves.
+Each SGD step is the sum of two half-batch gradients (_sgd_step).  A
+minimize_phase call of PARTNER_MIN_STEPS steps or more may fork one partner
+process that computes each step's second half while this process computes
+the first (_Partner): one partner per round's fit, one for the whole final
+stretch.  Inference (_inference) may fork one worker for calls of
+INFERENCE_MIN_CHUNKS forwards or more.  Whether they do is procs.workers'
+decision.  Either way the weights, losses and outputs are bitwise those of
+one process, as the ascent's forked shares give bitwise the serial samples.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import mmap
 import os
 import time
@@ -30,7 +26,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, AdvSample, Child, fork_cpus, map_chunks, maximize_many
+from . import procs
+from .adversarial import AdvConfig, AdvSample, maximize_many
 from .model import FEATURE_DIM, Classifier, forward, loss_ce
 from .signal import TimeSeries
 from .tensor import Tape, Tensor, op_sum
@@ -130,44 +127,6 @@ EVAL_CHUNK = 32
 INFERENCE_MIN_CHUNKS = 20
 
 
-# glibc's malloc policy for the process (mallopt parameters from malloc.h).
-# By default free() hands a batch-32 SGD step's buffers back to the OS and
-# the next step faults them in again: ~940 minor faults per step (see run()
-# for whole runs).  A step peaks at 4.4 MiB above its start (tracemalloc)
-# and its largest array is 0.5-1 MiB (a fixed mmap threshold of 512 KiB
-# still faults, 1 MiB does not).  8/1, 16/2 and 64/32 MiB (trim/mmap) each
-# cut a tada run() to ~7.8k faults; 64/32 leaves a margin of ~15x over the
-# step's peak, and 32 MiB is the largest mmap threshold glibc accepts on
-# 64-bit.  Both are set: a trim threshold alone freezes glibc's dynamic
-# mmap threshold at 128 KiB, so every larger array is mmapped afresh.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_TRIM_BYTES, _HEAP_MMAP_BYTES = 64 << 20, 32 << 20
-_heap_policy_set = False
-
-
-def _libc():
-    return ctypes.CDLL(None)
-
-
-def _keep_freed_memory() -> None:
-    """Set the malloc policy above, once per process; forked children
-    inherit it.  A silent no-op where libc has no ``mallopt`` or refuses
-    the value (anything but glibc)."""
-    global _heap_policy_set
-    if _heap_policy_set:
-        return
-    _heap_policy_set = True
-    try:
-        mallopt = _libc().mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    # the trim threshold only once the mmap one holds: alone it is worse
-    if mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES):
-        mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES)
-
-
 def _stack(samples: list[TimeSeries]) -> Tensor:
     return Tensor(np.stack([s.values.data for s in samples]))
 
@@ -229,35 +188,7 @@ def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float,
 PARTNER_MIN_STEPS = 8
 
 
-# The variables through which OpenBLAS, MKL and OpenMP builds of BLAS take
-# their thread count, read once when numpy loads.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS")
-
-
-def _one_blas_thread() -> bool:
-    """Whether the environment holds BLAS to one thread: at least one of
-    BLAS_THREAD_VARS is set, and each one set is 1.
-
-    The partner starts only then.  A BLAS thread pool (OpenBLAS's default:
-    one thread per CPU) spreads a step's larger products over the CPUs and
-    spins between them, so no CPU is idle for a partner: with the pool, an
-    erm run() on the default benchmark took 5.1-5.6 s with a partner and
-    1.0-1.1 s without.  The pool cannot be told from the process's thread
-    count, since OpenBLAS stops it for every fork and restarts it on the
-    next large product.
-    """
-    values = [os.environ[name].strip() for name in BLAS_THREAD_VARS if name in os.environ]
-    return bool(values) and all(v == "1" for v in values)
-
-
-def _second_cpu() -> bool:
-    """The one rule under which a forked process shares this one's work:
-    fork_cpus() of two or more and one BLAS thread (_one_blas_thread)."""
-    return fork_cpus() > 1 and _one_blas_thread()
-
-
-class _Partner(Child):
+class _Partner(procs.Child):
     """A forked process that computes the second half of every minibatch
     gradient of one minimize_phase call, from the dataset it inherited.
 
@@ -328,19 +259,18 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
     minibatch loss raises ValueError naming its step, and its update is
     not applied.
 
-    With PARTNER_MIN_STEPS steps or more, minibatches of two series or
-    more, fork_cpus() of two or more and one BLAS thread
-    (_one_blas_thread), one forked partner process computes each step's
-    second half while this process computes the first (_Partner);
-    otherwise this process computes both.  The two halves are
-    the same computations either way, so weights and losses are bitwise
-    those of the serial call.  A partner that dies raises RuntimeError
-    naming its pid and exit code.
+    With minibatches of two series or more and two processes from
+    procs.workers (PARTNER_MIN_STEPS steps or more), one forked partner
+    process computes each step's second half while this process computes
+    the first (_Partner); otherwise this process computes both.  The two
+    halves are the same computations either way, so weights and losses are
+    bitwise those of the serial call.  A partner that dies raises
+    RuntimeError naming its pid and exit code.
     """
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")
     size = min(batch, len(dataset))
-    partnered = t_min >= PARTNER_MIN_STEPS and size > 1 and _second_cpu()
+    partnered = size > 1 and procs.workers(t_min, PARTNER_MIN_STEPS, 2) > 1
     losses = []
     with (_Partner(model, dataset.samples, size) if partnered
           else contextlib.nullcontext()) as partner:
@@ -357,7 +287,7 @@ def maximize_phase(model: Classifier, d0: Dataset, cfg: AdvConfig) -> list[AdvSa
     """One batch of adversarial samples per element of the ORIGINAL dataset,
     against a frozen weight snapshot, in origin order.  Sets the malloc
     policy, as run() does, for callers that ascend without run()."""
-    _keep_freed_memory()
+    procs._keep_freed_memory()
     return maximize_many(model.frozen_copy(), d0.samples, cfg)
 
 
@@ -379,7 +309,7 @@ def run(d0: Dataset, cfg: AdvConfig,
     0.01-0.04 s, an erm run() from 144k and 0.17-0.29 s to 1.3k and under
     0.01 s.  Elsewhere than glibc nothing is set.  Outputs are unchanged.
     """
-    _keep_freed_memory()
+    procs._keep_freed_memory()
     start = time.perf_counter()
     model = model_init if model_init is not None else Classifier(
         d0.channels, d0.n_classes, seed=cfg.seed)
@@ -428,12 +358,12 @@ def _inference(model: Classifier, *domains: list[TimeSeries],
     series; no forward spans two lists, whose series lengths may differ.
     With ``features`` False the features are None, and not kept.
 
-    With INFERENCE_MIN_CHUNKS forwards or more, and under the SGD partner's
-    rule (_second_cpu), one forked child runs every second forward
-    (adversarial.map_chunks).  Each forward is the same in either process,
-    so the outputs are bitwise the serial ones.  Every forward's rows go
-    straight into the outputs, so beside them this process holds at most the
-    child's rows, as they arrive."""
+    With two processes from procs.workers (INFERENCE_MIN_CHUNKS forwards or
+    more), one forked child runs every second forward (procs.map_chunks).
+    Each forward is the same in either process, so the outputs are bitwise
+    the serial ones.  Every forward's rows go straight into the outputs, so
+    beside them this process holds at most the child's rows, as they
+    arrive."""
     chunks, size = [], 0  # (first output row, series) per forward
     for samples in domains:
         chunks += [(size + lo, samples[lo:lo + EVAL_CHUNK])
@@ -441,7 +371,6 @@ def _inference(model: Classifier, *domains: list[TimeSeries],
         size += len(samples)
     z = np.empty((size, FEATURE_DIM)) if features else None
     logits = np.empty((size, model.n_classes))
-    forked = len(chunks) >= INFERENCE_MIN_CHUNKS and _second_cpu()
 
     def infer(chunk):
         lo, samples = chunk
@@ -450,9 +379,10 @@ def _inference(model: Classifier, *domains: list[TimeSeries],
         logits[rows] = logits_t.data
         if z is not None:
             z[rows] = z_t.data
-        return None if z is None else z[rows], logits[rows]  # views: a child pickles these rows
+        return None if z is None else z[rows], logits[rows]  # views; a child sends copies
 
-    done = map_chunks(infer, chunks, 2 if forked else 1, "inference worker", "features")
+    processes = procs.workers(len(chunks), INFERENCE_MIN_CHUNKS, 2)
+    done = procs.map_chunks(infer, chunks, processes, "inference worker", "features")
     for (lo, samples), (z_rows, logit_rows) in zip(chunks, done):
         if logit_rows.base is not logits:  # a child's copies; this process's rows are in place
             rows = slice(lo, lo + len(samples))

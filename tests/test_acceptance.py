@@ -14,11 +14,12 @@ from warpada.adversarial import AdvConfig, maximize_one
 from warpada.data import default_spec, synth_generate
 from warpada.gradcheck import run_checks
 from warpada.model import Classifier, entropy, forward
-from warpada.signal import TimeSeries, integer_warp_oracle, warp_apply
+from warpada.signal import TimeSeries, warp_apply
 from warpada.tensor import Tensor
 from warpada.training import Dataset, evaluate, macro_f1, minimize_phase, run
 from warpada.warp import make_path
 
+from oracles import integer_warp_oracle
 from test_warp import path_violations
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from warpada import adversarial
+from warpada import adversarial, procs
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
@@ -251,19 +251,25 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def processes_of(monkeypatch, site):
+    """Wrap procs.map_chunks; returns the list that receives the process
+    count of every call made under the name ``site``, forked or not."""
+    counts, real = [], procs.map_chunks
+
+    def counted(run_chunk, chunks, processes, name, what):
+        if name == site:
+            counts.append(processes)
+        return real(run_chunk, chunks, processes, name, what)
+
+    monkeypatch.setattr(procs, "map_chunks", counted)
+    return counts
+
+
 def force_workers(monkeypatch, workers):
     """Share the chunks between ``workers`` processes whatever the host's
-    CPU count; returns the list of worker counts of the forked calls."""
-    forked = []
-    real = adversarial._forked_shares
-
-    def counted(w, run_share, *names):
-        forked.append(w)
-        return real(w, run_share, *names)
-
-    monkeypatch.setattr(adversarial, "_ascent_workers", lambda n_chunks: min(workers, n_chunks))
-    monkeypatch.setattr(adversarial, "_forked_shares", counted)
-    return forked
+    CPU count; returns the list of process counts of the ascent calls."""
+    monkeypatch.setattr(procs, "fork_cpus", lambda: workers)
+    return processes_of(monkeypatch, "ascent worker")
 
 
 def serial_samples(monkeypatch, *args):
@@ -356,7 +362,7 @@ class TestForkedShares:
                     pytest.raises(ValueError, match="iteration 0 for origin 41$") as err:
                 maximize_many(model, xs, toy_cfg(mode="tada"), ids)
             errors.append(str(err.value))
-            assert forked == ([] if w == 1 else [w])
+            assert forked == [w]
             assert_no_children()
         assert errors[0] == errors[1]
 
@@ -391,16 +397,17 @@ class TestForkedShares:
         assert_same_samples(maximize_many(model, xs, cfg, ids), want)
 
     def test_fork_cpus_counts_the_usable_cpus(self, monkeypatch):
-        # the one rule both the ascent and the SGD partner fork by
+        # the CPU count behind procs.workers; the ascent asks no BLAS condition
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         monkeypatch.setattr(threading, "active_count", lambda: 1)
-        assert adversarial.fork_cpus() == 3
-        assert adversarial._ascent_workers(2) == 2
+        assert procs.fork_cpus() == 3
+        assert procs.workers(2, 2, adversarial.MAX_ASCENT_WORKERS, one_blas_thread=False) == 2
         for fallback in FALLBACKS.values():
             with monkeypatch.context() as patch:
                 fallback(patch)
-                assert adversarial.fork_cpus() == 1
-                assert adversarial._ascent_workers(5) == 1
+                assert procs.fork_cpus() == 1
+                assert procs.workers(5, 2, adversarial.MAX_ASCENT_WORKERS,
+                                     one_blas_thread=False) == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -412,15 +419,15 @@ def test_map_chunks_inside_a_share_runs_where_it_is_called(workers):
         return chunk, os.getpid()
 
     def outer(chunk):
-        return os.getpid(), adversarial.map_chunks(inner, [chunk, chunk + 1], 2, "inner", "x")
+        return os.getpid(), procs.map_chunks(inner, [chunk, chunk + 1], 2, "inner", "x")
 
     with deadline(60):
-        done = adversarial.map_chunks(outer, list(range(5)), workers, "outer", "x")
+        done = procs.map_chunks(outer, list(range(5)), workers, "outer", "x")
     assert [[k for k, _ in inner_done] for _, inner_done in done] == [[k, k + 1]
                                                                       for k in range(5)]
     assert all({pid for _, pid in inner_done} == {pid} for pid, inner_done in done)
     assert len({pid for pid, _ in done}) == workers and done[0][0] == os.getpid()
-    assert not adversarial._in_share
+    assert not procs._in_share
     assert_no_children()
 
 
@@ -436,12 +443,12 @@ def test_share_cut_short_mid_pickle_raises_exit_code(sent):
     # the child dies while it pickles its share, after 0 or 256 KiB of it:
     # the parent, unpickling the stream as it arrives, reaps the child and
     # raises the one exit-code error, not the unpickler's own
-    def run_share(w):
-        return [b"x" * sent, _EndsItsPickler()] if w else []
+    def run_chunk(k):
+        return [b"x" * sent, _EndsItsPickler()] if k else []
 
     with deadline(60), pytest.raises(RuntimeError, match=r"^test worker \d+ exited with "
                                      r"code 5 before sending its rows$"):
-        adversarial._forked_shares(2, run_share, "test worker", "rows")
+        procs.map_chunks(run_chunk, [0, 1], 2, "test worker", "rows")
     assert_no_children()
 
 
@@ -458,7 +465,7 @@ def test_child_that_raises_exits_1_and_never_returns(tmp_path, error):
 
     try:
         with deadline(60), pytest.raises(RuntimeError) as err:
-            with adversarial.Child(target, "test child", "reply") as child:
+            with procs.Child(target, "test child", "reply") as child:
                 if not os.read(child.rx, 1):
                     child.fail()
     finally:

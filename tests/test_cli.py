@@ -13,14 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import warpada
-from warpada import cli, signal, training
+from warpada import cli, procs, signal, training
 from warpada.adversarial import AdvConfig
 from warpada.cli import ConfigError, RunConfig, load_config, main
 from warpada.data import _write_series_csv, default_spec, load_manifest, save_dataset
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
 from warpada.training import Dataset, evaluate, maximize_phase
 
-from test_adversarial import assert_no_children, deadline, no_process
+from test_adversarial import assert_no_children, deadline, no_process, processes_of
 from test_data import save_v1, write_manifest
 from test_training import forced_inference
 from test_warp import path_violations
@@ -48,14 +48,7 @@ def forced_eval(monkeypatch, on: bool):
     inference worker; returns the process counts the eval commands shared
     their manifests between."""
     forced_inference(monkeypatch, on)
-    workers, real = [], cli.map_chunks
-
-    def counted(run_chunk, chunks, n, *names):
-        workers.append(n)
-        return real(run_chunk, chunks, n, *names)
-
-    monkeypatch.setattr(cli, "map_chunks", counted)
-    return workers
+    return processes_of(monkeypatch, "eval worker")
 
 
 @pytest.fixture
@@ -304,6 +297,20 @@ def test_cli_import_leaves_out_multiprocessing():
                             "print('multiprocessing' in sys.modules)"],
                            env=env, capture_output=True, text=True, timeout=120, check=True)
     assert found.stdout == "False\n"
+
+
+@pytest.mark.parametrize("dumper", ["CSafeDumper", "SafeDumper"])
+@pytest.mark.parametrize("out_dir", ["echo", "a\x85b\u2028c\nd'e\"f: #g"], ids=["plain", "exotic"])
+def test_config_echo_loads_back_to_the_settings(tmp_path, monkeypatch, dumper, out_dir):
+    # libyaml's bytes may differ from SafeDumper's for such strings; both
+    # must load back to the resolved settings
+    if not hasattr(yaml, dumper):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(cli, "_ECHO_DUMPER", getattr(yaml, dumper))
+    cfg = load_config(None, {"out_dir": str(tmp_path / out_dir)})
+    cli._write_echo(cfg)
+    echo = (tmp_path / out_dir / "config_echo.yaml").read_text(encoding="utf-8")
+    assert yaml.safe_load(echo) == dataclasses.asdict(cfg)
 
 
 class TestSynth:
@@ -603,9 +610,9 @@ class TestEvalCommand:
     def test_default_environment_starts_no_process(self, workspace, tmp_path, monkeypatch):
         # no BLAS variable: OpenBLAS runs its thread pool, and the eval
         # command stays in this process whatever the CPU and chunk counts
-        for name in training.BLAS_THREAD_VARS:
+        for name in procs.BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(training, "fork_cpus", lambda: 2)
+        monkeypatch.setattr(procs, "fork_cpus", lambda: 2)
         monkeypatch.setattr(training, "EVAL_CHUNK", 1)
         monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
         monkeypatch.setattr(os, "fork", no_process)

@@ -22,10 +22,12 @@ from warpada.data import (
     save_dataset,
     synth_generate,
 )
-from warpada.signal import TimeSeries, integer_warp_oracle
+from warpada.signal import TimeSeries
 from warpada.tensor import Tensor
 from warpada.training import Dataset
 from warpada.warp import make_path
+
+from oracles import integer_warp_oracle
 
 
 def tiny_spec(**kw):

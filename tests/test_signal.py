@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from warpada import tensor
 from warpada.model import Classifier, forward, loss_ce
-from warpada.signal import TimeSeries, _dirichlet_rows, _window, integer_warp_oracle, warp_apply
+from warpada.signal import TimeSeries, _dirichlet_rows, _window, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
 from warpada.warp import make_path
+
+from oracles import integer_warp_oracle
 
 
 def dft_warp_oracle(values, delta, half_width, derivative=False):

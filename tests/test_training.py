@@ -10,13 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
-from warpada import adversarial, training
+from warpada import adversarial, procs, training
 from warpada.adversarial import AdvConfig
 from warpada.data import default_spec, synth_generate
 from warpada.model import Classifier, forward, loss_ce
 from warpada.signal import TimeSeries
 from warpada.tensor import Tape, Tensor
-from test_adversarial import FALLBACKS, assert_no_children, deadline, no_process
+from test_adversarial import FALLBACKS, assert_no_children, deadline, no_process, processes_of
 from warpada.training import (
     Dataset,
     TrainReport,
@@ -162,47 +162,47 @@ def fake_libc(result):
 class TestHeapPolicy:
     def test_second_call_makes_no_mallopt_call(self, monkeypatch):
         libc, calls = fake_libc(1)
-        monkeypatch.setattr(training, "_heap_policy_set", False)
-        monkeypatch.setattr(training, "_libc", lambda: libc)
-        training._keep_freed_memory()
-        assert calls == [(training._M_MMAP_THRESHOLD, 32 << 20),
-                         (training._M_TRIM_THRESHOLD, 64 << 20)]
-        training._keep_freed_memory()
+        monkeypatch.setattr(procs, "_heap_policy_set", False)
+        monkeypatch.setattr(procs, "_libc", lambda: libc)
+        procs._keep_freed_memory()
+        assert calls == [(procs._M_MMAP_THRESHOLD, 32 << 20),
+                         (procs._M_TRIM_THRESHOLD, 64 << 20)]
+        procs._keep_freed_memory()
         assert len(calls) == 2
 
     def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch):
         # a trim threshold alone fixes the mmap threshold at 128 KiB, which
         # faults more than glibc's default policy
         libc, calls = fake_libc(0)
-        monkeypatch.setattr(training, "_heap_policy_set", False)
-        monkeypatch.setattr(training, "_libc", lambda: libc)
+        monkeypatch.setattr(procs, "_heap_policy_set", False)
+        monkeypatch.setattr(procs, "_libc", lambda: libc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            training._keep_freed_memory()
-        assert calls == [(training._M_MMAP_THRESHOLD, 32 << 20)]
+            procs._keep_freed_memory()
+        assert calls == [(procs._M_MMAP_THRESHOLD, 32 << 20)]
 
     @pytest.mark.parametrize("handle", ["no_mallopt", "no_libc"])
     def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch, handle):
         def no_libc():
             raise OSError("no C library")
-        monkeypatch.setattr(training, "_heap_policy_set", False)
-        monkeypatch.setattr(training, "_libc", {"no_mallopt": lambda: types.SimpleNamespace(),
+        monkeypatch.setattr(procs, "_heap_policy_set", False)
+        monkeypatch.setattr(procs, "_libc", {"no_mallopt": lambda: types.SimpleNamespace(),
                                                 "no_libc": no_libc}[handle])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            training._keep_freed_memory()
-        assert training._heap_policy_set
+            procs._keep_freed_memory()
+        assert procs._heap_policy_set
 
     def test_run_sets_the_policy(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(training, "_keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.setattr(procs, "_keep_freed_memory", lambda: calls.append(1))
         run(toy_dataset(n_per_class=4), small_cfg(mode="erm"))
         assert calls == [1]
 
     def test_maximize_phase_sets_the_policy(self, monkeypatch):
         # `warpada augment` ascends through maximize_phase without run()
         calls = []
-        monkeypatch.setattr(training, "_keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.setattr(procs, "_keep_freed_memory", lambda: calls.append(1))
         maximize_phase(Classifier(1, 2, seed=0), toy_dataset(n_per_class=2), small_cfg())
         assert calls == [1]
 
@@ -210,7 +210,7 @@ class TestHeapPolicy:
     def test_sgd_steps_reuse_the_heap(self):
         # with glibc's default policy a batch-32 step on the default spec
         # takes ~940 minor faults, refaulting the buffers its predecessor freed
-        training._keep_freed_memory()
+        procs._keep_freed_memory()
         source, _ = synth_generate(default_spec(0))
         model = Classifier(source.channels, source.n_classes, seed=0)
         rng = np.random.default_rng(0)
@@ -288,8 +288,8 @@ def partnered(monkeypatch, on: bool):
         served.append(batch)
         return real(model, samples, batch)
 
-    monkeypatch.setattr(training, "fork_cpus", lambda: 2 if on else 1)
-    monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+    monkeypatch.setattr(procs, "fork_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(procs, "_one_blas_thread", lambda: True)
     monkeypatch.setattr(training, "PARTNER_MIN_STEPS", 1)
     monkeypatch.setattr(training, "_Partner", counted)
     return served
@@ -312,17 +312,10 @@ def forced_inference(monkeypatch, on: bool):
     """Force the inference worker on for every inference call of two chunks
     or more, whatever the CPU count and the BLAS variables, or off; returns
     the process counts the calls shared their chunks between."""
-    workers, real = [], training.map_chunks
-
-    def counted(run_chunk, chunks, n, *names):
-        workers.append(n)
-        return real(run_chunk, chunks, n, *names)
-
-    monkeypatch.setattr(training, "fork_cpus", lambda: 2 if on else 1)
-    monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+    monkeypatch.setattr(procs, "fork_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(procs, "_one_blas_thread", lambda: True)
     monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 2)
-    monkeypatch.setattr(training, "map_chunks", counted)
-    return workers
+    return processes_of(monkeypatch, "inference worker")
 
 
 class TestSgdPartner:
@@ -426,10 +419,10 @@ class TestSgdPartner:
         monkeypatch.setattr(os, "fork", no_process)
         if fallback in FALLBACKS:
             FALLBACKS[fallback](monkeypatch)
-            assert training.fork_cpus() == 1
+            assert procs.fork_cpus() == 1
         else:  # two usable CPUs, but BLAS may run a thread per CPU
-            monkeypatch.setattr(training, "fork_cpus", lambda: 2)
-            monkeypatch.setattr(training, "_one_blas_thread", lambda: False)
+            monkeypatch.setattr(procs, "fork_cpus", lambda: 2)
+            monkeypatch.setattr(procs, "_one_blas_thread", lambda: False)
         got = call()
         assert got[0] == want[0]
         assert_same_weights(got[1], want[1])
@@ -440,11 +433,11 @@ class TestSgdPartner:
                                                "OMP_NUM_THREADS": "2"}, False),
                                              ({"MKL_NUM_THREADS": "4"}, False)])
     def test_one_blas_thread_reads_every_thread_variable(self, monkeypatch, values, one):
-        for name in training.BLAS_THREAD_VARS:
+        for name in procs.BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         for name, value in values.items():
             monkeypatch.setenv(name, value)
-        assert training._one_blas_thread() is one
+        assert procs._one_blas_thread() is one
 
     def test_dead_partner_raises_naming_pid_and_exit_code(self, monkeypatch):
         parent, real = os.getpid(), training._half_gradient
@@ -771,11 +764,11 @@ class TestInferenceWorker:
         # stays in this process whatever the CPU and chunk counts
         model, domains = Classifier(1, 2, seed=3), self.domains()
         want = evaluate(model, domains)
-        for name in training.BLAS_THREAD_VARS:
+        for name in procs.BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(training, "EVAL_CHUNK", 1)
         monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
-        monkeypatch.setattr(training, "fork_cpus", lambda: 2)
+        monkeypatch.setattr(procs, "fork_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_process)
         assert evaluate(model, domains) == want
 
@@ -785,7 +778,7 @@ class TestInferenceWorker:
         want = evaluate(model, domains)
         monkeypatch.setattr(training, "EVAL_CHUNK", 1)
         monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 1)
-        monkeypatch.setattr(training, "_one_blas_thread", lambda: True)
+        monkeypatch.setattr(procs, "_one_blas_thread", lambda: True)
         monkeypatch.setattr(os, "fork", no_process)
         FALLBACKS[fallback](monkeypatch)
         assert evaluate(model, domains) == want
