@@ -331,10 +331,8 @@ def _read_rows_by_line(path: str) -> np.ndarray:
 # end a line there, numpy's parser does not) and the separators.
 _BY_LINE = (b"\r",) + tuple(ch.encode() for ch in _SEPARATORS)
 _NON_BLANK = re.compile(rb"\S")
-# A file is scanned for _BY_LINE in blocks of this many bytes.  One that
-# fits in a block is parsed from that block; np.loadtxt(open file) costs
-# ~15 us more per 128-row file, which a layout of one file per series pays
-# once per series.
+# A file is scanned for _BY_LINE in blocks of this many bytes, so no more
+# than one block of it is held at a time.
 _SCAN_BYTES = 1 << 16
 
 
@@ -346,20 +344,19 @@ def _read_rows(path: str, skip: int = 0, rows: int | None = None) -> np.ndarray:
     """Data rows skip to skip + rows - 1 of a series CSV (to its end when
     ``rows`` is None, so all of them by default) as a (rows, columns) array.
 
-    A file without the bytes in _BY_LINE is parsed by one np.loadtxt call,
-    past an optional header line: from its bytes when it fits in one scan
-    block, else from the open file once a scan block by block has found
-    none, so no more than a block of the file is held beside the rows
-    (holding a 600-series file's bytes through the parse raised the eval
-    command's peak RSS by ~0.8 MB).  A range is found by counting lines, so
-    the lines before it, and a range's own lines where it stops short of the
-    end (max_rows warns at a blank line), must each be a line that every
-    reading path counts as one data row: bytes 0x21 to 0x7E only, so no
-    blank, no whitespace, nothing that is not ASCII.  The scan of such a
-    range ends at its last line.  Other files, and rows that call cannot
-    read (a whitespace-only line, a bad cell, bytes that are not UTF-8), go
-    through _read_rows_by_line, which reads the whole file, the range then
-    sliced from it, or names the line it cannot read.
+    A file without the bytes in _BY_LINE is parsed by one np.loadtxt call
+    on the open file, past an optional header line, once a scan block by
+    block has found none, so no more than a block of the file is held
+    beside the rows (holding a 600-series file's bytes through the parse
+    raised the eval command's peak RSS by ~0.8 MB).  A range is found by
+    counting lines, so the lines before it, and a range's own lines where it
+    stops short of the end (max_rows warns at a blank line), must each be a
+    line that every reading path counts as one data row: bytes 0x21 to 0x7E
+    only, so no blank, no whitespace, nothing that is not ASCII.  The scan
+    of such a range ends at its last line.  Other files, and rows that call
+    cannot read (a whitespace-only line, a bad cell, bytes that are not
+    UTF-8), go through _read_rows_by_line, which reads the whole file, the
+    range then sliced from it, or names the line it cannot read.
     """
     counted = skip + (rows or (skip > 0))  # the lines that must each be one data row
     with open(path, "rb") as fh:
@@ -391,10 +388,6 @@ def _read_rows(path: str, skip: int = 0, rows: int | None = None) -> np.ndarray:
                 pos += len(block)
                 block = fh.read(_SCAN_BYTES)
             if plain and seen >= counted:
-                if len(head) < _SCAN_BYTES:  # the whole file
-                    text.seek(offset)
-                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
-                                      encoding="utf-8", max_rows=rows)
                 fh.seek(offset)
                 with io.TextIOWrapper(fh, encoding="utf-8") as text:  # closes fh
                     return np.loadtxt(text, delimiter=",", comments=None, ndmin=2,

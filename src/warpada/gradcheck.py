@@ -1,14 +1,16 @@
 """Finite-difference audit of every gradient path the trainer relies on.
 
-Each item builds a scalar function of one probe tensor, takes its tape
-gradient once, and compares against central differences at up to a fixed
-number of probe coordinates.  Ops are looked up through their defining
-module at call time, as the warp looks up its kernel, so a test can swap
-one out (the sign-flip fixture) and watch the corresponding rows fail.
+Each item builds a scalar function of the leaf tensors it names, takes its
+tape gradient once, and compares against central differences at up to a
+fixed number of coordinates of the leaves' entries.  Ops are looked up
+through their defining module at call time, as the warp looks up its
+kernel, so a test can swap one out (the sign-flip fixture) and watch the
+corresponding rows fail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,44 +48,33 @@ def _away_from_zero(rng, n, lo=0.2, hi=1.0):
 
 
 def _items(rng: np.random.Generator):
-    """(name, scalar function, probe start) triples covering every op plus
-    the composed paths the optimizer differentiates."""
-    items: list[tuple[str, Callable[[Tensor], Tensor], np.ndarray]] = []
+    """(name, scalar function of the leaves, flat start, leaf shapes)
+    covering every op plus the composed paths the optimizer differentiates.
+    The start is the leaves' entries concatenated in order; a row without
+    shapes has one leaf of the start's shape."""
+    items: list[tuple[str, Callable[..., Tensor], np.ndarray, tuple]] = []
 
-    def add(name, f, x0):
-        items.append((name, f, np.asarray(x0, dtype=np.float64)))
-
-    idx_lo = np.arange(3)
-    idx_hi = np.arange(3, 6)
-
-    def halves(x):
-        return _tensor.op_gather(x, idx_lo), _tensor.op_gather(x, idx_hi)
+    def add(name, f, x0, *shapes):
+        items.append((name, f, np.asarray(x0, dtype=np.float64).ravel(),
+                      shapes or (np.shape(x0),)))
 
     def binary(op):
-        def f(x):
-            a, b = halves(x)
-            return _tensor.op_sum(op(a, b))
-        return f
+        return lambda a, b: _tensor.op_sum(op(a, b))
 
-    add("add", binary(_tensor.op_add), rng.uniform(-1, 1, 6))
-    add("sub", binary(_tensor.op_sub), rng.uniform(-1, 1, 6))
-    add("mul", binary(_tensor.op_mul), rng.uniform(-1, 1, 6))
+    add("add", binary(_tensor.op_add), rng.uniform(-1, 1, 6), (3,), (3,))
+    add("sub", binary(_tensor.op_sub), rng.uniform(-1, 1, 6), (3,), (3,))
+    add("mul", binary(_tensor.op_mul), rng.uniform(-1, 1, 6), (3,), (3,))
 
     k_fixed = Tensor(rng.uniform(-1, 1, (3, 2, 3)))
     b_fixed = Tensor(rng.uniform(-1, 1, 3))
     img_fixed = Tensor(rng.uniform(-1, 1, (2, 9)))
 
-    def f_conv_input(x):
-        img = _tensor.op_reshape(x, (2, 9))
-        return _tensor.op_sum(_tensor.op_conv1d(img, k_fixed, bias=b_fixed))
-
-    def f_conv_weights(x):
-        k = _tensor.op_reshape(_tensor.op_gather(x, np.arange(18)), (3, 2, 3))
-        b = _tensor.op_gather(x, np.arange(18, 21))
-        return _tensor.op_sum(_tensor.op_conv1d(img_fixed, k, stride=2, bias=b))
-
-    add("conv1d_input", f_conv_input, rng.uniform(-1, 1, 18))
-    add("conv1d_weights", f_conv_weights, rng.uniform(-1, 1, 21))
+    add("conv1d_input",
+        lambda img: _tensor.op_sum(_tensor.op_conv1d(img, k_fixed, bias=b_fixed)),
+        rng.uniform(-1, 1, 18), (2, 9))
+    add("conv1d_weights",
+        lambda k, b: _tensor.op_sum(_tensor.op_conv1d(img_fixed, k, stride=2, bias=b)),
+        rng.uniform(-1, 1, 21), (3, 2, 3), (3,))
 
     def unary(op):
         return lambda x: _tensor.op_sum(op(x))
@@ -154,35 +145,28 @@ def _items(rng: np.random.Generator):
     # and the chunked ascent objective over two rows of phi
     img_batch = Tensor(rng.uniform(-1, 1, (2, 2, 9)))
 
-    def f_conv_batched(x):
-        k = _tensor.op_reshape(_tensor.op_gather(x, np.arange(18)), (3, 2, 3))
-        b = _tensor.op_gather(x, np.arange(18, 21))
-        img = _tensor.op_reshape(_tensor.op_gather(x, np.arange(21, 57)), (2, 2, 9))
+    def f_conv_batched(k, b, img):
         out = _tensor.op_conv1d(_tensor.op_add(img, img_batch), k, stride=2, bias=b)
         return _tensor.op_sum(_tensor.op_mul(out, out))
 
-    add("conv1d_batched", f_conv_batched, rng.uniform(-1, 1, 57))
+    add("conv1d_batched", f_conv_batched, rng.uniform(-1, 1, 57),
+        (3, 2, 3), (3,), (2, 2, 9))
 
     w_tail = Tensor(rng.uniform(-1, 1, (2, 3)))
 
-    def f_pool_head(x):
-        # features h (2, 4, 5), head weights w (3, 4) and bias b (3), all
-        # differentiable; squaring the logits gives every input its own
-        # gradient
-        h = _tensor.op_reshape(_tensor.op_gather(x, np.arange(40)), (2, 4, 5))
-        w = _tensor.op_reshape(_tensor.op_gather(x, np.arange(40, 52)), (3, 4))
-        b = _tensor.op_gather(x, np.arange(52, 55))
+    def f_pool_head(h, w, b):
+        # features h, head weights w and bias b, all differentiable; squaring
+        # the logits gives every input its own gradient
         logits = _model._affine(_model._pool(h), w, b)
         return _tensor.op_sum(_tensor.op_mul(_tensor.op_mul(logits, logits), w_tail))
 
-    add("pool_head", f_pool_head, rng.uniform(-1, 1, 55))
+    add("pool_head", f_pool_head, rng.uniform(-1, 1, 55), (2, 4, 5), (3, 4), (3,))
 
     z_ref = Tensor(rng.uniform(-1, 1, (3, 4)))
     w_dist = Tensor(rng.uniform(0.5, 1.5, (3, 1)))
     add("semantic_distance",
-        lambda x: _tensor.op_sum(_tensor.op_mul(
-            _model.semantic_distance(_tensor.op_reshape(x, (3, 4)), z_ref), w_dist)),
-        rng.uniform(-1, 1, 12))
+        lambda z: _tensor.op_sum(_tensor.op_mul(_model.semantic_distance(z, z_ref), w_dist)),
+        rng.uniform(-1, 1, 12), (3, 4))
 
     # the fused loss terms on (4, 5) logits, per-row weights making every
     # row's output gradient distinct; row 1's maximum is tied
@@ -192,21 +176,19 @@ def _items(rng: np.random.Generator):
     w_head = Tensor(rng.uniform(0.5, 1.5, (4, 1)))
 
     def head(term):
-        return lambda x: _tensor.op_sum(_tensor.op_mul(term(_tensor.op_reshape(x, (4, 5))),
-                                                       w_head))
+        return lambda logits: _tensor.op_sum(_tensor.op_mul(term(logits), w_head))
 
-    add("loss_ce", head(lambda logits: _model.loss_ce(logits, head_labels)),
-        head_logits.ravel())
-    add("entropy", head(_model.entropy), head_logits.ravel())
+    add("loss_ce", head(lambda logits: _model.loss_ce(logits, head_labels)), head_logits)
+    add("entropy", head(_model.entropy), head_logits)
 
     x_rows = Tensor(np.stack([base, base[::-1]]).reshape(2, 1, 64))
 
     def f_loss_phi_rows(phi):
-        path = _warp.make_path(_tensor.op_reshape(phi, (2, 64)), 8.0, 10)
+        path = _warp.make_path(phi, 8.0, 10)
         _, logits = _model.forward(clf, _signal.warp_apply(x_rows, path, 10))
         return _tensor.op_sum(_model.loss_ce(logits, np.array([1, 2])))
 
-    add("loss_grad_phi_batched", f_loss_phi_rows, rng.uniform(-1, 1, 128))
+    add("loss_grad_phi_batched", f_loss_phi_rows, rng.uniform(-1, 1, 128), (2, 64))
 
     return items
 
@@ -214,13 +196,15 @@ def _items(rng: np.random.Generator):
 def run_checks(seed: int = 0, h: float = STEP, points: int = POINTS,
                threshold: float = THRESHOLD) -> list[CheckResult]:
     """One row per item: the worst relative error over a sample of
-    ``points`` coordinates (all of them when the probe is small)."""
+    ``points`` coordinates (all of them when the leaves are small)."""
     rng = np.random.default_rng(seed)
     results = []
-    for name, f, x0 in _items(rng):
+    for name, f, x0, shapes in _items(rng):
         coords = (np.arange(x0.size) if points >= x0.size
                   else rng.choice(x0.size, size=points, replace=False))
-        err = finite_diff_check(f, Tensor(x0), h, coords)
+        cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        leaves = [Tensor(part.reshape(shape)) for part, shape in zip(np.split(x0, cuts), shapes)]
+        err = finite_diff_check(f, *leaves, h=h, coords=coords)
         results.append(CheckResult(name, err, threshold))
     return results
 

@@ -343,32 +343,38 @@ def op_reshape(x, shape: tuple[int, ...] | list[int]) -> Tensor:
     return _record(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
+def finite_diff_check(f: Callable[..., Tensor], *leaves: Tensor, h: float = 1e-5,
                       coords: Iterable[int] | None = None) -> float:
-    """Max relative error between the tape gradient of ``f`` at ``x`` and a
-    central finite difference with step ``h``, over the flat coordinates
-    ``coords`` (every coordinate when None).
+    """Max relative error between the tape gradient of ``f`` at ``leaves``
+    and a central finite difference with step ``h``, over the coordinates
+    ``coords`` of the leaves' flat entries concatenated in order (every
+    coordinate when None).
 
     The relative error per coordinate is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8).  ``f`` must map a tensor to a scalar
-    tensor and be evaluable at every probed point.
+    max(|analytic|, |numeric|, 1e-8).  ``f`` must map the leaves to a scalar
+    tensor and be evaluable at every probed point; a leaf it ignores has a
+    zero gradient.  Every call of ``f`` gets fresh copies of the leaves.
     """
-    probe = Tensor(x.data.copy(), requires_grad=True)
+    x = np.concatenate([leaf.data.reshape(-1) for leaf in leaves])
+    cuts = np.cumsum([leaf.data.size for leaf in leaves])[:-1]
+
+    def at(flat, requires_grad=False):
+        return [Tensor(part.reshape(leaf.data.shape).copy(), requires_grad)
+                for part, leaf in zip(np.split(flat, cuts), leaves)]
+
+    probes = at(x, requires_grad=True)
     with Tape() as tape:
-        y = f(probe)
-        grads = tape.backward(y)
-    analytic = grads.get(probe)
-    if analytic is None:
-        analytic = np.zeros_like(probe.data)
-    analytic = np.asarray(analytic, dtype=np.float64).reshape(-1)
+        grads = tape.backward(f(*probes))
+    analytic = np.concatenate([np.reshape(grads.get(p, np.zeros(p.data.shape)), -1)
+                               for p in probes])
 
     errors = []
-    for i in range(probe.data.size) if coords is None else coords:
-        forward = probe.data.copy()
-        forward.flat[i] += h
-        backward = probe.data.copy()
-        backward.flat[i] -= h
-        numeric = (float(f(Tensor(forward)).data) - float(f(Tensor(backward)).data)) / (2.0 * h)
+    for i in range(x.size) if coords is None else coords:
+        forward = x.copy()
+        forward[i] += h
+        backward = x.copy()
+        backward[i] -= h
+        numeric = (float(f(*at(forward)).data) - float(f(*at(backward)).data)) / (2.0 * h)
         ana = float(analytic[i])
         errors.append(abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8))
     return float(np.max(errors))

@@ -442,6 +442,49 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(lambda x: x * x, Tensor(3.0))
         assert err < 1e-9
 
+    def test_leaves_match_one_gathered_probe(self):
+        # conv kernels and bias as two leaves, and as slices of one flat
+        # probe: the same function at the same coordinates, the same error
+        rng = np.random.default_rng(4)
+        img = Tensor(rng.normal(size=(2, 9)))
+        k0, b0 = rng.normal(size=(3, 2, 3)), rng.normal(size=3)
+
+        def f(k, b):
+            out = T.op_conv1d(img, k, stride=2, bias=b)
+            return T.op_sum(T.op_mul(out, out))
+
+        def f_flat(x):
+            return f(T.op_reshape(T.op_gather(x, np.arange(18)), (3, 2, 3)),
+                     T.op_gather(x, np.arange(18, 21)))
+
+        coords = [0, 7, 17, 18, 20]
+        err = finite_diff_check(f, Tensor(k0), Tensor(b0), coords=coords)
+        assert 0.0 < err < 1e-6
+        assert err == finite_diff_check(f_flat, Tensor(np.concatenate([k0.ravel(), b0])),
+                                        coords=coords)
+
+    def test_coords_run_across_leaves_in_order(self):
+        # a rule wrong only for the second leaf: coordinates 0-5 are the
+        # first (2, 3) leaf's entries, 6-9 the second's
+        rng = np.random.default_rng(5)
+        a, b = Tensor(rng.uniform(0.5, 1.0, (2, 3))), Tensor(rng.uniform(0.5, 1.0, 4))
+
+        def flipped(x):
+            return T._record(x.data.copy(), (x, lambda g: -g))
+
+        def f(a, b):
+            return T.op_mul(T.op_sum(a), T.op_sum(flipped(b)))
+
+        assert finite_diff_check(f, a, b, coords=range(6)) < 1e-9
+        assert finite_diff_check(f, a, b, coords=[6]) > 1.0
+        assert finite_diff_check(f, a, b) > 1.0
+
+    def test_ignored_leaf_has_zero_gradient(self):
+        a, b = Tensor(np.arange(1.0, 4.0)), Tensor(np.ones((2, 2)))
+        assert finite_diff_check(lambda a, b: T.op_sum(T.op_mul(a, a)), a, b,
+                                 coords=range(3, 7)) == 0.0
+        assert finite_diff_check(lambda a, b: T.op_sum(T.op_mul(a, a)), a, b) < 1e-9
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=6, max_size=6),
