@@ -285,22 +285,26 @@ def _floats(cells: list[str]) -> bool:
     return True
 
 
-def _locate(path: str, lines: list[str]) -> ValueError | None:
-    """The error for the first row np.loadtxt cannot read, by its line: a
-    line 1 that float() cannot read is a header; any later one, or one with
-    an underscore or a non-ASCII digit, is non-numeric; a row whose width
-    differs from the first row's is ragged."""
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """The (line number, line) pairs of a CSV text's data rows: every
+    non-blank line, except an optional header, a line 1 whose cells float()
+    cannot read."""
+    lines = text.split("\n")
+    header = not _floats(lines[0].strip().split(","))
+    return [(no, line) for no, line in enumerate(lines, start=1)
+            if line.strip() and not (no == 1 and header)]
+
+
+def _locate(path: str, numbered: list[tuple[int, str]]) -> ValueError | None:
+    """The error for the first data row (_data_lines) np.loadtxt cannot
+    read: one that float() cannot read, or one with an underscore or a
+    non-ASCII digit, is non-numeric; a row whose width differs from the
+    first row's is ragged."""
     width = None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in numbered:
         line = line.strip()
-        if not line:
-            continue
         cells = line.split(",")
-        if not _floats(cells):
-            if line_no == 1:
-                continue  # optional header
-            return _manifest_error(path, line_no, f"non-numeric row: {line!r}")
-        if "_" in line or not all(c.strip().isascii() for c in cells):
+        if not _floats(cells) or "_" in line or not all(c.strip().isascii() for c in cells):
             return _manifest_error(path, line_no, f"non-numeric row: {line!r}")
         if width is None:
             width = len(cells)
@@ -313,18 +317,16 @@ def _locate(path: str, lines: list[str]) -> ValueError | None:
 def _read_rows_by_line(path: str) -> np.ndarray:
     """The data rows of any text, through the list of its lines."""
     text = _read_text(path)
-    lines = text.split("\n")
-    header = not _floats(lines[0].strip().split(","))
-    rows = lines[1:] if header else lines
+    numbered = _data_lines(text)
+    rows = [line for _, line in numbered]
     if any(ch in text for ch in _SEPARATORS):  # float() fails on those left inside a line
         rows = [line.strip().translate(_UNPARSABLE) for line in rows]
-    rows = list(filter(str.strip, rows))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise _locate(path, lines) or ValueError(f"{path}: {exc}") from None
+        raise _locate(path, numbered) or ValueError(f"{path}: {exc}") from None
 
 
 # Bytes that send a file to _read_rows_by_line: a "\r" (universal newlines
@@ -418,10 +420,7 @@ def _load_series_blocks(path: str, count: int, channels: int, length: int,
         return [block.T.copy() for block in arr.reshape(stop - first, length, channels)]
     arr = _read_rows(path)
     if not np.isfinite(arr).all():
-        lines = _read_text(path).split("\n")
-        header = not _floats(lines[0].strip().split(","))
-        line_nos = [no for no, line in enumerate(lines, start=1)
-                    if line.strip() and not (no == 1 and header)]
+        line_nos = [no for no, _ in _data_lines(_read_text(path))]
         finite = np.isfinite(arr).all(axis=1)
         raise _manifest_error(path, line_nos[int(np.argmin(finite))], "non-finite value")
     if arr.shape != (count * length, channels):

@@ -67,11 +67,11 @@ def _items(rng: np.random.Generator):
 
     k_fixed = Tensor(rng.uniform(-1, 1, (3, 2, 3)))
     b_fixed = Tensor(rng.uniform(-1, 1, 3))
-    img_fixed = Tensor(rng.uniform(-1, 1, (2, 9)))
+    img_fixed = Tensor(rng.uniform(-1, 1, (1, 2, 9)))
 
     add("conv1d_input",
         lambda img: _tensor.op_sum(_tensor.op_conv1d(img, k_fixed, bias=b_fixed)),
-        rng.uniform(-1, 1, 18), (2, 9))
+        rng.uniform(-1, 1, 18), (1, 2, 9))
     add("conv1d_weights",
         lambda k, b: _tensor.op_sum(_tensor.op_conv1d(img_fixed, k, stride=2, bias=b)),
         rng.uniform(-1, 1, 21), (3, 2, 3), (3,))
@@ -80,31 +80,16 @@ def _items(rng: np.random.Generator):
         return lambda x: _tensor.op_sum(op(x))
 
     add("relu", unary(_tensor.op_relu), _away_from_zero(rng, 8))
-    # the warp's Dirichlet kernel at L = 21, in the source values and the
-    # shifts, each tiled over a 21-sample series and path: exact integers,
-    # both sides of the series branch at the tap w = k, +-(M - 1), whose edge
-    # taps read |t| = 2M - 1, and two plainly fractional shifts (integer rows
-    # are nearly one-hot, so only these give every source value a gradient
-    # well above rounding)
-    tile = np.arange(21) % 10
-
-    def f_dirichlet(x):
-        source = _tensor.op_reshape(_tensor.op_gather(x, tile), (1, 1, 21))
-        shifts = _tensor.op_reshape(_tensor.op_gather(x, 10 + tile), (1, 21))
-        return _tensor.op_sum(_signal.warp_apply(source, shifts, 10))
-
-    add("dirichlet", f_dirichlet,
+    # the warp's Dirichlet kernel at M = 4, in a (1, 1, 10) series and its
+    # (1, 10) path of shifts: exact integers, both sides of the series branch
+    # at the tap w = k, +-(M - 1), whose edge taps read |t| = 2M - 1, and two
+    # plainly fractional shifts (integer rows are nearly one-hot, so only
+    # these give every source value a gradient well above rounding)
+    add("dirichlet", lambda source, shifts: _tensor.op_sum(_signal.warp_apply(source, shifts, 4)),
         np.concatenate([rng.uniform(-1, 1, 10),
-                        [0.0, 3.0, -7.0, 2.0 + 1e-6, -5.0 - 1e-6, 4.0 - 3e-4, 9.0, -9.0],
-                        rng.uniform(-10, 10, 2)]))
+                        [0.0, 2.0, -1.0, 1.0 + 1e-6, -2.0 - 1e-6, 1.0 - 3e-4, 3.0, -3.0],
+                        rng.uniform(-3.5, 3.5, 2)]), (1, 1, 10), (1, 10))
     add("sum", _tensor.op_sum, rng.uniform(-1, 1, 8))
-
-    repeats = np.array([0, 2, 2, 5, 7, 0])
-    w6 = Tensor(rng.uniform(-1, 1, 6))
-    add("gather",
-        lambda x: _tensor.op_sum(
-            _tensor.op_mul(_tensor.op_gather(x, repeats), w6)),
-        rng.uniform(-1, 1, 8))
 
     w24 = Tensor(rng.uniform(-1, 1, (2, 4)))
     add("reshape",

@@ -7,16 +7,16 @@ recording rule (see there).  The tape is rebuilt on every forward pass
 records at a time; tapes do not nest.
 
 Elementwise binary ops take operands of equal shape, or one rank-0
-operand against any shape; there is no other broadcasting.  A leading batch
-axis runs through conv1d and the last-axis sum, so a whole minibatch is one
-node per op.  All data is float64.  Fused terms outside this module
-(``make_path``, ``warp_apply``, ``loss_ce``, ``entropy``, the classifier's
-pool and head) compute in numpy and build their outputs through ``_record``
-too.
+operand against any shape; there is no other broadcasting.  conv1d takes
+batches only, and the last-axis sum keeps a leading batch axis, so a whole
+minibatch is one node per op.  All data is float64.  Fused terms outside
+this module (``make_path``, ``warp_apply``, ``loss_ce``, ``entropy``, the
+classifier's pool and head) compute in numpy and build their outputs
+through ``_record`` too.
 
 Ops never scan values for finiteness; values are validated where they enter
 the program and where a step yields a loss or an objective.  Ops raise only
-on bad shapes, axes and indices.
+on bad shapes and axes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "op_conv1d",
     "op_relu",
     "op_sum",
-    "op_gather",
     "op_reshape",
     "finite_diff_check",
 ]
@@ -242,19 +241,17 @@ def _conv_taps(n: int, width: int, stride: int):
 
 def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     """1-D cross-correlation of (B, C_in, N) with kernels (C_out, C_in, W),
-    giving (B, C_out, N_out).  A (C_in, N) input is a batch of one and gives
-    (C_out, N_out).
+    giving (B, C_out, N_out).
 
     The input is padded with (W-1)//2 zeros each side ("same" length at
     stride 1).  ``bias`` is an optional (C_out,) tensor added per output
     channel.
     """
     x, kernels = _lift(x), _lift(kernels)
-    if x.data.ndim not in (2, 3) or kernels.data.ndim != 3:
-        raise ValueError(f"conv1d: expected (B, C_in, N) or (C_in, N) input and "
-                         f"(C_out, C_in, W) kernels, got {x.data.shape} and {kernels.data.shape}")
-    xb = x.data.reshape((-1,) + x.data.shape[-2:])
-    batch, c_in, n = xb.shape
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ValueError(f"conv1d: expected (B, C_in, N) input and (C_out, C_in, W) "
+                         f"kernels, got {x.data.shape} and {kernels.data.shape}")
+    batch, c_in, n = x.data.shape
     c_out, kc_in, width = kernels.data.shape
     if kc_in != c_in:
         raise ValueError(f"conv1d: kernel expects {kc_in} input channels, input has {c_in}")
@@ -273,7 +270,7 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     cols[..., :front] = 0.0
     cols[..., back:] = 0.0
     for w, (lo, hi, sl) in enumerate(taps):
-        cols[:, :, w, lo:hi] = xb[:, :, sl]
+        cols[:, :, w, lo:hi] = x.data[:, :, sl]
     cols = cols.reshape(batch, c_in * width, n_out)
     kmat = kernels.data.reshape(c_out, c_in * width)
     out_data = np.matmul(kmat, cols)
@@ -285,20 +282,19 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
         if bias.data.shape != (c_out,):
             raise ValueError(f"conv1d: bias shape {bias.data.shape} != ({c_out},)")
         out_data += bias.data[:, None]
-    gshape = (batch, c_out, n_out)
 
     def _dx(g):
-        dcols = np.matmul(kmat.T, g.reshape(gshape)).reshape(batch, c_in, width, n_out)
+        dcols = np.matmul(kmat.T, g).reshape(batch, c_in, width, n_out)
         dx = np.zeros((batch, c_in, n))
         for w, (lo, hi, sl) in enumerate(taps):  # col2im, the adjoint, in tap order
             dx[:, :, sl] += dcols[:, :, w, lo:hi]
-        return dx.reshape(x.data.shape)
+        return dx
 
-    return _record(out_data.reshape(x.data.shape[:-2] + (c_out, n_out)),
-                   (kernels, lambda g: np.tensordot(g.reshape(gshape), cols, axes=([0, 2], [0, 2]))
+    return _record(out_data,
+                   (kernels, lambda g: np.tensordot(g, cols, axes=([0, 2], [0, 2]))
                     .reshape(kernels.data.shape)),
                    (x, _dx),
-                   (bias, lambda g: g.reshape(gshape).sum(axis=(0, 2))))
+                   (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def op_relu(x) -> Tensor:
@@ -316,25 +312,6 @@ def op_sum(x, axis: int | None = None) -> Tensor:
                          f"last axis (axis=-1), got axis={axis!r}")
     return _record(x.data.sum(axis=axis, keepdims=axis is not None),
                    (x, lambda g: np.broadcast_to(g, x.data.shape).copy()))
-
-
-def op_gather(x, indices) -> Tensor:
-    """Index a rank-1 tensor with an integer array; output takes the index shape.
-
-    Backward scatter-adds (a weighted bincount), so repeated indices
-    accumulate.
-    """
-    x = _lift(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"gather: expected rank-1 source, got shape {x.data.shape}")
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"gather: indices must be integers, got dtype {idx.dtype}")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"gather: index out of range for length {n}")
-    return _record(x.data[idx],
-                   (x, lambda g: np.bincount(idx.ravel(), weights=np.ravel(g), minlength=n)))
 
 
 def op_reshape(x, shape: tuple[int, ...] | list[int]) -> Tensor:

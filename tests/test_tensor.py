@@ -195,34 +195,38 @@ class TestReductions:
 
 class TestConv1d:
     def test_identity_kernel(self):
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0]]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+        out = T.op_conv1d(Tensor([[[1.0, 2.0, 3.0]]]), Tensor([[[1.0]]]))
+        np.testing.assert_array_equal(out.data, [[[1.0, 2.0, 3.0]]])
 
     def test_hand_computation_no_pad(self):
         # a width-2 kernel gets (2 - 1) // 2 = 0 zeros each side
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[[1.0, 1.0]]]), stride=1)
-        np.testing.assert_array_equal(out.data, [[3.0, 5.0, 7.0]])
+        out = T.op_conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), Tensor([[[1.0, 1.0]]]), stride=1)
+        np.testing.assert_array_equal(out.data, [[[3.0, 5.0, 7.0]]])
 
     def test_same_padding_default(self):
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[[1.0, 1.0, 1.0]]]))
-        np.testing.assert_array_equal(out.data, [[3.0, 6.0, 9.0, 7.0]])
+        out = T.op_conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), Tensor([[[1.0, 1.0, 1.0]]]))
+        np.testing.assert_array_equal(out.data, [[[3.0, 6.0, 9.0, 7.0]]])
 
     def test_stride_two_output_length(self):
-        out = T.op_conv1d(Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]]), Tensor([[[1.0]]]), stride=2)
-        np.testing.assert_array_equal(out.data, [[1.0, 3.0, 5.0]])
+        out = T.op_conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0, 5.0]]]), Tensor([[[1.0]]]), stride=2)
+        np.testing.assert_array_equal(out.data, [[[1.0, 3.0, 5.0]]])
 
     def test_kernel_wider_than_padded_input_raises(self):
         with pytest.raises(ValueError, match="width"):
             # width 8 pads 3 zeros each side: 1 + 6 = 7 < 8
-            T.op_conv1d(Tensor([[1.0]]), Tensor([[[1.0] * 8]]))
+            T.op_conv1d(Tensor([[[1.0]]]), Tensor([[[1.0] * 8]]))
+
+    def test_unbatched_input_raises(self):
+        with pytest.raises(ValueError, match=r"expected \(B, C_in, N\) input"):
+            T.op_conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0]]]))
 
     def test_gradient_wrt_input_and_kernels(self):
         rng = np.random.default_rng(1)
         kernels = Tensor(rng.normal(size=(3, 2, 3)))
         err = finite_diff_check(lambda x: T.op_sum(T.op_conv1d(x, kernels)),
-                                Tensor(rng.normal(size=(2, 16))))
+                                Tensor(rng.normal(size=(1, 2, 16))))
         assert err < 1e-5
-        x = Tensor(rng.normal(size=(2, 16)))
+        x = Tensor(rng.normal(size=(1, 2, 16)))
         err = finite_diff_check(lambda k: T.op_sum(T.op_conv1d(x, k)),
                                 Tensor(rng.normal(size=(3, 2, 3))))
         assert err < 1e-5
@@ -236,12 +240,12 @@ class TestConv1d:
         assert out.shape == (4, 3, 7)
         for i in range(4):
             np.testing.assert_allclose(
-                out[i], T.op_conv1d(Tensor(x[i]), kernels, stride=2, bias=bias).data,
+                out[i], T.op_conv1d(Tensor(x[i:i + 1]), kernels, stride=2, bias=bias).data[0],
                 rtol=0, atol=1e-12)
 
     def test_gradient_with_stride_and_bias(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(2, 11)))
+        x = Tensor(rng.normal(size=(1, 2, 11)))
         kernels = Tensor(rng.normal(size=(4, 2, 3)))
         err = finite_diff_check(
             lambda b: T.op_sum(T.op_conv1d(x, kernels, stride=2, bias=b)),
@@ -294,22 +298,6 @@ class TestConv1d:
 
 
 class TestIndexing:
-    def test_gather_values_and_scatter_add_backward(self):
-        x = Tensor([10.0, 20.0, 30.0], requires_grad=True)
-        with Tape() as tape:
-            y = T.op_sum(T.op_gather(x, np.array([0, 2, 2])))
-            tape.backward(y)
-        assert y.item() == 70.0
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 2.0])
-
-    def test_gather_range_check(self):
-        with pytest.raises(ValueError, match="range"):
-            T.op_gather(Tensor([1.0, 2.0]), np.array([2]))
-
-    def test_gather_2d_index_shape(self):
-        out = T.op_gather(Tensor([1.0, 2.0, 3.0]), np.array([[0, 1], [2, 2]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 3.0]])
-
     def test_reshape_roundtrip_gradient(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
         with Tape() as tape:
@@ -390,7 +378,6 @@ RULE_CASES = {
     "relu": (T.op_relu, [(2, 3)], (0,)),
     "warp_apply": (lambda x, p: warp_apply(x, p, 2), [(2, 2, 6), (2, 6)], (0, 1)),
     "sum": (lambda x: T.op_sum(x, axis=-1), [(2, 3)], (0,)),
-    "gather": (lambda x: T.op_gather(x, np.array([[0, 2], [1, 1]])), [(4,)], (0,)),
     "reshape": (lambda x: T.op_reshape(x, (6,)), [(2, 3)], (0,)),
     "make_path": (lambda phi: make_path(phi, 2.0), [(2, 6)], (0,)),
     "loss_ce": (lambda s: loss_ce(s, np.array([0, 2])), [(2, 3)], (0,)),
@@ -442,26 +429,22 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(lambda x: x * x, Tensor(3.0))
         assert err < 1e-9
 
-    def test_leaves_match_one_gathered_probe(self):
-        # conv kernels and bias as two leaves, and as slices of one flat
-        # probe: the same function at the same coordinates, the same error
+    def test_leaves_match_their_one_leaf_probes(self):
+        # conv kernels and bias as two leaves, and each alone with the other
+        # held fixed: the same coordinates give the larger one-leaf error
         rng = np.random.default_rng(4)
-        img = Tensor(rng.normal(size=(2, 9)))
+        img = Tensor(rng.normal(size=(1, 2, 9)))
         k0, b0 = rng.normal(size=(3, 2, 3)), rng.normal(size=3)
 
         def f(k, b):
             out = T.op_conv1d(img, k, stride=2, bias=b)
             return T.op_sum(T.op_mul(out, out))
 
-        def f_flat(x):
-            return f(T.op_reshape(T.op_gather(x, np.arange(18)), (3, 2, 3)),
-                     T.op_gather(x, np.arange(18, 21)))
-
-        coords = [0, 7, 17, 18, 20]
-        err = finite_diff_check(f, Tensor(k0), Tensor(b0), coords=coords)
+        err = finite_diff_check(f, Tensor(k0), Tensor(b0), coords=[0, 7, 17, 18, 20])
         assert 0.0 < err < 1e-6
-        assert err == finite_diff_check(f_flat, Tensor(np.concatenate([k0.ravel(), b0])),
-                                        coords=coords)
+        err_k = finite_diff_check(lambda k: f(k, Tensor(b0)), Tensor(k0), coords=[0, 7, 17])
+        err_b = finite_diff_check(lambda b: f(Tensor(k0), b), Tensor(b0), coords=[0, 2])
+        assert err == max(err_k, err_b)
 
     def test_coords_run_across_leaves_in_order(self):
         # a rule wrong only for the second leaf: coordinates 0-5 are the
