@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from . import procs, training
 from .adversarial import AdvConfig, AdvSample
 from .data import default_spec, load_manifest, read_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
-from .training import Dataset, _inference, evaluate, export_features, maximize_phase, run
+from .training import (Dataset, _inference, _share_domains, evaluate, export_features,
+                       maximize_phase, run)
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -237,39 +237,24 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     """f1.txt and embeddings.csv of the target datasets, in command-line
-    order.  With two processes from procs.workers (two manifests or more), each
-    manifest is checked here (read_manifest) and, when it has more than
-    EVAL_CHUNK entries, split into two contiguous halves cut at a multiple of
-    EVAL_CHUNK, so that every forward is a serial run's; one forked eval
-    worker takes every second unit (procs.map_chunks), for the default
-    targets every second half.  Otherwise each manifest is one unit in this
-    process.  A unit loads its entries, checks them against the checkpoint,
-    runs them through the model and formats their rows; this process then
-    scores each manifest over its units' logits.  An error is the first
-    manifest's in command-line order, and the files are the bytes of a
-    serial run."""
+    order.  Each manifest is checked first (read_manifest, which reads no
+    series), its error kept for its own parts.  _share_domains then runs
+    the parts, whole manifests or halves of them, in one process or two: a
+    part loads its entries, checks them against the checkpoint, runs them
+    through the model and formats their rows, and this process scores each
+    manifest over its parts' logits.  An error is the first manifest's in
+    command-line order, and the files are the bytes of a serial run."""
     model = load_checkpoint(checkpoint)
-    processes = procs.workers(len(manifests), 2, 2)
-    sources: list = list(manifests)  # each a path, read_manifest's result or its error
-    units = []  # (manifest index, its entries, the first one's index)
-    for m, path in enumerate(manifests):
-        n = cut = 0
-        if processes > 1:
-            try:
-                sources[m] = read_manifest(path)
-            except (ValueError, OSError) as exc:  # raised by its unit, in command-line order
-                sources[m] = exc
-            else:
-                n, chunk = len(sources[m].entries), training.EVAL_CHUNK
-                cut = min(n, chunk * -(-n // (2 * chunk)))
-        units += ([(m, slice(cut), 0), (m, slice(cut, None), cut)] if 0 < cut < n
-                  else [(m, slice(None), 0)])
+    sources: list = []  # each read_manifest's result or its error
+    for path in manifests:
+        try:
+            sources.append(read_manifest(path))
+        except (ValueError, OSError) as exc:  # raised by its part, in command-line order
+            sources.append(exc)
 
-    def unit(u):
-        """Manifest m's entries, the first of them its entry ``first``: their
-        embedding rows (after the header, for the first unit), domain tag,
-        labels and logits."""
-        m, entries, first = u
+    def part(m, entries):
+        """Manifest m's entries: their embedding rows (after the header, for
+        the first part), domain tag, labels and logits."""
         if isinstance(sources[m], Exception):
             raise sources[m]
         try:
@@ -280,19 +265,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
                 _check_fits(model, checkpoint, load_manifest(sources[m]), manifests[m])
             raise
         z, logits = _inference(model, domain.samples)
-        rows = io.StringIO()
+        rows, first = io.StringIO(), entries.start or 0
         export_features(model, domain, rows, header=m == first == 0, features=z, first=first)
-        return (m, rows.getvalue(), domain.samples[0].domain_tag,
+        return (rows.getvalue(), domain.samples[0].domain_tag,
                 [x.label for x in domain.samples], logits)
 
-    done = procs.map_chunks(unit, units, processes, "eval worker", "rows")
+    done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
+                                 for s in sources], "rows")
     with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(rows for _, rows, *_ in done)
-    domains, logits = [], []
-    for m in range(len(manifests)):
-        _, _, tags, labels, unit_logits = zip(*(d for d in done if d[0] == m))
-        domains.append((tags[0], sum(labels, [])))
-        logits.append(np.concatenate(unit_logits))
+        fh.writelines(rows for parts in done for rows, *_ in parts)
+    domains = [(parts[0][1], sum((labels for _, _, labels, _ in parts), []))
+               for parts in done]
+    logits = [np.concatenate([part_logits for *_, part_logits in parts]) for parts in done]
     scores, average = evaluate(model, domains, logits)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]

@@ -1,8 +1,7 @@
 """Process policy: how many processes share a call's work (workers), how
 one is started (Child) and fed (map_chunks), and the malloc policy forked
-children inherit.  The four sites that fork (the ascent, the SGD partner,
-the inference worker and the eval worker) each call workers() with their
-own limits only."""
+children inherit.  The three sites that fork (the ascent, the SGD partner
+and the inference worker) each call workers() with their own limits only."""
 
 from __future__ import annotations
 

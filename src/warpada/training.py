@@ -10,10 +10,12 @@ Each SGD step is the sum of two half-batch gradients (_sgd_step).  A
 minimize_phase call of PARTNER_MIN_STEPS steps or more may fork one partner
 process that computes each step's second half while this process computes
 the first (_Partner): one partner per round's fit, one for the whole final
-stretch.  Inference (_inference) may fork one worker for calls of
-INFERENCE_MIN_CHUNKS forwards or more.  Whether they do is procs.workers'
-decision.  Either way the weights, losses and outputs are bitwise those of
-one process, as the ascent's forked shares give bitwise the serial samples.
+stretch.  Inference over held-out domains (evaluate, export_features and
+the eval command, through _share_domains) may fork one worker that runs
+every second half-domain, for INFERENCE_MIN_CHUNKS forwards or more.
+Whether they do is procs.workers' decision.  Either way the weights,
+losses and outputs are bitwise those of one process, as the ascent's
+forked shares give bitwise the serial samples.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class TrainReport:
     dataset_sizes: list[int] = field(default_factory=list)
     round_losses: list[list[float]] = field(default_factory=list)
     final_losses: list[float] = field(default_factory=list)
-    f1_by_domain: dict[str, float] = field(default_factory=dict)
     wall_clock: float = 0.0
 
     def identity(self) -> dict:
@@ -95,7 +96,6 @@ class TrainReport:
             "dataset_sizes": list(self.dataset_sizes),
             "round_losses": [list(r) for r in self.round_losses],
             "final_losses": list(self.final_losses),
-            "f1_by_domain": dict(self.f1_by_domain),
         }
 
     def to_text(self) -> str:
@@ -107,10 +107,6 @@ class TrainReport:
             lines.append(f"round{k}_mean_loss: "
                          + " ".join(f"{v:.12g}" for v in losses))
         lines.append("final_mean_loss: " + " ".join(f"{v:.12g}" for v in self.final_losses))
-        if self.f1_by_domain:
-            lines.append("domain\tmacro_f1")
-            for tag in sorted(self.f1_by_domain):
-                lines.append(f"{tag}\t{self.f1_by_domain[tag]:.6f}")
         lines.append(f"wall_clock_s: {self.wall_clock:.3f}")
         return "\n".join(lines) + "\n"
 
@@ -120,9 +116,10 @@ class TrainReport:
 # series; 2-core x86 sandbox, one BLAS thread) in 57 ms in chunks of 8, 46 in
 # 16, 45 in 32, 48 in 64 and 58 in 128 (medians of 15), all bitwise equal.
 EVAL_CHUNK = 32
-# Inference calls of fewer forwards stay in one process.  On the same host,
-# over 21 alternating calls each, the inference worker was slower at 8 and
-# 12 forwards (faster in 0 and 5-9 calls), even at 16 (11), and faster from
+# Inference of fewer forwards over all of a call's domains stays in one
+# process (_share_domains).  On the same host, measured when the worker took
+# every second forward, over 21 alternating calls each, it was slower at 8
+# and 12 forwards (faster in 0 and 5-9 calls), even at 16 (11), and faster from
 # 20 (15-16; 19-21 at the 57 forwards of the three targets, 61 -> 40-43 ms).
 INFERENCE_MIN_CHUNKS = 20
 
@@ -351,45 +348,39 @@ def predict(model: Classifier, x: TimeSeries) -> int:
     return int(np.argmax(logits.data))
 
 
-def _inference(model: Classifier, *domains: list[TimeSeries],
+def _inference(model: Classifier, samples: list[TimeSeries],
                features: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """Features (S, 64) and logits (S, n_classes) of every sample of the
-    given lists, in order, from batched forwards of at most EVAL_CHUNK
-    series; no forward spans two lists, whose series lengths may differ.
-    With ``features`` False the features are None, and not kept.
-
-    With two processes from procs.workers (INFERENCE_MIN_CHUNKS forwards or
-    more), one forked child runs every second forward (procs.map_chunks).
-    Each forward is the same in either process, so the outputs are bitwise
-    the serial ones.  Every forward's rows go straight into the outputs, so
-    beside them this process holds at most the child's rows, as they
-    arrive."""
-    chunks, size = [], 0  # (first output row, series) per forward
-    for samples in domains:
-        chunks += [(size + lo, samples[lo:lo + EVAL_CHUNK])
-                   for lo in range(0, len(samples), EVAL_CHUNK)]
-        size += len(samples)
-    z = np.empty((size, FEATURE_DIM)) if features else None
-    logits = np.empty((size, model.n_classes))
-
-    def infer(chunk):
-        lo, samples = chunk
-        rows = slice(lo, lo + len(samples))
-        z_t, logits_t = forward(model, _stack(samples))
-        logits[rows] = logits_t.data
+    """Features (S, 64) and logits (S, n_classes) of the samples, in order,
+    from batched forwards of at most EVAL_CHUNK series, each writing its
+    rows straight into the outputs.  With ``features`` False the features
+    are None, and not kept."""
+    z = np.empty((len(samples), FEATURE_DIM)) if features else None
+    logits = np.empty((len(samples), model.n_classes))
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        z_t, logits_t = forward(model, _stack(samples[lo:lo + EVAL_CHUNK]))
+        logits[lo:lo + EVAL_CHUNK] = logits_t.data
         if z is not None:
-            z[rows] = z_t.data
-        return None if z is None else z[rows], logits[rows]  # views; a child sends copies
-
-    processes = procs.workers(len(chunks), INFERENCE_MIN_CHUNKS, 2)
-    done = procs.map_chunks(infer, chunks, processes, "inference worker", "features")
-    for (lo, samples), (z_rows, logit_rows) in zip(chunks, done):
-        if logit_rows.base is not logits:  # a child's copies; this process's rows are in place
-            rows = slice(lo, lo + len(samples))
-            logits[rows] = logit_rows
-            if z is not None:
-                z[rows] = z_rows
+            z[lo:lo + EVAL_CHUNK] = z_t.data
     return z, logits
+
+
+def _share_domains(run_part, sizes: list[int], what: str) -> list[list]:
+    """[[run_part(d, entries) for each part of domain d] for each domain d],
+    ``entries`` a slice of its sizes[d] series.  With two processes from
+    procs.workers (INFERENCE_MIN_CHUNKS forwards or more over all domains),
+    a domain of more than EVAL_CHUNK series is two contiguous halves cut at
+    a multiple of EVAL_CHUNK, so every forward holds a serial forward's
+    series, and one forked inference worker runs every second part
+    (procs.map_chunks).  Otherwise each domain is one whole part in this
+    process.  Outputs and errors are bitwise serial."""
+    processes = procs.workers(sum(-(-n // EVAL_CHUNK) for n in sizes), INFERENCE_MIN_CHUNKS, 2)
+    parts = []  # (domain, entries)
+    for d, n in enumerate(sizes):
+        cut = min(n, EVAL_CHUNK * -(-n // (2 * EVAL_CHUNK))) if processes > 1 else n
+        parts += [(d, slice(cut)), (d, slice(cut, None))] if 0 < cut < n else [(d, slice(None))]
+    done = procs.map_chunks(lambda part: run_part(*part), parts, processes,
+                            "inference worker", what)
+    return [[result for (e, _), result in zip(parts, done) if e == d] for d in range(len(sizes))]
 
 
 def macro_f1(preds, truth, n_classes: int) -> float:
@@ -430,8 +421,9 @@ def evaluate(model: Classifier, domains: list[Dataset | tuple[str, list[int]]],
     if not domains:
         raise ValueError("no domains to evaluate")
     if logits is None:  # one call, so a forked inference worker is started once
-        logits = np.split(_inference(model, *(d.samples for d in domains), features=False)[1],
-                          np.cumsum([len(d) for d in domains])[:-1])
+        logits = [np.concatenate(parts) for parts in _share_domains(
+            lambda d, entries: _inference(model, domains[d].samples[entries], features=False)[1],
+            [len(d) for d in domains], "logits")]
     labelled = [(d.samples[0].domain_tag, [x.label for x in d.samples], d.n_classes)
                 if isinstance(d, Dataset) else (*d, model.n_classes) for d in domains]
     per_domain: dict[str, float] = {}
@@ -465,6 +457,8 @@ def export_features(model: Classifier, dataset: Dataset, out, header: bool = Tru
         out.write("origin_id,domain_tag,label,"
                   + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
     if features is None:
-        features, _ = _inference(model, dataset.samples)
+        features = np.concatenate(_share_domains(
+            lambda _, entries: _inference(model, dataset.samples[entries])[0], [len(dataset)],
+            "features")[0])
     for i, (sample, z) in enumerate(zip(dataset.samples, features), start=first):
         out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))

@@ -44,11 +44,11 @@ def write_config(path, extra=None):
 
 
 def forced_eval(monkeypatch, on: bool):
-    """forced_inference, which forces the eval worker on or off with the
-    inference worker; returns the process counts the eval commands shared
-    their manifests between."""
+    """forced_inference, which forces the inference worker on or off for
+    the eval commands too; returns the process counts they shared their
+    targets' parts between."""
     forced_inference(monkeypatch, on)
-    return processes_of(monkeypatch, "eval worker")
+    return processes_of(monkeypatch, "inference worker")
 
 
 @pytest.fixture
@@ -484,10 +484,10 @@ class TestEvalCommand:
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
-        # with the eval worker and the inference worker forced on, every
-        # series is forwarded exactly once, in whichever process, in the
-        # serial run's chunks, which never span two domains; each chunk logs
-        # its series' tags and value digests to one file
+        # with the inference worker forced on, every series is forwarded
+        # exactly once, in whichever process, in the serial run's chunks,
+        # which never span two domains; each chunk logs its series' tags and
+        # value digests to one file
         real = training._stack
 
         def digest(series):
@@ -565,7 +565,8 @@ class TestEvalCommand:
     def test_eval_worker_writes_the_serial_bytes(self, workspace, tmp_path, monkeypatch,
                                                  targets, n):
         # the first n targets: the serial run's f1.txt is evaluate()'s table
-        # (its keys too), and the forked run writes the serial bytes
+        # (its keys too), and the forked run writes the serial bytes; each
+        # target of 18 series is 5 forwards, so even one target forks
         argv = ["eval", "--checkpoint", workspace["checkpoint"], *targets[:n]]
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         with monkeypatch.context() as serial:
@@ -581,7 +582,7 @@ class TestEvalCommand:
         workers = forced_eval(monkeypatch, True)
         with deadline(60):
             assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-        assert workers == [2 if n > 1 else 1]
+        assert workers == [2]
         assert_no_children()
         for name in ("f1.txt", "embeddings.csv"):
             assert ((tmp_path / "run" / name).read_bytes()
@@ -591,11 +592,10 @@ class TestEvalCommand:
                              ids=["three-targets", "one-target", "one-target-few-forwards"])
     def test_one_fork_per_eval_command(self, workspace, tmp_path, monkeypatch, fork_count,
                                        manifests, forks):
-        # with the eval worker forced on and every inference call of two
-        # forwards or more shared, one eval command forks once: the worker,
-        # or for one target the inference worker; a share's inference runs in
-        # its own process.  One target of fewer than INFERENCE_MIN_CHUNKS
-        # forwards forks none.
+        # with every inference call of two forwards or more shared, one eval
+        # command forks once, its inference worker, whatever its target
+        # count; a part's inference runs in its own process.  Targets of
+        # fewer than INFERENCE_MIN_CHUNKS forwards fork none.
         argv = ["eval", "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev"),
                 workspace["source"], workspace["amp"], workspace["amp"]][:5 + manifests]
         forced_eval(monkeypatch, True)
@@ -635,7 +635,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     def test_bad_csv_line_in_worker_share_exits_2_naming_it(self, workspace, tmp_path,
                                                             monkeypatch, capsys, on):
-        # the second target is the eval worker's
+        # the second target (18 series: one whole part) is the worker's
         bad, problem = self.bad_csv(workspace, tmp_path)
         workers = forced_eval(monkeypatch, on)
         with deadline(60):
@@ -701,8 +701,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("kind", ["bad-length", "missing"])
     def test_unreadable_manifest_reported_in_command_line_order(
             self, workspace, tmp_path, monkeypatch, capsys, on, unreadable_first, kind):
-        # the forked command checks every manifest before it starts; an
-        # unreadable one is still reported only where a serial run meets it
+        # the command checks every manifest before it starts; an unreadable
+        # one is still reported only where a serial run meets it
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # halves of 12 and 6 series
         bad, problem = self.bad_csv(workspace, tmp_path, 13)
         unreadable = (copy_manifest(workspace["amp"], tmp_path / "unreadable",
@@ -769,7 +769,7 @@ class TestEvalCommand:
     @pytest.fixture
     def layouts(self, workspace, tmp_path):
         """The amp target cut to 17 series (halves of 12 and 5 in chunks of
-        4), cut to one (a whole unit), and in the v1 layout (one file per
+        4), cut to one (a whole part), and in the v1 layout (one file per
         series)."""
         amp = load_manifest(workspace["amp"])
         return {"odd": save_dataset(Dataset(amp.samples[:17], 3), str(tmp_path / "odd"), "amp"),
@@ -826,8 +826,8 @@ class TestEvalCommand:
 
         monkeypatch.setattr(cli, "load_manifest", dying)
         forced_eval(monkeypatch, True)
-        with deadline(60), pytest.raises(RuntimeError, match=r"^eval worker \d+ exited with "
-                                         r"code 3 before sending its rows$"):
+        with deadline(60), pytest.raises(RuntimeError, match=r"^inference worker \d+ exited "
+                                         r"with code 3 before sending its rows$"):
             main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
                   str(tmp_path / "ev"), workspace["source"], workspace["amp"]])
         assert_no_children()

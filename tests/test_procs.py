@@ -31,8 +31,8 @@ def test_workers_rule(monkeypatch, units, least, most, one_blas_thread, held, in
 
 
 def census_work(root, k: int) -> None:
-    """A tiny tada run(), an evaluate of INFERENCE_MIN_CHUNKS forwards or
-    more and a two-target eval command, writing under ``root``/k."""
+    """A tiny tada run(), and an evaluate and an eval command of
+    INFERENCE_MIN_CHUNKS forwards or more, writing under ``root``/k."""
     out = root / str(k)
     ds = toy_dataset(n_per_class=20)  # 40 origins: two ascent chunks
     # a round's fit of 8 SGD steps and a final epoch of 10: two partners
@@ -43,10 +43,10 @@ def census_work(root, k: int) -> None:
     manifest = save_dataset(ds, str(out / "data"), "target")
     save_checkpoint(model, str(out / "checkpoint.bin"))
     assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--out",
-                 str(out / "eval"), manifest, manifest]) == 0
+                 str(out / "eval"), *[manifest] * INFERENCE_MIN_CHUNKS]) == 0
 
 
-EVERY_SITE = {"ascent worker": 1, "SGD partner": 2, "inference worker": 1, "eval worker": 1}
+EVERY_SITE = {"ascent worker": 1, "SGD partner": 2, "inference worker": 2}
 CENSUS = {  # usable CPUs, BLAS variables set, run inside a share, forks per site
     "two-cpus-one-blas-thread": ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, False, EVERY_SITE),
     "two-cpus-no-blas-variable": ({0, 1}, {}, False, {"ascent worker": 1}),

@@ -691,8 +691,9 @@ class TestPredictAndF1:
 
 
 class TestInferenceWorker:
-    # domains of 14 and 10 series of lengths 48 and 40, in chunks of 4: the
-    # last chunk of each is short, and the chunks alternate between processes
+    # domains of 14 and 10 series of lengths 48 and 40, in chunks of 4:
+    # halves of 8 and 6, and of 8 and 2, the last chunk of each part short,
+    # and the halves alternate between processes
     @staticmethod
     def domains():
         return [toy_dataset(n_per_class=7, length=48, seed=1, domain_tag="a"),
@@ -704,8 +705,8 @@ class TestInferenceWorker:
         for domain in domains:
             export_features(model, domain, str(tmp_path / "features.csv"))
             features.append((tmp_path / "features.csv").read_bytes())
-        rows = training._inference(model, *(d.samples for d in domains))
-        return evaluate(model, domains), features, [r.tobytes() for r in rows]
+        rows = [r.tobytes() for d in domains for r in training._inference(model, d.samples)]
+        return evaluate(model, domains), features, rows
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     def test_bitwise_equal_to_serial(self, monkeypatch, tmp_path, on):
@@ -717,17 +718,48 @@ class TestInferenceWorker:
         workers = forced_inference(monkeypatch, on)
         with deadline(60):
             got = self.outputs(model, domains, tmp_path)
-        assert workers == [2 if on else 1] * 4  # evaluate, two exports, the call
+        assert workers == [2 if on else 1] * 3  # evaluate and two exports; _inference is serial
+        assert_no_children()
+        assert got == want
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_one_domain_shares_its_halves(self, monkeypatch, tmp_path, on):
+        # one domain of 2 * EVAL_CHUNK + 6 series (three forwards): evaluate
+        # and export_features each fork once, the worker forwarding the
+        # second half, and give the serial outputs bitwise
+        model = Classifier(1, 2, seed=3)
+        domain = toy_dataset(n_per_class=training.EVAL_CHUNK + 3, seed=4, domain_tag="a")
+        real, forks = os.fork, []
+
+        def counted():
+            forks.append(1)
+            return real()
+
+        def outputs():
+            export_features(model, domain, str(tmp_path / "features.csv"))
+            return evaluate(model, [domain]), (tmp_path / "features.csv").read_bytes()
+
+        with monkeypatch.context() as serial:
+            forced_inference(serial, False)
+            want = outputs()
+        workers = forced_inference(monkeypatch, on)
+        monkeypatch.setattr(os, "fork", counted)
+        with deadline(60):
+            got = outputs()
+        assert workers == [2 if on else 1] * 2
+        assert len(forks) == (2 if on else 0)  # one per call
         assert_no_children()
         assert got == want
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     def test_earliest_failing_forward_raised_as_serial(self, monkeypatch, on):
-        # chunk 1 (the worker's share) and chunk 2 (this process's) fail
+        # a's second half (the worker's share) and b's first half (this
+        # process's) fail: a's error is raised, as a serial run raises it
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         model, domains = Classifier(1, 2, seed=3), self.domains()
         # each series is told by its first value
-        bad = {domains[0].samples[k].values.data.flat[0]: k for k in (5, 9)}
+        bad = {domains[d].samples[k].values.data.flat[0]: f"{'ab'[d]}{k}"
+               for d, k in ((0, 9), (1, 2))}
         real = training.forward
 
         def forward(model, batch, *args):
@@ -738,7 +770,7 @@ class TestInferenceWorker:
 
         monkeypatch.setattr(training, "forward", forward)
         workers = forced_inference(monkeypatch, on)
-        with deadline(60), pytest.raises(ValueError, match="^series 5 cannot be forwarded$"):
+        with deadline(60), pytest.raises(ValueError, match="^series a9 cannot be forwarded$"):
             evaluate(model, domains)
         assert workers == [2 if on else 1]
         assert_no_children()
@@ -755,7 +787,7 @@ class TestInferenceWorker:
         monkeypatch.setattr(training, "_stack", dying)
         forced_inference(monkeypatch, True)
         with deadline(60), pytest.raises(RuntimeError, match=r"^inference worker \d+ exited "
-                                         r"with code 3 before sending its features$"):
+                                         r"with code 3 before sending its logits$"):
             evaluate(Classifier(1, 2, seed=3), self.domains())
         assert_no_children()
 
