@@ -84,6 +84,11 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     sin(pi t / L) stays clear of 0.  At w = k the angle addition cancels,
     so that tap is evaluated from f directly, by the Taylor series below
     DIRICHLET_SERIES_BELOW.
+
+    The slope function keeps per-row state only: the row sines and
+    cosines, f, and the centre tap's value.  It rebuilds the (R, L) sine
+    table from them with the same calls, so whoever holds it holds no
+    (R, L) array, and its slopes are bitwise those of a saved table.
     """
     half = length // 2
     ang = np.pi / length
@@ -94,18 +99,23 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     sign = 1.0 - 2.0 * (k - 2.0 * np.floor(0.5 * k))  # (-1)^k, exact in floats
     sin_row, cos_row = np.sin(ang * delta), np.cos(ang * delta)
     numer = sign * np.sin(np.pi * f) / length  # (-1)^(k+w) sin(pi t) / L
-    s_half = np.stack([sin_row, -cos_row], axis=1) @ tap_trig  # (-1)^w sin(pi t / L)
     # the tap w = k of every row; series rows get a safe f, keeping 0 / 0
     # out, and their values are overwritten
     rows, cols = np.arange(k.size), (k + half).astype(np.intp)
     small = np.abs(f) < DIRICHLET_SERIES_BELOW
     safe = np.where(small, 0.5, f)
     s_centre = np.sin(ang * safe)
-    s_half[rows, cols] = sign * s_centre
-    value = numer[:, None] / s_half
+
+    def sine_table() -> np.ndarray:
+        # (-1)^w sin(pi t / L), with the tap w = k from f directly
+        table = np.stack([sin_row, -cos_row], axis=1) @ tap_trig
+        table[rows, cols] = sign * s_centre
+        return table
+
+    value = numer[:, None] / sine_table()
     a, b = _dirichlet_series(length)
     f2 = f * f
-    value[rows, cols] = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
+    value[rows, cols] = centre = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
 
     def slope() -> np.ndarray:
         # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
@@ -114,9 +124,12 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
         cos_t = sign * np.cos(np.pi * f)
         coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
                                -(cos_t * cos_row + numer * sin_row)], axis=1)
-        out = (coef @ tap_trig) / (s_half * s_half)
-        centre = ang / s_centre * (np.cos(np.pi * safe) - value[rows, cols] * np.cos(ang * safe))
-        out[rows, cols] = np.where(small, f * (4.0 * b * f2 - 2.0 * a), centre)
+        out = coef @ tap_trig
+        s_half = sine_table()
+        s_half *= s_half
+        out /= s_half
+        centre_slope = ang / s_centre * (np.cos(np.pi * safe) - centre * np.cos(ang * safe))
+        out[rows, cols] = np.where(small, f * (4.0 * b * f2 - 2.0 * a), centre_slope)
         return out
 
     return value, slope
@@ -150,6 +163,14 @@ def warp_apply(x, path, half_width: int):
     the path: the values' rule scatter-adds g * D, the path's gives
     g * sum_w segment * D', summed over channels.  A series adds one
     reshape on each side.
+
+    What the node saves: the values' rule, kept only when the values
+    require grad, holds the (B*N, L) kernel; the path's rule holds per-row
+    state only.  When backward reaches it, the path's rule re-gathers the
+    (B, C, N, L) segments from the values through the cached window and
+    rebuilds D' from the row sines and cosines (``_dirichlet_rows``), so a
+    warp node with a constant signal, as in the warp ascent, keeps no
+    (B, C, N, L) or (B*N, L) array between forward and backward.
     """
     series = x if isinstance(x, TimeSeries) else None
     if series is not None:
@@ -186,6 +207,7 @@ def warp_apply(x, path, half_width: int):
         return np.bincount(index.ravel(), weights=weights, minlength=g.size).reshape(g.shape)
 
     def _dpath(g):
+        seg = np.take(values.data, window, axis=2)
         slopes = slope().reshape(batch, n, length)
         return (g * np.einsum("bcnw,bnw->bcn", seg, slopes)).sum(axis=1)
 

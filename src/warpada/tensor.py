@@ -4,7 +4,10 @@ Every operation here computes its result eagerly with numpy and hands it,
 with one backward rule per input, to ``_record``, which applies the one
 recording rule (see there).  The tape is rebuilt on every forward pass
 (define-by-run), so graph topology may depend on runtime shapes.  One tape
-records at a time; tapes do not nest.
+records at a time; tapes do not nest.  A tape runs backward once: as the
+reverse sweep passes each node it frees the node's output and the arrays
+its rules saved, so a forward's saved state shrinks as backward proceeds
+rather than living until the tape dies.
 
 Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  conv1d takes
@@ -92,8 +95,12 @@ class TapeNode(NamedTuple):
     """One recorded operation: the output tensor and, per differentiable
     input, a rule mapping the output gradient to that input's contribution."""
 
-    out: Tensor
-    rules: list[tuple[Tensor, Rule]]
+    out: Tensor | None
+    rules: list[tuple[Tensor, Rule]] | tuple[()]
+
+
+# What a node becomes once backward has run its rules.
+_SPENT = TapeNode(None, ())
 
 
 class Tape:
@@ -104,10 +111,15 @@ class Tape:
     nothing, which is the cheap path for inference.  Tapes do not nest:
     entering one while another records raises RuntimeError and leaves the
     recording tape in place.
+
+    ``backward`` runs once per tape.  It replaces each node in ``nodes`` by
+    a spent placeholder as it passes, so ``len(nodes)`` stays the recorded
+    count while the nodes' saved state is freed.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.spent = False  # backward has run
 
     def __enter__(self) -> "Tape":
         global _active
@@ -129,19 +141,28 @@ class Tape:
         array and also stores each requires_grad leaf's gradient on
         ``tensor.grad``.  An op output's gradient is dropped as soon as its
         node's rules have run, since every consumer was recorded later and
-        has already been visited.  Buffers are freshly allocated, so
-        repeating an identical forward+backward reproduces gradients bitwise.
+        has already been visited.  So is the node itself: it becomes a spent
+        placeholder in ``nodes``, freeing its output and its rules' saved
+        arrays unless something else holds them.  Buffers are freshly
+        allocated, so repeating an identical forward+backward reproduces
+        gradients bitwise.  A second call raises RuntimeError, since the
+        rules it would need are gone.
         """
         if root.data.shape != ():
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
+        if self.spent:
+            raise RuntimeError("this tape already ran backward; record a new one")
+        self.spent = True
         grads: dict[Tensor, np.ndarray] = {root: np.ones((), dtype=np.float64)}
-        for node in reversed(self.nodes):
-            out_grad = grads.pop(node.out, None)
+        for i in reversed(range(len(self.nodes))):
+            out, rules = self.nodes[i]
+            self.nodes[i] = _SPENT
+            out_grad = grads.pop(out, None)
             if out_grad is None:
                 continue
-            for tensor, rule in node.rules:
+            for tensor, rule in rules:
                 contribution = rule(out_grad)
                 existing = grads.get(tensor)
                 if existing is None:

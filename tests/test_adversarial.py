@@ -3,17 +3,19 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from warpada import adversarial, procs
+from warpada import adversarial, procs, training
 from warpada.adversarial import (
     PHI_INIT_SCALE,
     AdvConfig,
     maximize_many,
     maximize_one,
 )
+from warpada.data import default_spec, synth_generate
 from warpada.model import Classifier, forward, loss_ce, semantic_distance
 from warpada.signal import TimeSeries, warp_apply
 from warpada.tensor import Tape, Tensor
@@ -130,6 +132,35 @@ class TestTadaMaximize:
             if last.objective >= first.objective - 1e-9:
                 wins += 1
         assert wins >= 0.75 * runs
+
+
+def _traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, of one call of fn after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    # Bounds measured with numpy 2.4.6: the chunk peaks at 3.13 MiB because
+    # backward frees each node's saved state as it passes it and the warp
+    # node keeps per-row state only (6.57 MiB when every node's state lived
+    # until the tape died); the SGD half peaks at 2.13 MiB.
+    def test_ascent_chunk_and_sgd_half_peaks(self):
+        source, _ = synth_generate(default_spec(0))
+        model = Classifier(1, 3, 0)
+        cfg = AdvConfig(mode="tada", seed=0)
+        chunk = source.samples[:adversarial.ASCENT_CHUNK]
+        assert len(chunk) == 32
+        ascent = _traced_peak(lambda: adversarial._ascend(model, chunk, cfg,
+                                                          list(range(32)), "tada"))
+        assert ascent < 4.0 * 2 ** 20
+        half = _traced_peak(lambda: training._half_gradient(model, source.samples[:16], 1 / 32))
+        assert half <= 2.29 * 2 ** 20
 
 
 class TestAdaMaximize:

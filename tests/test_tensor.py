@@ -1,5 +1,6 @@
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +366,31 @@ class TestBackward:
                 tape.backward(y)
             runs.append(x.grad.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.op_sum(T.op_mul(x, x))
+            tape.backward(y)
+            with pytest.raises(RuntimeError, match="already ran backward"):
+                tape.backward(y)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_saved_state_freed_and_node_count_kept(self):
+        # an array only a rule saved dies with the node, not with the tape
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        saved = np.array([0.5, 0.25, 2.0])
+        ref = weakref.ref(saved)
+        with Tape() as tape:
+            y = T._record(x.data * saved, (x, lambda g, s=saved: g * s))
+            del saved
+            root = T.op_sum(T.op_relu(y))
+            recorded = len(tape.nodes)
+            assert ref() is not None
+            tape.backward(root)
+        assert ref() is None
+        assert len(tape.nodes) == recorded == 3
+        np.testing.assert_array_equal(x.grad, [0.5, 0.0, 2.0])
 
 
 # Every op and fused term: (a function of its input tensors, the input
