@@ -148,9 +148,9 @@ def _affine(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Values and gradients are computed class-major, on (K, B) transposes;
     the rounding this gives is what tests/test_model.py's oracle pins.
     """
-    zt = np.ascontiguousarray(z.data.T)
-    return _record((w.data @ zt + b.data[:, None]).T,
-                   (z, lambda g: np.ascontiguousarray((w.data.T @ np.ascontiguousarray(g.T)).T)),
+    zt, wd = np.ascontiguousarray(z.data.T), w.data
+    return _record((wd @ zt + b.data[:, None]).T,
+                   (z, lambda g: np.ascontiguousarray((wd.T @ np.ascontiguousarray(g.T)).T)),
                    (w, lambda g: np.ascontiguousarray(g.T) @ zt.T),
                    (b, lambda g: np.ascontiguousarray(g.T).sum(axis=1)))
 

@@ -5,11 +5,11 @@ The warp reads every index from the length L = 2M+1 segment centred on it
 index's displacement and only the centre sample were resynthesized.  That
 construction collapses to a periodic-sinc (Dirichlet kernel) weighting of
 the segment, the band-limited fractional-delay interpolator.  ``warp_apply``
-evaluates it as one tape node, with a handful of sines and cosines per path
-entry rather than per tap, shared by every channel.  For integer
-displacements it reproduces plain index shifting; fractional displacements
-interpolate band-limitedly.  The warp is differentiable in both the signal
-and the path.
+evaluates it as one tape node, in blocks of path rows, with a handful of
+sines and cosines per path entry rather than per tap, shared by every
+channel.  For integer displacements it reproduces plain index shifting;
+fractional displacements interpolate band-limitedly.  The warp is
+differentiable in both the signal and the path.
 """
 
 from __future__ import annotations
@@ -89,6 +89,10 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     cosines, f, and the centre tap's value.  It rebuilds the (R, L) sine
     table from them with the same calls, so whoever holds it holds no
     (R, L) array, and its slopes are bitwise those of a saved table.
+    ``warp_apply`` calls this once per row block in forward, keeping only
+    the block's slope function for its path rule, and again per block in
+    backward when its values' rule needs the kernel: each row's result
+    depends on that row alone, so the rebuilt kernel is bitwise the first.
     """
     half = length // 2
     ang = np.pi / length
@@ -135,6 +139,16 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     return value, slope
 
 
+# Path rows (B*N entries) warp_apply evaluates at once: 1024 is 8 series
+# at N = 128, so a 32-origin ascent chunk runs in 4 blocks.  Such a tada
+# chunk (default spec, tracemalloc) peaks at 1.95-1.96 MiB with blocks of
+# 512 to 2048 rows and at 2.82 MiB in one 4096-row block, and its ascent
+# took a median 60 ms at 1024 rows against 78 ms at 4096 (40 alternating
+# in-process calls on one pinned CPU of a 2-core x86 sandbox, one BLAS
+# thread).
+WARP_BLOCK_ROWS = 1024
+
+
 @functools.lru_cache(maxsize=64)
 def _window(n: int, half_width: int) -> np.ndarray:
     """The (n, 2M+1) indices clamp(i + w, 0, n-1), w = -M..M, that tap w of
@@ -164,13 +178,16 @@ def warp_apply(x, path, half_width: int):
     g * sum_w segment * D', summed over channels.  A series adds one
     reshape on each side.
 
-    What the node saves: the values' rule, kept only when the values
-    require grad, holds the (B*N, L) kernel; the path's rule holds per-row
-    state only.  When backward reaches it, the path's rule re-gathers the
-    (B, C, N, L) segments from the values through the cached window and
-    rebuilds D' from the row sines and cosines (``_dirichlet_rows``), so a
-    warp node with a constant signal, as in the warp ascent, keeps no
-    (B, C, N, L) or (B*N, L) array between forward and backward.
+    The forward and both rules run in row blocks of WARP_BLOCK_ROWS // N
+    series (at least one), so the (b, C, N, L) segments and (b*N, L)
+    kernels live one block at a time, never for the whole batch; every
+    output and gradient is bitwise what one block over the batch gives.
+    What the node saves: the values and paths arrays, and for the path's
+    rule each block's per-row state (``_dirichlet_rows``).  In backward
+    the values' rule rebuilds each block's kernel with ``_dirichlet_rows``
+    and the path's rule re-gathers its segments through the cached window
+    and rebuilds its slopes, so the node keeps no (B, C, N, L) or (B*N, L)
+    array between forward and backward.
     """
     series = x if isinstance(x, TimeSeries) else None
     if series is not None:
@@ -193,25 +210,41 @@ def warp_apply(x, path, half_width: int):
         raise ValueError(f"path displacement {worst} exceeds window half-width {half_width}")
 
     # tap w of index (b, c, i) reads x[b, c, clamp(i + w)].  np.take gives a
-    # C-contiguous (B, C, N, L) array; plain indexing, values[:, :, window],
+    # C-contiguous (b, C, N, L) array; plain indexing, values[:, :, window],
     # gives a strided one, and einsum then sums the taps in another order.
     window = _window(n, half_width)
-    seg = np.take(values.data, window, axis=2)
-    kernel, slope = _dirichlet_rows(delta.data.ravel(), length)
-    kernel = kernel.reshape(batch, n, length)
+    xs, paths = values.data, delta.data
+    step = max(1, WARP_BLOCK_ROWS // n)
+    blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
+    out = np.empty((batch, channels, n))
+    slopes = []
+    for block in blocks:
+        kernel, slope = _dirichlet_rows(paths[block].ravel(), length)
+        np.einsum("bcnw,bnw->bcn", np.take(xs[block], window, axis=2),
+                  kernel.reshape(-1, n, length), out=out[block])
+        slopes.append(slope)
 
     def _dvalues(g):
-        # the taps' flat addresses in the values, built only when they need it
-        index = np.arange(batch * channels).reshape(batch, channels, 1, 1) * n + window
-        weights = (g[..., None] * kernel[:, None]).ravel()
-        return np.bincount(index.ravel(), weights=weights, minlength=g.size).reshape(g.shape)
+        # the taps' flat addresses in one block's values
+        index = np.arange(min(step, batch) * channels).reshape(-1, channels, 1, 1) * n + window
+        dvalues = np.empty((batch, channels, n))
+        for block in blocks:
+            kernel = _dirichlet_rows(paths[block].ravel(), length)[0].reshape(-1, n, length)
+            g_block = g[block]
+            weights = (g_block[..., None] * kernel[:, None]).ravel()
+            dvalues[block] = np.bincount(index[:len(g_block)].ravel(), weights=weights,
+                                         minlength=g_block.size).reshape(g_block.shape)
+        return dvalues
 
     def _dpath(g):
-        seg = np.take(values.data, window, axis=2)
-        slopes = slope().reshape(batch, n, length)
-        return (g * np.einsum("bcnw,bnw->bcn", seg, slopes)).sum(axis=1)
+        dpath = np.empty((batch, n))
+        for block, slope in zip(blocks, slopes):
+            seg = np.take(xs[block], window, axis=2)
+            dpath[block] = (g[block] * np.einsum("bcnw,bnw->bcn", seg,
+                                                 slope().reshape(-1, n, length))).sum(axis=1)
+        return dpath
 
-    warped = _record(np.einsum("bcnw,bnw->bcn", seg, kernel), (values, _dvalues), (delta, _dpath))
+    warped = _record(out, (values, _dvalues), (delta, _dpath))
     if series is None:
         return warped
     return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,

@@ -4,10 +4,18 @@ Every operation here computes its result eagerly with numpy and hands it,
 with one backward rule per input, to ``_record``, which applies the one
 recording rule (see there).  The tape is rebuilt on every forward pass
 (define-by-run), so graph topology may depend on runtime shapes.  One tape
-records at a time; tapes do not nest.  A tape runs backward once: as the
-reverse sweep passes each node it frees the node's output and the arrays
-its rules saved, so a forward's saved state shrinks as backward proceeds
-rather than living until the tape dies.
+records at a time; tapes do not nest.
+
+A node holds handles, not tensors: the integer handle of the op's output
+and, per differentiable input, that input's handle and its backward rule.
+Backward routes gradients by handle.  The tape holds strong references
+only to its leaves, the inputs no op on it produced, so an intermediate
+output's array lives only as long as the forward holds it or a rule saved
+it, and each rule saves only what its formula reads (relu a boolean mask,
+add, sub, sum and reshape only shapes).  A tape runs backward once: as the
+reverse sweep passes each node it frees the arrays its rules saved, so a
+forward's saved state shrinks as backward proceeds rather than living
+until the tape dies.
 
 Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  conv1d takes
@@ -25,6 +33,7 @@ on bad shapes and axes.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -45,6 +54,7 @@ __all__ = [
 
 Rule = Callable[[np.ndarray], np.ndarray]
 _active: Tape | None = None  # the tape recording now, if any
+_handles = itertools.count()  # a tensor's handle is drawn once, when it first enters a tape
 
 
 class Tensor:
@@ -52,10 +62,12 @@ class Tensor:
 
     ``grad`` is populated by ``Tape.backward`` for tensors with
     ``requires_grad``; it is overwritten (never accumulated) across separate
-    backward calls.
+    backward calls.  ``handle`` names the tensor on a tape: None until it
+    enters one as an op's recorded output or input, then an integer unique
+    in the process.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "handle")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -64,6 +76,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.handle: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,11 +105,12 @@ class Tensor:
 
 
 class TapeNode(NamedTuple):
-    """One recorded operation: the output tensor and, per differentiable
-    input, a rule mapping the output gradient to that input's contribution."""
+    """One recorded operation: the output's handle and, per differentiable
+    input, the input's handle and a rule mapping the output gradient to
+    that input's contribution."""
 
-    out: Tensor | None
-    rules: list[tuple[Tensor, Rule]] | tuple[()]
+    out: int | None
+    rules: list[tuple[int, Rule]] | tuple[()]
 
 
 # What a node becomes once backward has run its rules.
@@ -112,6 +126,9 @@ class Tape:
     entering one while another records raises RuntimeError and leaves the
     recording tape in place.
 
+    ``nodes`` holds handles and rules, never op outputs; ``leaves`` maps
+    the handle of every leaf (a differentiable input no op on this tape
+    produced) to the tensor, the only tensors the tape keeps alive.
     ``backward`` runs once per tape.  It replaces each node in ``nodes`` by
     a spent placeholder as it passes, so ``len(nodes)`` stays the recorded
     count while the nodes' saved state is freed.
@@ -119,7 +136,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.leaves: dict[int, Tensor] = {}
         self.spent = False  # backward has run
+        self._own: set[int] = set()  # handles of this tape's outputs and leaves
 
     def __enter__(self) -> "Tape":
         global _active
@@ -132,18 +151,36 @@ class Tape:
         global _active
         _active = None
 
+    def _handle(self, tensor: Tensor) -> int:
+        """``tensor``'s handle, recording it as a leaf unless it is already
+        on this tape."""
+        handle = tensor.handle
+        if handle not in self._own:
+            if handle is None:
+                handle = tensor.handle = next(_handles)
+            self._own.add(handle)
+            self.leaves[handle] = tensor
+        return handle
+
+    def _append(self, out: Tensor, rules: list[tuple[Tensor, Rule]]) -> None:
+        pairs = [(self._handle(tensor), rule) for tensor, rule in rules]
+        out.handle = next(_handles)
+        self._own.add(out.handle)
+        self.nodes.append(TapeNode(out.handle, pairs))
+
     def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate gradients of ``root`` with respect to every tensor on
         the tape.
 
-        Visits nodes exactly once, in reverse recording order.  Returns a map
-        from each leaf tensor (one no recorded op produced) to its gradient
-        array and also stores each requires_grad leaf's gradient on
-        ``tensor.grad``.  An op output's gradient is dropped as soon as its
-        node's rules have run, since every consumer was recorded later and
-        has already been visited.  So is the node itself: it becomes a spent
-        placeholder in ``nodes``, freeing its output and its rules' saved
-        arrays unless something else holds them.  Buffers are freshly
+        Visits nodes exactly once, in reverse recording order, routing each
+        gradient by handle.  Returns a map from each requires_grad leaf
+        that the gradient reached to its gradient array and also stores
+        that gradient on ``tensor.grad``.  An op output's gradient is
+        dropped as soon as its node's rules have run, since every consumer
+        was recorded later and has already been visited.  So is the node
+        itself: it becomes a spent placeholder in ``nodes``, freeing its
+        rules' saved arrays unless something else holds them, and the
+        tape lets go of its leaves at the end.  Buffers are freshly
         allocated, so repeating an identical forward+backward reproduces
         gradients bitwise.  A second call raises RuntimeError, since the
         rules it would need are gone.
@@ -155,24 +192,28 @@ class Tape:
         if self.spent:
             raise RuntimeError("this tape already ran backward; record a new one")
         self.spent = True
-        grads: dict[Tensor, np.ndarray] = {root: np.ones((), dtype=np.float64)}
+        grads: dict[int, np.ndarray] = {self._handle(root): np.ones((), dtype=np.float64)}
         for i in reversed(range(len(self.nodes))):
             out, rules = self.nodes[i]
             self.nodes[i] = _SPENT
             out_grad = grads.pop(out, None)
             if out_grad is None:
                 continue
-            for tensor, rule in rules:
+            for handle, rule in rules:
                 contribution = rule(out_grad)
-                existing = grads.get(tensor)
+                existing = grads.get(handle)
                 if existing is None:
-                    grads[tensor] = contribution
+                    grads[handle] = contribution
                 else:
-                    grads[tensor] = existing + contribution
-        for tensor, grad in grads.items():
-            if tensor.requires_grad:
-                tensor.grad = grad
-        return grads
+                    grads[handle] = existing + contribution
+        # every output's gradient was popped at its node: the rest are leaves'
+        reached = {}
+        for handle, grad in grads.items():
+            leaf = self.leaves[handle]
+            if leaf.requires_grad:
+                leaf.grad = reached[leaf] = grad
+        self.leaves = {}
+        return reached
 
 
 def _lift(value) -> Tensor:
@@ -185,12 +226,16 @@ def _record(value, *inputs: tuple[Tensor, Rule]) -> Tensor:
     """Build an op's output from its numpy result ``value`` and its
     ``(input, rule)`` pairs by the one recording rule: keep the pairs whose
     input requires grad; the output requires grad if any pair is kept; while
-    a tape records, append the kept pairs, in argument order (the order
-    backward accumulates in), to it as one node."""
+    a tape records, append one node to it holding the output's handle and
+    the kept pairs as (input handle, rule), in argument order (the order
+    backward accumulates in).  An input no op on the tape produced becomes
+    one of its leaves.  A rule should close over only the arrays, shapes
+    or masks its formula reads, never a tensor: what a rule holds lives
+    until backward passes its node."""
     rules = [(tensor, rule) for tensor, rule in inputs if tensor.requires_grad]
     out = Tensor(value, requires_grad=bool(rules))
     if rules and _active is not None:
-        _active.nodes.append(TapeNode(out, rules))
+        _active._append(out, rules)
     return out
 
 
@@ -225,20 +270,23 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def op_add(a, b) -> Tensor:
     a, b = _binary("add", a, b)
-    return _record(a.data + b.data, (a, lambda g: _reduce_to(g, a.data.shape)),
-                   (b, lambda g: _reduce_to(g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _record(a.data + b.data, (a, lambda g: _reduce_to(g, sa)),
+                   (b, lambda g: _reduce_to(g, sb)))
 
 
 def op_sub(a, b) -> Tensor:
     a, b = _binary("sub", a, b)
-    return _record(a.data - b.data, (a, lambda g: _reduce_to(g, a.data.shape)),
-                   (b, lambda g: _reduce_to(-g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _record(a.data - b.data, (a, lambda g: _reduce_to(g, sa)),
+                   (b, lambda g: _reduce_to(-g, sb)))
 
 
 def op_mul(a, b) -> Tensor:
     a, b = _binary("mul", a, b)
-    return _record(a.data * b.data, (a, lambda g: _reduce_to(g * b.data, a.data.shape)),
-                   (b, lambda g: _reduce_to(g * a.data, b.data.shape)))
+    da, db = a.data, b.data
+    return _record(da * db, (a, lambda g: _reduce_to(g * db, da.shape)),
+                   (b, lambda g: _reduce_to(g * da, db.shape)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -313,15 +361,20 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
 
     return _record(out_data,
                    (kernels, lambda g: np.tensordot(g, cols, axes=([0, 2], [0, 2]))
-                    .reshape(kernels.data.shape)),
+                    .reshape(c_out, c_in, width)),
                    (x, _dx),
                    (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def op_relu(x) -> Tensor:
+    """max(x, 0); its rule saves only the boolean mask of positive
+    entries, built only when x requires grad (subgradient 0 at exactly 0)."""
     x = _lift(x)
-    # subgradient 0 at exactly 0
-    return _record(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0.0)))
+    out = np.maximum(x.data, 0.0)
+    if not x.requires_grad:
+        return _record(out)
+    mask = x.data > 0.0
+    return _record(out, (x, lambda g: g * mask))
 
 
 def op_sum(x, axis: int | None = None) -> Tensor:
@@ -331,14 +384,15 @@ def op_sum(x, axis: int | None = None) -> Tensor:
     if axis not in (None, -1):
         raise ValueError(f"sum runs over all elements (axis=None) or the "
                          f"last axis (axis=-1), got axis={axis!r}")
+    shape = x.data.shape
     return _record(x.data.sum(axis=axis, keepdims=axis is not None),
-                   (x, lambda g: np.broadcast_to(g, x.data.shape).copy()))
+                   (x, lambda g: np.broadcast_to(g, shape).copy()))
 
 
 def op_reshape(x, shape: tuple[int, ...] | list[int]) -> Tensor:
     x = _lift(x)
-    shape = tuple(int(s) for s in shape)
-    return _record(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
+    shape, before = tuple(int(s) for s in shape), x.data.shape
+    return _record(x.data.reshape(shape), (x, lambda g: g.reshape(before)))
 
 
 def finite_diff_check(f: Callable[..., Tensor], *leaves: Tensor, h: float = 1e-5,

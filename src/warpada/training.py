@@ -328,8 +328,7 @@ def run(d0: Dataset, cfg: AdvConfig,
     rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
     for k in range(1, rounds + 1):
         report.round_losses.append(fit(current, cfg.t_min, lambda step: (f"round {k}", step)))
-        adv = maximize_phase(model, d0, cfg)
-        current = current.extended([a.series for a in adv])
+        current = current.extended([a.series for a in maximize_phase(model, d0, cfg)])
         report.dataset_sizes.append(len(current))
 
     # the final stretch is one call, so one partner serves all its epochs

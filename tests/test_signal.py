@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from warpada import tensor
 from warpada.model import Classifier, forward, loss_ce
-from warpada.signal import TimeSeries, _dirichlet_rows, _window, warp_apply
+from warpada.gradcheck import THRESHOLD
+from warpada.signal import WARP_BLOCK_ROWS, TimeSeries, _dirichlet_rows, _window, warp_apply
 from warpada.tensor import Tape, Tensor, finite_diff_check, op_sum
 from warpada.warp import make_path
 
@@ -296,11 +297,40 @@ class TestWarpApply:
             path = Tensor(rng.uniform(-3.0, 3.0, size=(batch, n)), requires_grad=path_grad)
             with Tape() as tape:
                 out = warp_apply(x, path, 4)
-            assert len(tape.nodes) == 1 and tape.nodes[0].out is out
+            assert len(tape.nodes) == 1 and tape.nodes[0].out == out.handle
         series = TimeSeries(Tensor(rng.normal(size=(2, n))))
         with Tape() as tape:
             out = warp_apply(series, Tensor(rng.uniform(-3.0, 3.0, size=n), requires_grad=True), 4)
-        assert len(tape.nodes) == 3 and tape.nodes[-1].out is out.values
+        assert len(tape.nodes) == 3 and tape.nodes[-1].out == out.values.handle
+
+    def test_row_blocks_equal_their_sub_batches(self):
+        # 17 series of 128 entries span three row blocks (8, 8 and 1 series)
+        n = 128
+        step = WARP_BLOCK_ROWS // n
+        batch = 2 * step + 1
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(batch, 2, n))
+        paths = make_path(Tensor(rng.normal(size=(batch, n))), 8.0, 10).data
+        g = rng.normal(size=values.shape)
+
+        def run(rows):
+            x = Tensor(values[rows], requires_grad=True)
+            path = Tensor(paths[rows], requires_grad=True)
+            with Tape() as tape:
+                out = warp_apply(x, path, 10)
+                tape.backward(op_sum(out * Tensor(g[rows])))
+            return out.data, x.grad, path.grad
+
+        whole = run(slice(None))
+        parts = [run(slice(lo, lo + step)) for lo in range(0, batch, step)]
+        assert len(parts) == 3
+        for i in range(3):
+            np.testing.assert_array_equal(whole[i], np.concatenate([part[i] for part in parts]))
+        # values and paths, every 53rd coordinate, so each block of both leaves
+        err = finite_diff_check(lambda x, path: op_sum(warp_apply(x, path, 10) * Tensor(g)),
+                                Tensor(values), Tensor(paths),
+                                coords=range(0, values.size + paths.size, 53))
+        assert err < THRESHOLD
 
     @pytest.mark.parametrize("values_grad", [False, True], ids=["constant", "differentiable"])
     @pytest.mark.parametrize("channels", [1, 2])

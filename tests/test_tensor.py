@@ -392,6 +392,41 @@ class TestBackward:
         assert len(tape.nodes) == recorded == 3
         np.testing.assert_array_equal(x.grad, [0.5, 0.0, 2.0])
 
+    def test_intermediate_outputs_die_with_the_forward(self, monkeypatch):
+        # nodes hold handles, not outputs: while the tape still records, a
+        # relu output inside forward is freed once forward drops it
+        refs = []
+
+        def relu(x):
+            out = T.op_relu(x)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(M, "op_relu", relu)
+        model = M.Classifier(1, 3, 0)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 32)), requires_grad=True)
+        with Tape() as tape:
+            _, logits = M.forward(model, x)
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
+            tape.backward(T.op_sum(loss_ce(logits, np.array([0, 2]))))
+        assert x.grad.shape == x.data.shape and np.abs(x.grad).sum() > 0.0
+
+    def test_backward_returns_exactly_the_requires_grad_leaves(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor(3.0, requires_grad=True)
+        c = Tensor([4.0, 5.0])  # a constant
+        unused = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            T.op_sum(unused)  # recorded, but off the root's path
+            y = T.op_sum(T.op_mul(T.op_add(a, c), b))
+            grads = tape.backward(y)
+        assert set(grads) == {a, b}  # tensors hash and compare by identity
+        assert grads[a] is a.grad and grads[b] is b.grad
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+        assert float(b.grad) == 12.0  # the sum of a + c
+        assert unused.grad is None and c.grad is None and c.handle is None
+        assert tape.leaves == {}  # let go once backward is done
+
 
 # Every op and fused term: (a function of its input tensors, the input
 # shapes, the inputs' positions in the order their rules are recorded).
@@ -429,9 +464,9 @@ class TestRecordingRule:
             with Tape() as tape:
                 out = fn(*inputs)
             assert out.requires_grad
-            assert len(tape.nodes) == 1 and tape.nodes[0].out is out
-            assert [id(t) for t, _ in tape.nodes[0].rules] == [id(inputs[i]) for i in order
-                                                               if mask[i]]
+            assert len(tape.nodes) == 1 and tape.nodes[0].out == out.handle
+            assert [id(tape.leaves[h]) for h, _ in tape.nodes[0].rules] == [
+                id(inputs[i]) for i in order if mask[i]]
 
     def test_nested_tape_raises_and_outer_keeps_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

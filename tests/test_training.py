@@ -598,6 +598,31 @@ class TestRun:
             "round1_mean_loss: 0.795553483212 1.80047729649 1.50065253808",
             "final_mean_loss: 0.914165480735 0.848341779796"]
 
+    def test_round_samples_freed_before_the_final_stretch(self, monkeypatch):
+        # the dataset keeps each generated series, not the AdvSample records
+        # (paths included) of the rounds that made them
+        refs, checked = [], []
+        real_maximize, real_minimize = training.maximize_phase, training.minimize_phase
+
+        def maximize(*args):
+            samples = real_maximize(*args)
+            refs.extend(weakref.ref(sample) for sample in samples)
+            return samples
+
+        def minimize(*args):
+            if len(checked) == 2:  # the final stretch, after two rounds
+                checked.append([ref() is None for ref in refs])
+            else:
+                checked.append(None)
+            return real_minimize(*args)
+
+        monkeypatch.setattr(training, "maximize_phase", maximize)
+        monkeypatch.setattr(training, "minimize_phase", minimize)
+        ds = toy_dataset(n_per_class=2)
+        run(ds, small_cfg(mode="tada", k_rounds=2))
+        assert len(refs) == 2 * len(ds)
+        assert checked[:2] == [None, None] and checked[2] == [True] * len(refs)
+
     def test_report_text_format(self):
         ds = toy_dataset(n_per_class=2)
         _, report = run(ds, small_cfg(mode="tada"))
