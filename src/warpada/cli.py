@@ -12,10 +12,11 @@ written.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -206,17 +207,16 @@ def cmd_augment(cfg: RunConfig, checkpoint: str, manifest: str) -> int:
 def _write_generation_logs(adv: list[AdvSample], out_dir: str) -> None:
     """``objectives.csv``: one origin_id,mode,objective row per sample, the
     objective as %.12g.  ``paths.csv``: one origin_id,mode,displacements row
-    per warped sample, each displacement as %.17g (exact round trip)."""
+    per warped sample, each displacement as %.17g (exact round trip).  Each
+    row is written as it is formatted, so neither file is held whole."""
     with open(os.path.join(out_dir, "objectives.csv"), "w", encoding="utf-8") as fh:
         fh.write("origin_id,mode,objective\n")
-        fh.write("".join("%d,%s,%.12g\n" % (s.origin_id, s.mode, s.objective)
-                         for s in adv))
+        fh.writelines("%d,%s,%.12g\n" % (s.origin_id, s.mode, s.objective) for s in adv)
     warped = [s for s in adv if s.path is not None]
     with open(os.path.join(out_dir, "paths.csv"), "w", encoding="utf-8") as fh:
         if warped:
             row = "%d,%s," + ",".join(["%.17g"] * len(warped[0].path)) + "\n"
-            fh.write("".join(row % (s.origin_id, s.mode, *s.path.tolist())
-                             for s in warped))
+            fh.writelines(row % (s.origin_id, s.mode, *s.path.tolist()) for s in warped)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -241,9 +241,13 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     series), its error kept for its own parts.  _share_domains then runs
     the parts, whole manifests or halves of them, in one process or two: a
     part loads its entries, checks them against the checkpoint, runs them
-    through the model and formats their rows, and this process scores each
-    manifest over its parts' logits.  An error is the first manifest's in
-    command-line order, and the files are the bytes of a serial run."""
+    through the model and writes their rows to a file of its own in a
+    temporary directory inside the output directory, returning only the
+    file's path, the domain tag, the labels and the logits.  This process
+    appends the part files to embeddings.csv in part order and scores each
+    manifest over its parts' logits; leaving the directory removes it, on
+    success or error.  An error is the first manifest's in command-line
+    order, and the files are the bytes of a serial run."""
     model = load_checkpoint(checkpoint)
     sources: list = []  # each read_manifest's result or its error
     for path in manifests:
@@ -252,28 +256,35 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
         except (ValueError, OSError) as exc:  # raised by its part, in command-line order
             sources.append(exc)
 
-    def part(m, entries):
-        """Manifest m's entries: their embedding rows (after the header, for
-        the first part), domain tag, labels and logits."""
-        if isinstance(sources[m], Exception):
-            raise sources[m]
-        try:
-            domain = load_manifest(sources[m], entries)
-            _check_fits(model, checkpoint, domain, manifests[m])
-        except ValueError:
-            if entries != slice(None):  # a serial run's error: the whole load's, then its fit's
-                _check_fits(model, checkpoint, load_manifest(sources[m]), manifests[m])
-            raise
-        z, logits = _inference(model, domain.samples)
-        rows, first = io.StringIO(), entries.start or 0
-        export_features(model, domain, rows, header=m == first == 0, features=z, first=first)
-        return (rows.getvalue(), domain.samples[0].domain_tag,
-                [x.label for x in domain.samples], logits)
+    with tempfile.TemporaryDirectory(dir=cfg.out_dir) as parts_dir:
+        def part(m, entries):
+            """Manifest m's entries: the path of the file holding their
+            embedding rows (after the header, for the first part), their
+            domain tag, labels and logits."""
+            if isinstance(sources[m], Exception):
+                raise sources[m]
+            try:
+                domain = load_manifest(sources[m], entries)
+                _check_fits(model, checkpoint, domain, manifests[m])
+            except ValueError:  # a serial run's error: the whole load's, then its fit's
+                if entries != slice(None):
+                    _check_fits(model, checkpoint, load_manifest(sources[m]), manifests[m])
+                raise
+            z, logits = _inference(model, domain.samples)
+            first = entries.start or 0
+            part_file = os.path.join(parts_dir, f"{m}-{first}.csv")
+            export_features(model, domain, part_file, header=m == first == 0, features=z,
+                            first=first)
+            return (part_file, domain.samples[0].domain_tag, [x.label for x in domain.samples],
+                    logits)
 
-    done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
-                                 for s in sources], "rows")
-    with open(os.path.join(cfg.out_dir, "embeddings.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(rows for parts in done for rows, *_ in parts)
+        done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
+                                     for s in sources], "rows")
+        with open(os.path.join(cfg.out_dir, "embeddings.csv"), "wb") as fh:
+            for parts in done:
+                for part_file, *_ in parts:
+                    with open(part_file, "rb") as rows:
+                        shutil.copyfileobj(rows, fh)
     domains = [(parts[0][1], sum((labels for _, _, labels, _ in parts), []))
                for parts in done]
     logits = [np.concatenate([part_logits for *_, part_logits in parts]) for parts in done]
