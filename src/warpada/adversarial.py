@@ -217,9 +217,15 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     chunk depends only on its own origins, so the output is bitwise the
     serial one.  The call runs serially, starting no process, when that
     is one.
+
+    Sets the malloc policy (procs._keep_freed_memory), as run() does, for
+    callers that ascend without run(): each block of the warp forms its
+    kernel and slope tables anew, and glibc's default policy would hand
+    them back to the OS and fault them in again.
     """
     if cfg.mode not in ("ada", "tada", "tada_plus"):
         raise ValueError(f"mode {cfg.mode!r} does not generate adversarial samples")
+    procs._keep_freed_memory()
     if cfg.mode != "tada_plus":
         families = [cfg.mode]
     else:

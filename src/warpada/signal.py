@@ -9,14 +9,16 @@ evaluates it as one tape node, in blocks of path rows, with a handful of
 sines and cosines per path entry rather than per tap, shared by every
 channel.  For integer displacements it reproduces plain index shifting;
 fractional displacements interpolate band-limitedly.  The warp is
-differentiable in both the signal and the path.
+differentiable in both the signal and the path.  Each output sample depends
+on one path entry, so the path's Jacobian is diagonal: the forward forms
+it, one (B, C, N) array, and the node saves that and the paths, never the
+signal.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -69,10 +71,12 @@ def _dirichlet_series(length: int) -> tuple[float, float]:
             np.pi ** 4 * (sq - 1) * (3 * sq - 7) / (360.0 * sq * sq))
 
 
-def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+def _dirichlet_rows(delta: np.ndarray, length: int,
+                    slopes: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The (R, L) rows D(delta_r - w), w = -M..M, of the periodic sinc
-    D(t) = sin(pi t) / (L sin(pi t / L)), and a function computing their
-    slopes D', with transcendentals evaluated per row, not per tap.
+    D(t) = sin(pi t) / (L sin(pi t / L)), and with ``slopes`` also their
+    slopes D' as a second (R, L) array, with transcendentals evaluated per
+    row, not per tap.
 
     With k = rint(delta) and f = delta - k (exact, |f| <= 1/2), integer w
     gives sin(pi t) = (-1)^(k+w) sin(pi f) and cos(pi t) likewise, and angle
@@ -85,14 +89,9 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     so that tap is evaluated from f directly, by the Taylor series below
     DIRICHLET_SERIES_BELOW.
 
-    The slope function keeps per-row state only: the row sines and
-    cosines, f, and the centre tap's value.  It rebuilds the (R, L) sine
-    table from them with the same calls, so whoever holds it holds no
-    (R, L) array, and its slopes are bitwise those of a saved table.
-    ``warp_apply`` calls this once per row block in forward, keeping only
-    the block's slope function for its path rule, and again per block in
-    backward when its values' rule needs the kernel: each row's result
-    depends on that row alone, so the rebuilt kernel is bitwise the first.
+    The slopes divide by the kernel's own sine table, squared in place
+    once the kernel is formed.  Each row's result depends on that row
+    alone, so rows computed in any grouping are bitwise the same.
     """
     half = length // 2
     ang = np.pi / length
@@ -109,43 +108,34 @@ def _dirichlet_rows(delta: np.ndarray, length: int) -> tuple[np.ndarray, Callabl
     small = np.abs(f) < DIRICHLET_SERIES_BELOW
     safe = np.where(small, 0.5, f)
     s_centre = np.sin(ang * safe)
-
-    def sine_table() -> np.ndarray:
-        # (-1)^w sin(pi t / L), with the tap w = k from f directly
-        table = np.stack([sin_row, -cos_row], axis=1) @ tap_trig
-        table[rows, cols] = sign * s_centre
-        return table
-
-    value = numer[:, None] / sine_table()
+    # (-1)^w sin(pi t / L), with the tap w = k from f directly
+    table = np.stack([sin_row, -cos_row], axis=1) @ tap_trig
+    table[rows, cols] = sign * s_centre
+    value = numer[:, None] / table
     a, b = _dirichlet_series(length)
     f2 = f * f
     value[rows, cols] = centre = np.where(small, 1.0 - f2 * (a - b * f2), value[rows, cols])
-
-    def slope() -> np.ndarray:
-        # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
-        # / sin(pi t / L)^2, whose numerator is again one angle addition; at
-        # w = k, D'(f) = pi / (L sin(pi f / L)) (cos(pi f) - D cos(pi f / L))
-        cos_t = sign * np.cos(np.pi * f)
-        coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
-                               -(cos_t * cos_row + numer * sin_row)], axis=1)
-        out = coef @ tap_trig
-        s_half = sine_table()
-        s_half *= s_half
-        out /= s_half
-        centre_slope = ang / s_centre * (np.cos(np.pi * safe) - centre * np.cos(ang * safe))
-        out[rows, cols] = np.where(small, f * (4.0 * b * f2 - 2.0 * a), centre_slope)
-        return out
-
+    if not slopes:
+        return value
+    # D' = (pi / L) (cos(pi t) sin(pi t / L) - sin(pi t) cos(pi t / L) / L)
+    # / sin(pi t / L)^2, whose numerator is again one angle addition; at
+    # w = k, D'(f) = pi / (L sin(pi f / L)) (cos(pi f) - D cos(pi f / L))
+    cos_t = sign * np.cos(np.pi * f)
+    coef = ang * np.stack([cos_t * sin_row - numer * cos_row,
+                           -(cos_t * cos_row + numer * sin_row)], axis=1)
+    slope = coef @ tap_trig
+    table *= table
+    slope /= table
+    centre_slope = ang / s_centre * (np.cos(np.pi * safe) - centre * np.cos(ang * safe))
+    slope[rows, cols] = np.where(small, f * (4.0 * b * f2 - 2.0 * a), centre_slope)
     return value, slope
 
 
 # Path rows (B*N entries) warp_apply evaluates at once: 1024 is 8 series
 # at N = 128, so a 32-origin ascent chunk runs in 4 blocks.  Such a tada
-# chunk (default spec, tracemalloc) peaks at 1.95-1.96 MiB with blocks of
-# 512 to 2048 rows and at 2.82 MiB in one 4096-row block, and its ascent
-# took a median 60 ms at 1024 rows against 78 ms at 4096 (40 alternating
-# in-process calls on one pinned CPU of a 2-core x86 sandbox, one BLAS
-# thread).
+# chunk (default spec, tracemalloc, numpy 2.4.6) peaks at 1.63 MiB with
+# blocks of 512 or 1024 rows, at 2.58 MiB with 2048 and at 3.53 MiB in one
+# 4096-row block, where a block's kernel and slopes are both live.
 WARP_BLOCK_ROWS = 1024
 
 
@@ -178,16 +168,16 @@ def warp_apply(x, path, half_width: int):
     g * sum_w segment * D', summed over channels.  A series adds one
     reshape on each side.
 
-    The forward and both rules run in row blocks of WARP_BLOCK_ROWS // N
-    series (at least one), so the (b, C, N, L) segments and (b*N, L)
-    kernels live one block at a time, never for the whole batch; every
-    output and gradient is bitwise what one block over the batch gives.
-    What the node saves: the values and paths arrays, and for the path's
-    rule each block's per-row state (``_dirichlet_rows``).  In backward
-    the values' rule rebuilds each block's kernel with ``_dirichlet_rows``
-    and the path's rule re-gathers its segments through the cached window
-    and rebuilds its slopes, so the node keeps no (B, C, N, L) or (B*N, L)
-    array between forward and backward.
+    The forward and the values' rule run in row blocks of
+    WARP_BLOCK_ROWS // N series (at least one), so the (b, C, N, L)
+    segments and (b*N, L) kernels and slopes live one block at a time,
+    never for the whole batch; every output and gradient is bitwise what
+    one block over the batch gives.  Each block gathers its segments once.
+    When the path requires grad, the forward also writes the block's
+    sum_w segment * D' into one (B, C, N) array, and that array is all the
+    path's rule saves.  The values' rule saves the paths and rebuilds each
+    block's kernel in backward.  So the node keeps no values array and no
+    (B, C, N, L) or (B*N, L) array between forward and backward.
     """
     series = x if isinstance(x, TimeSeries) else None
     if series is not None:
@@ -217,34 +207,31 @@ def warp_apply(x, path, half_width: int):
     step = max(1, WARP_BLOCK_ROWS // n)
     blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
     out = np.empty((batch, channels, n))
-    slopes = []
+    # sum_w segment * D', the path rule's factor, formed while the block's
+    # segments are at hand; only when the path requires grad
+    along = np.empty((batch, channels, n)) if delta.requires_grad else None
     for block in blocks:
-        kernel, slope = _dirichlet_rows(paths[block].ravel(), length)
-        np.einsum("bcnw,bnw->bcn", np.take(xs[block], window, axis=2),
-                  kernel.reshape(-1, n, length), out=out[block])
-        slopes.append(slope)
+        seg = np.take(xs[block], window, axis=2)
+        if along is None:
+            kernel = _dirichlet_rows(paths[block].ravel(), length)
+        else:
+            kernel, slope = _dirichlet_rows(paths[block].ravel(), length, slopes=True)
+            np.einsum("bcnw,bnw->bcn", seg, slope.reshape(-1, n, length), out=along[block])
+        np.einsum("bcnw,bnw->bcn", seg, kernel.reshape(-1, n, length), out=out[block])
 
     def _dvalues(g):
         # the taps' flat addresses in one block's values
         index = np.arange(min(step, batch) * channels).reshape(-1, channels, 1, 1) * n + window
         dvalues = np.empty((batch, channels, n))
         for block in blocks:
-            kernel = _dirichlet_rows(paths[block].ravel(), length)[0].reshape(-1, n, length)
+            kernel = _dirichlet_rows(paths[block].ravel(), length).reshape(-1, n, length)
             g_block = g[block]
             weights = (g_block[..., None] * kernel[:, None]).ravel()
             dvalues[block] = np.bincount(index[:len(g_block)].ravel(), weights=weights,
                                          minlength=g_block.size).reshape(g_block.shape)
         return dvalues
 
-    def _dpath(g):
-        dpath = np.empty((batch, n))
-        for block, slope in zip(blocks, slopes):
-            seg = np.take(xs[block], window, axis=2)
-            dpath[block] = (g[block] * np.einsum("bcnw,bnw->bcn", seg,
-                                                 slope().reshape(-1, n, length))).sum(axis=1)
-        return dpath
-
-    warped = _record(out, (values, _dvalues), (delta, _dpath))
+    warped = _record(out, (values, _dvalues), (delta, lambda g: (g * along).sum(axis=1)))
     if series is None:
         return warped
     return TimeSeries(op_reshape(warped, (channels, n)), label=series.label,

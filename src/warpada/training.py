@@ -78,8 +78,10 @@ class Dataset:
 class TrainReport:
     """Everything needed to reproduce and compare a training run.
 
-    ``wall_clock`` is the only field expected to differ between identical
-    runs; ``identity()`` drops it for equality checks.
+    ``wall_clock`` and ``phase_wall`` (seconds per phase, in run order:
+    each round's fit and generation, then the final stretch) are the only
+    fields expected to differ between identical runs; ``identity()`` drops
+    them for equality checks.
     """
 
     seed: int
@@ -88,6 +90,7 @@ class TrainReport:
     round_losses: list[list[float]] = field(default_factory=list)
     final_losses: list[float] = field(default_factory=list)
     wall_clock: float = 0.0
+    phase_wall: dict[str, float] = field(default_factory=dict)
 
     def identity(self) -> dict:
         return {
@@ -108,6 +111,8 @@ class TrainReport:
                          + " ".join(f"{v:.12g}" for v in losses))
         lines.append("final_mean_loss: " + " ".join(f"{v:.12g}" for v in self.final_losses))
         lines.append(f"wall_clock_s: {self.wall_clock:.3f}")
+        lines.append("phase_wall_s: " + " ".join(f"{name}={s:.3f}"
+                                                 for name, s in self.phase_wall.items()))
         return "\n".join(lines) + "\n"
 
 
@@ -282,9 +287,7 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
 
 def maximize_phase(model: Classifier, d0: Dataset, cfg: AdvConfig) -> list[AdvSample]:
     """One batch of adversarial samples per element of the ORIGINAL dataset,
-    against a frozen weight snapshot, in origin order.  Sets the malloc
-    policy, as run() does, for callers that ascend without run()."""
-    procs._keep_freed_memory()
+    against a frozen weight snapshot, in origin order."""
     return maximize_many(model.frozen_copy(), d0.samples, cfg)
 
 
@@ -295,8 +298,9 @@ def run(d0: Dataset, cfg: AdvConfig,
     K rounds of (fit on current data, expand with adversarial samples),
     then t_final epochs on the expanded dataset.  mode="erm" skips the
     rounds entirely.  Identical (data, cfg) reproduce the report exactly,
-    wall clock aside.  A non-finite minibatch loss raises ValueError naming
-    the round or final epoch (both counted from 1) and the step.
+    wall clock and phase timings aside.  A non-finite minibatch loss raises
+    ValueError naming the round or final epoch (both counted from 1) and
+    the step.
 
     The first call in a process sets glibc's malloc policy for the whole
     process, so each SGD step reuses the heap its predecessor freed instead
@@ -313,6 +317,12 @@ def run(d0: Dataset, cfg: AdvConfig,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5D]))
     report = TrainReport(seed=cfg.seed, config=asdict(cfg), dataset_sizes=[len(d0)])
 
+    def lap(phase: str, since: float) -> float:
+        """Record the wall time of ``phase`` from ``since``; returns now."""
+        now = time.perf_counter()
+        report.phase_wall[phase] = now - since
+        return now
+
     def fit(dataset: Dataset, steps: int, stage) -> list[float]:
         """minimize_phase's losses; an error names the round or final epoch
         and the step within it, which ``stage(step of the call)`` gives."""
@@ -326,15 +336,19 @@ def run(d0: Dataset, cfg: AdvConfig,
 
     current = d0
     rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
+    clock = time.perf_counter()
     for k in range(1, rounds + 1):
         report.round_losses.append(fit(current, cfg.t_min, lambda step: (f"round {k}", step)))
+        clock = lap(f"round{k}_fit", clock)
         current = current.extended([a.series for a in maximize_phase(model, d0, cfg)])
+        clock = lap(f"round{k}_generate", clock)
         report.dataset_sizes.append(len(current))
 
     # the final stretch is one call, so one partner serves all its epochs
     per_epoch = max(1, (len(current) + cfg.batch - 1) // cfg.batch)
     losses = fit(current, cfg.t_final * per_epoch,
                  lambda step: (f"final epoch {step // per_epoch + 1}", step % per_epoch))
+    lap("final", clock)
     report.final_losses = [float(np.mean(losses[lo:lo + per_epoch]))
                            for lo in range(0, len(losses), per_epoch)]
 

@@ -145,13 +145,20 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+# Peaks under tracemalloc depend on numpy's own temporaries; the bounds
+# were measured with numpy 2.4.6 and hold for that version only.
+measured_numpy = pytest.mark.skipif(np.__version__ != "2.4.6",
+                                    reason="tracemalloc bounds measured with numpy 2.4.6")
+
+
+@measured_numpy
 class TestWorkingSet:
-    # Bounds measured with numpy 2.4.6, a few percent above the peaks: the
-    # tape keeps no op output and each rule only what it reads (relu a
-    # mask), backward frees each node's saved state as it passes it, and
-    # the warp node runs in row blocks, keeping per-row state only.  A tada
-    # chunk peaks at 1.95 MiB, an ada chunk at 1.49, a composed tada_plus
-    # chunk at 2.02 and the SGD half at 1.53.
+    # Bounds a few percent above the peaks: the tape keeps no op output and
+    # each rule only what it reads (relu a mask), backward frees each node's
+    # saved state as it passes it, and the warp node runs in row blocks,
+    # keeping no values and, for the path's rule, one (B, C, N) factor.  A
+    # tada chunk peaks at 1.63 MiB, an ada chunk at 1.49, a composed
+    # tada_plus chunk at 1.66 and the SGD half at 1.53.
     def test_ascent_chunk_and_sgd_half_peaks(self):
         source, _ = synth_generate(default_spec(0))
         model = Classifier(1, 3, 0)
@@ -160,11 +167,11 @@ class TestWorkingSet:
         assert len(chunk) == 32
         ascent = _traced_peak(lambda: adversarial._ascend(model, chunk, cfg,
                                                           list(range(32)), "tada"))
-        assert ascent < 2.1 * 2 ** 20
+        assert ascent < 1.7 * 2 ** 20
         half = _traced_peak(lambda: training._half_gradient(model, source.samples[:16], 1 / 32))
         assert half < 1.6 * 2 ** 20
 
-    @pytest.mark.parametrize("family, bound", [("ada", 1.6), ("tada_plus", 2.2)])
+    @pytest.mark.parametrize("family, bound", [("ada", 1.6), ("tada_plus", 1.75)])
     def test_ada_and_composed_chunk_peaks(self, family, bound):
         source, _ = synth_generate(default_spec(0))
         model = Classifier(1, 3, 0)

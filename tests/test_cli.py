@@ -21,8 +21,8 @@ from warpada.data import _write_series_csv, default_spec, load_manifest, save_da
 from warpada.model import Classifier, load_checkpoint, save_checkpoint
 from warpada.training import Dataset, evaluate, maximize_phase
 
-from test_adversarial import (_traced_peak, assert_no_children, deadline, no_process,
-                              processes_of)
+from test_adversarial import (_traced_peak, assert_no_children, deadline, measured_numpy,
+                              no_process, processes_of)
 from test_data import save_v1, write_manifest
 from test_training import forced_inference
 from test_warp import path_violations
@@ -353,9 +353,11 @@ class TestGradcheckCommand:
         # the warp in its path fail
         real_rows = signal._dirichlet_rows
 
-        def flipped_rows(delta, length):
-            value, slope = real_rows(delta, length)
-            return value, lambda: -slope()
+        def flipped_rows(delta, length, slopes=False):
+            if not slopes:
+                return real_rows(delta, length)
+            value, slope = real_rows(delta, length, slopes=True)
+            return value, -slope
 
         monkeypatch.setattr(signal, "_dirichlet_rows", flipped_rows)
         assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == 1
@@ -455,7 +457,8 @@ class TestTrainCommand:
                          "--out", str(out),
                          "--manifest", workspace["source"]]) == 0
             lines = (out / "report.txt").read_text().split("\n")
-            reports.append([l for l in lines if not l.startswith("wall_clock")])
+            reports.append([l for l in lines
+                            if not l.startswith(("wall_clock_s:", "phase_wall_s:"))])
         assert reports[0] == reports[1]
 
 
@@ -935,6 +938,7 @@ class TestEvalWorkingSet:
     # command after a warm one: 2.69 MiB serial and 2.18 forked (this
     # process's peak only), against 3.74 and 2.73 when each part returned
     # its rows as text.
+    @measured_numpy
     @pytest.mark.parametrize("on, bound", [(False, 2.8), (True, 2.3)], ids=["serial", "forked"])
     def test_command_peak(self, workspace, default_targets, tmp_path, monkeypatch, on, bound):
         workers = forced_eval(monkeypatch, on)

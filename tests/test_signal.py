@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,12 +62,12 @@ def flat_index_warp(values, delta, half_width, g):
     window = np.clip(np.arange(n)[:, None] + np.arange(-half_width, half_width + 1), 0, n - 1)
     index = np.arange(batch * channels).reshape(batch, channels, 1, 1) * n + window
     seg = values.ravel()[index]
-    kernel, slope = _dirichlet_rows(delta.ravel(), length)
+    kernel, slope = _dirichlet_rows(delta.ravel(), length, slopes=True)
     kernel = kernel.reshape(batch, n, length)
     out = np.einsum("bcnw,bnw->bcn", seg, kernel)
     weights = (g[..., None] * kernel[:, None]).ravel()
     dvalues = np.bincount(index.ravel(), weights=weights, minlength=g.size).reshape(g.shape)
-    slopes = slope().reshape(batch, n, length)
+    slopes = slope.reshape(batch, n, length)
     dpath = (g * np.einsum("bcnw,bnw->bcn", seg, slopes)).sum(axis=1)
     return out, dvalues, dpath
 
@@ -351,6 +354,21 @@ class TestWarpApply:
         if values_grad:
             np.testing.assert_array_equal(x.grad, want_dvalues)
         assert not _window(64, 10).flags.writeable  # every call shares it
+
+    def test_path_rule_keeps_no_values(self):
+        # the path's rule reads only the factor the forward formed, so while
+        # the tape lives nothing of the node holds the constant values
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(3, 2, 64)))
+        path = Tensor(rng.uniform(-10.0, 10.0, size=(3, 64)), requires_grad=True)
+        values = weakref.ref(x.data)
+        with Tape() as tape:
+            out = warp_apply(x, path, 10)
+            del x
+            gc.collect()
+            assert values() is None
+            tape.backward(op_sum(out))
+        assert path.grad.shape == (3, 64)
 
     def test_path_validation(self):
         x = TimeSeries(Tensor(np.zeros(16) + 1.0))

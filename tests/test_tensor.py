@@ -98,8 +98,7 @@ def dirichlet_oracle(t, length):
 def kernel_rows(shifts, length):
     """D(shift - w) and D'(shift - w) for w = -M..M, (len(shifts), L), from
     the warp's kernel."""
-    value, slope = S._dirichlet_rows(np.asarray(shifts, dtype=float), length)
-    return value, slope()
+    return S._dirichlet_rows(np.asarray(shifts, dtype=float), length, slopes=True)
 
 
 class TestDirichlet:

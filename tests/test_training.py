@@ -199,11 +199,19 @@ class TestHeapPolicy:
         run(toy_dataset(n_per_class=4), small_cfg(mode="erm"))
         assert calls == [1]
 
-    def test_maximize_phase_sets_the_policy(self, monkeypatch):
-        # `warpada augment` ascends through maximize_phase without run()
+    @pytest.mark.parametrize("entry", ["maximize_phase", "maximize_many", "maximize_one"])
+    def test_ascent_sets_the_policy(self, monkeypatch, entry):
+        # `warpada augment` ascends through maximize_phase without run(), and
+        # criterion 7 through maximize_one
         calls = []
         monkeypatch.setattr(procs, "_keep_freed_memory", lambda: calls.append(1))
-        maximize_phase(Classifier(1, 2, seed=0), toy_dataset(n_per_class=2), small_cfg())
+        model, ds, cfg = Classifier(1, 2, seed=0), toy_dataset(n_per_class=2), small_cfg()
+        if entry == "maximize_phase":
+            maximize_phase(model, ds, cfg)
+        elif entry == "maximize_many":
+            adversarial.maximize_many(model, ds.samples, cfg)
+        else:
+            adversarial.maximize_one(model, ds.samples[0], cfg)
         assert calls == [1]
 
     @pytest.mark.skipif(not _on_glibc(), reason="mallopt policy is set on glibc only")
@@ -593,7 +601,7 @@ class TestRun:
         spec = dataclasses.replace(default_spec(seed=0), n_per_class=4, length=48)
         cfg = small_cfg(mode="tada", t_max=2)
         _, report = run(synth_generate(spec)[0], cfg)
-        assert report.to_text().splitlines()[-4:-1] == [
+        assert report.to_text().splitlines()[-5:-2] == [
             "dataset_sizes: 12 24",
             "round1_mean_loss: 0.795553483212 1.80047729649 1.50065253808",
             "final_mean_loss: 0.914165480735 0.848341779796"]
@@ -630,6 +638,23 @@ class TestRun:
         assert text.startswith("WARPADA-REPORT v1")
         assert "config.mode: tada" in text
         assert "config.seed: 0" in text
+
+    def test_phase_timings(self):
+        # each round's fit and generation, then the final stretch, all within
+        # the run's wall clock; identity() holds no timing
+        ds = toy_dataset(n_per_class=2)
+        _, report = run(ds, small_cfg(mode="tada", k_rounds=2))
+        assert list(report.phase_wall) == ["round1_fit", "round1_generate", "round2_fit",
+                                           "round2_generate", "final"]
+        assert all(s >= 0 for s in report.phase_wall.values())
+        assert sum(report.phase_wall.values()) <= report.wall_clock
+        line = report.to_text().splitlines()[-1]
+        assert re.fullmatch(r"phase_wall_s: round1_fit=\d+\.\d{3} round1_generate=\S+ "
+                            r"round2_fit=\S+ round2_generate=\S+ final=\d+\.\d{3}", line)
+        assert set(report.identity()) == {"seed", "config", "dataset_sizes", "round_losses",
+                                          "final_losses"}
+        _, erm = run(ds, small_cfg(mode="erm", k_rounds=2))
+        assert erm.to_text().splitlines()[-1] == f"phase_wall_s: final={erm.phase_wall['final']:.3f}"
 
 
 class TestAscentOnTrainedModel:
