@@ -116,10 +116,6 @@ class AdvSample:
     objective: float
     path: np.ndarray | None = None  # warp displacements when a warp was used
 
-    def __post_init__(self):
-        if self.path is not None:
-            self.path = np.asarray(self.path, dtype=np.float64)
-
 
 def _sample_rng(cfg: AdvConfig, origin_id: int) -> np.random.Generator:
     # per-origin stream, so a sample does not depend on which chunk it ran in
@@ -151,7 +147,7 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
     family 'ada' ascends an additive perturbation from zeros, 'tada' the
     warp parameters, and 'tada_plus' both at once (the composed objective).
     The chunk shares one tape per iteration with J = sum_i J_i; the model is
-    frozen and every row of the batch depends only on its own parameters,
+    only read and every row of the batch depends only on its own parameters,
     so each origin's parameters receive exactly dJ_i/d(own parameters).
 
     phi starts as uniform noise drawn from the origin's own stream, not
@@ -166,7 +162,7 @@ def _ascend(model, xs: list[TimeSeries], cfg: AdvConfig, origin_ids: list[int],
                      for o in origin_ids]) if warps else None)
     perturbation = np.zeros_like(values) if shifts else None
     source = Tensor(values)
-    z_ref = Tensor(forward(model, source)[0].data.copy())
+    z_ref = forward(model, source)[0]  # no tape records here: a constant
 
     def candidate(phi_t, pert_t):
         x = source + pert_t if shifts else source
@@ -213,7 +209,7 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
     last bits.
 
     The chunks are shared between procs.workers processes, up to
-    MAX_ASCENT_WORKERS (procs.map_chunks).  The model is frozen and every
+    MAX_ASCENT_WORKERS (procs.map_chunks).  The model is only read and every
     chunk depends only on its own origins, so the output is bitwise the
     serial one.  The call runs serially, starting no process, when that
     is one.

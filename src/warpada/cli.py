@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .adversarial import AdvConfig, AdvSample
+from .adversarial import MODES, AdvConfig, AdvSample
 from .data import default_spec, load_manifest, read_manifest, save_dataset, synth_generate
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
@@ -243,11 +243,12 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     part loads its entries, checks them against the checkpoint, runs them
     through the model and writes their rows to a file of its own in a
     temporary directory inside the output directory, returning only the
-    file's path, the domain tag, the labels and the logits.  This process
-    appends the part files to embeddings.csv in part order and scores each
-    manifest over its parts' logits; leaving the directory removes it, on
-    success or error.  An error is the first manifest's in command-line
-    order, and the files are the bytes of a serial run."""
+    file's path and the logits.  This process appends the part files to
+    embeddings.csv in part order and scores each manifest over its parts'
+    logits, with the domain tag of its first entry and the labels of its
+    entries as the checked manifest gives them; leaving the directory
+    removes it, on success or error.  An error is the first manifest's in
+    command-line order, and the files are the bytes of a serial run."""
     model = load_checkpoint(checkpoint)
     sources: list = []  # each read_manifest's result or its error
     for path in manifests:
@@ -259,8 +260,8 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     with tempfile.TemporaryDirectory(dir=cfg.out_dir) as parts_dir:
         def part(m, entries):
             """Manifest m's entries: the path of the file holding their
-            embedding rows (after the header, for the first part), their
-            domain tag, labels and logits."""
+            embedding rows (after the header, for the first part) and their
+            logits."""
             if isinstance(sources[m], Exception):
                 raise sources[m]
             try:
@@ -275,19 +276,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
             part_file = os.path.join(parts_dir, f"{m}-{first}.csv")
             export_features(model, domain, part_file, header=m == first == 0, features=z,
                             first=first)
-            return (part_file, domain.samples[0].domain_tag, [x.label for x in domain.samples],
-                    logits)
+            return part_file, logits
 
         done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
                                      for s in sources], "rows")
         with open(os.path.join(cfg.out_dir, "embeddings.csv"), "wb") as fh:
             for parts in done:
-                for part_file, *_ in parts:
+                for part_file, _ in parts:
                     with open(part_file, "rb") as rows:
                         shutil.copyfileobj(rows, fh)
-    domains = [(parts[0][1], sum((labels for _, _, labels, _ in parts), []))
-               for parts in done]
-    logits = [np.concatenate([part_logits for *_, part_logits in parts]) for parts in done]
+    domains = [(source.entries[0][3], [label for _, _, label, _ in source.entries])
+               for source in sources]
+    logits = [np.concatenate([part_logits for _, part_logits in parts]) for parts in done]
     scores, average = evaluate(model, domains, logits)
     width = max(len(k) for k in scores)
     lines = [f"{tag.ljust(width)}  {f1:.4f}" for tag, f1 in scores.items()]
@@ -327,30 +327,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate the synthetic benchmark")
     common(sp)
+    sp.set_defaults(run=lambda cfg, args: cmd_synth(cfg))
 
     sp = sub.add_parser("gradcheck",
                         help="audit every gradient path against finite differences")
     common(sp)
+    sp.set_defaults(run=lambda cfg, args: cmd_gradcheck(cfg))
 
     sp = sub.add_parser("augment",
                         help="generate adversarial samples for a dataset")
     common(sp)
     sp.add_argument("--checkpoint", required=True, metavar="FILE")
     sp.add_argument("--manifest", required=True, metavar="FILE")
-    sp.add_argument("--mode", default=None,
-                    choices=["ada", "tada", "tada_plus"])
+    sp.add_argument("--mode", default=None, choices=[m for m in MODES if m != "erm"])
+    sp.set_defaults(run=lambda cfg, args: cmd_augment(cfg, args.checkpoint, args.manifest))
 
     sp = sub.add_parser("train", help="run the alternating training loop")
     common(sp)
-    sp.add_argument("--mode", default=None,
-                    choices=["erm", "ada", "tada", "tada_plus"])
-    sp.add_argument("--manifest", default=None, metavar="FILE",
+    sp.add_argument("--mode", default=None, choices=MODES)
+    sp.add_argument("--manifest", default=None, metavar="FILE", dest="train_manifest",
                     help="train on this dataset instead of the synthetic source")
+    sp.set_defaults(run=lambda cfg, args: cmd_train(cfg))
 
     sp = sub.add_parser("eval", help="macro-F1 per domain plus embeddings")
     common(sp)
     sp.add_argument("--checkpoint", required=True, metavar="FILE")
     sp.add_argument("manifests", nargs="+", metavar="MANIFEST")
+    sp.set_defaults(run=lambda cfg, args: cmd_eval(cfg, args.checkpoint, args.manifests))
 
     sp = sub.add_parser("export-features",
                         help="write pooled features for every sample")
@@ -358,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True, metavar="FILE")
     sp.add_argument("--manifest", required=True, metavar="FILE")
     sp.add_argument("--output", default=None, metavar="FILE")
+    sp.set_defaults(run=lambda cfg, args: cmd_export_features(cfg, args.checkpoint,
+                                                              args.manifest, args.output))
 
     return parser
 
@@ -368,29 +373,15 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "out_dir": args.out,
         "mode": getattr(args, "mode", None),
+        "train_manifest": getattr(args, "train_manifest", None) or None,  # "" keeps the config's
     }
-    if args.command == "train" and getattr(args, "manifest", None):
-        overrides["train_manifest"] = args.manifest
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "augment" and cfg.mode == "erm":
             raise ConfigError("mode 'erm' generates no adversarial samples; "
                               "pick ada, tada, or tada_plus")
         _write_echo(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        if args.command == "augment":
-            return cmd_augment(cfg, args.checkpoint, args.manifest)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.manifests)
-        if args.command == "export-features":
-            return cmd_export_features(cfg, args.checkpoint, args.manifest,
-                                       args.output)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except (ValueError, OSError) as exc:  # ConfigError included; both name the path
         print(f"error: {exc}", file=sys.stderr)
         return 2

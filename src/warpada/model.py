@@ -91,11 +91,6 @@ class Classifier:
         return {name: Tensor(w, requires_grad=requires_grad)
                 for name, w in self.weights.items()}
 
-    def frozen_copy(self) -> "Classifier":
-        clone = Classifier(self.in_channels, self.n_classes, self.seed)
-        clone.weights = {name: w.copy() for name, w in self.weights.items()}
-        return clone
-
     def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
         """SGD step theta <- theta - lr * grad for every named gradient."""
         for name, grad in grads.items():

@@ -15,7 +15,8 @@ it, and each rule saves only what its formula reads (relu a boolean mask,
 add, sub, sum and reshape only shapes).  A tape runs backward once: as the
 reverse sweep passes each node it frees the arrays its rules saved, so a
 forward's saved state shrinks as backward proceeds rather than living
-until the tape dies.
+until the tape dies.  Backward returns nothing: the one place a gradient
+is read is the ``grad`` of the leaf it belongs to.
 
 Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  conv1d takes
@@ -60,11 +61,12 @@ _handles = itertools.count()  # a tensor's handle is drawn once, when it first e
 class Tensor:
     """A contiguous float64 array plus gradient bookkeeping.
 
-    ``grad`` is populated by ``Tape.backward`` for tensors with
-    ``requires_grad``; it is overwritten (never accumulated) across separate
-    backward calls.  ``handle`` names the tensor on a tape: None until it
-    enters one as an op's recorded output or input, then an integer unique
-    in the process.
+    ``grad`` is where ``Tape.backward`` leaves the gradient of a
+    requires_grad leaf that the root's gradient reaches; it is overwritten
+    (never accumulated) across separate backward calls, and a leaf off the
+    root's path keeps its earlier ``grad`` (None if it never had one).
+    ``handle`` names the tensor on a tape: None until it enters one as an
+    op's recorded output or input, then an integer unique in the process.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "handle")
@@ -129,15 +131,16 @@ class Tape:
     ``nodes`` holds handles and rules, never op outputs; ``leaves`` maps
     the handle of every leaf (a differentiable input no op on this tape
     produced) to the tensor, the only tensors the tape keeps alive.
-    ``backward`` runs once per tape.  It replaces each node in ``nodes`` by
-    a spent placeholder as it passes, so ``len(nodes)`` stays the recorded
-    count while the nodes' saved state is freed.
+    ``backward`` runs once per tape and stores the gradients on the
+    leaves' ``grad``.  It replaces each node in ``nodes`` by the spent
+    placeholder as it passes, so ``len(nodes)`` stays the recorded count
+    while the nodes' saved state is freed, and a tape has run backward
+    exactly when its last node is spent.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self.leaves: dict[int, Tensor] = {}
-        self.spent = False  # backward has run
         self._own: set[int] = set()  # handles of this tape's outputs and leaves
 
     def __enter__(self) -> "Tape":
@@ -168,30 +171,27 @@ class Tape:
         self._own.add(out.handle)
         self.nodes.append(TapeNode(out.handle, pairs))
 
-    def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
-        """Accumulate gradients of ``root`` with respect to every tensor on
-        the tape.
+    def backward(self, root: Tensor) -> None:
+        """Set ``.grad`` on every requires_grad leaf the gradient of
+        ``root`` reaches.
 
         Visits nodes exactly once, in reverse recording order, routing each
-        gradient by handle.  Returns a map from each requires_grad leaf
-        that the gradient reached to its gradient array and also stores
-        that gradient on ``tensor.grad``.  An op output's gradient is
-        dropped as soon as its node's rules have run, since every consumer
-        was recorded later and has already been visited.  So is the node
-        itself: it becomes a spent placeholder in ``nodes``, freeing its
-        rules' saved arrays unless something else holds them, and the
-        tape lets go of its leaves at the end.  Buffers are freshly
-        allocated, so repeating an identical forward+backward reproduces
-        gradients bitwise.  A second call raises RuntimeError, since the
-        rules it would need are gone.
+        gradient by handle.  An op output's gradient is dropped as soon as
+        its node's rules have run, since every consumer was recorded later
+        and has already been visited.  So is the node itself: it becomes
+        the spent placeholder in ``nodes``, freeing its rules' saved arrays
+        unless something else holds them, and the tape lets go of its
+        leaves at the end.  Buffers are freshly allocated, so repeating an
+        identical forward+backward reproduces gradients bitwise.  A second
+        call, even after a rule raised part-way, raises RuntimeError, since
+        the rules it would need are gone.
         """
         if root.data.shape != ():
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        if self.spent:
+        if self.nodes[-1] is _SPENT:
             raise RuntimeError("this tape already ran backward; record a new one")
-        self.spent = True
         grads: dict[int, np.ndarray] = {self._handle(root): np.ones((), dtype=np.float64)}
         for i in reversed(range(len(self.nodes))):
             out, rules = self.nodes[i]
@@ -207,13 +207,11 @@ class Tape:
                 else:
                     grads[handle] = existing + contribution
         # every output's gradient was popped at its node: the rest are leaves'
-        reached = {}
         for handle, grad in grads.items():
             leaf = self.leaves[handle]
             if leaf.requires_grad:
-                leaf.grad = reached[leaf] = grad
+                leaf.grad = grad
         self.leaves = {}
-        return reached
 
 
 def _lift(value) -> Tensor:
@@ -416,8 +414,8 @@ def finite_diff_check(f: Callable[..., Tensor], *leaves: Tensor, h: float = 1e-5
 
     probes = at(x, requires_grad=True)
     with Tape() as tape:
-        grads = tape.backward(f(*probes))
-    analytic = np.concatenate([np.reshape(grads.get(p, np.zeros(p.data.shape)), -1)
+        tape.backward(f(*probes))
+    analytic = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
                                for p in probes])
 
     errors = []

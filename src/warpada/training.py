@@ -148,6 +148,11 @@ def _half_gradient(model: Classifier, samples: list[TimeSeries],
     return {name: p.grad for name, p in params.items()}, rows.data
 
 
+def _first_half(batch: int) -> int:
+    """Series in the first half of a minibatch of ``batch``: ceil(batch / 2)."""
+    return (batch + 1) // 2
+
+
 def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float,
               second_half=None) -> float:
     """One SGD step on a minibatch of B series; returns its mean loss.
@@ -166,7 +171,7 @@ def _sgd_step(model: Classifier, batch: list[TimeSeries], lr: float,
     A non-finite loss skips the update, so the model keeps its last finite
     weights.
     """
-    first, scale = (len(batch) + 1) // 2, 1.0 / len(batch)
+    first, scale = _first_half(len(batch)), 1.0 / len(batch)
     halves = [_half_gradient(model, batch[:first], scale)]
     if len(batch) > first:
         halves.append(second_half() if second_half is not None
@@ -202,8 +207,8 @@ class _Partner(procs.Child):
     def __init__(self, model: Classifier, samples: list[TimeSeries], batch: int):
         super().__init__(self._serve, "SGD partner", "gradients")
         self._scale = 1.0 / batch
-        n_second = batch // 2
-        self._first = batch - n_second
+        self._first = _first_half(batch)
+        n_second = batch - self._first
         n_weights = sum(w.size for w in model.weights.values())
         self._shm = mmap.mmap(-1, 8 * (2 * n_weights + 2 * n_second))
         floats = np.frombuffer(self._shm, np.float64, 2 * n_weights + n_second)
@@ -287,8 +292,9 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
 
 def maximize_phase(model: Classifier, d0: Dataset, cfg: AdvConfig) -> list[AdvSample]:
     """One batch of adversarial samples per element of the ORIGINAL dataset,
-    against a frozen weight snapshot, in origin order."""
-    return maximize_many(model.frozen_copy(), d0.samples, cfg)
+    in origin order, ascended against ``model`` itself: no code in the
+    ascent writes its weights, so it needs no snapshot."""
+    return maximize_many(model, d0.samples, cfg)
 
 
 def run(d0: Dataset, cfg: AdvConfig,
@@ -452,26 +458,21 @@ def evaluate(model: Classifier, domains: list[Dataset | tuple[str, list[int]]],
 _FEATURE_ROW = "%d,%s,%d," + ",".join(["%.12g"] * FEATURE_DIM) + "\n"
 
 
-def export_features(model: Classifier, dataset: Dataset, out, header: bool = True,
+def export_features(model: Classifier, dataset: Dataset, path, header: bool = True,
                     features: np.ndarray | None = None, first: int = 0) -> None:
-    """CSV of pooled features: origin_id, domain_tag, label, then 64 values.
-
-    ``out`` is a path to write, or an open text file to append the rows to
-    (with ``header`` False, after the first dataset of several).
-    ``features`` holds the dataset's features (``_inference``'s first
-    output) when the caller has already run the forward.  Origin ids count
-    from ``first``, the first sample's place in its manifest.
+    """Write ``path``, a CSV of pooled features: origin_id, domain_tag,
+    label, then 64 values per sample, after a header line unless ``header``
+    is False.  ``features`` holds the dataset's features (``_inference``'s
+    first output) when the caller has already run the forward.  Origin ids
+    count from ``first``, the first sample's place in its manifest.
     """
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", encoding="utf-8") as fh:
-            export_features(model, dataset, fh, header, features, first)
-        return
-    if header:
-        out.write("origin_id,domain_tag,label,"
-                  + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
-    if features is None:
-        features = np.concatenate(_share_domains(
-            lambda _, entries: _inference(model, dataset.samples[entries])[0], [len(dataset)],
-            "features")[0])
-    for i, (sample, z) in enumerate(zip(dataset.samples, features), start=first):
-        out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))
+    with open(path, "w", encoding="utf-8") as out:
+        if header:
+            out.write("origin_id,domain_tag,label,"
+                      + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
+        if features is None:
+            features = np.concatenate(_share_domains(
+                lambda _, entries: _inference(model, dataset.samples[entries])[0],
+                [len(dataset)], "features")[0])
+        for i, (sample, z) in enumerate(zip(dataset.samples, features), start=first):
+            out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))

@@ -383,6 +383,25 @@ class TestForkedShares:
         assert_same_samples(got, want)
         assert_no_children()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kw", [GENERATING[0], GENERATING[1], GENERATING[3]],
+                             ids=["ada", "tada", "tada_plus-composed"])
+    def test_ascent_never_writes_the_model(self, kw, workers, monkeypatch):
+        # maximize_phase ascends the model it is given, with no snapshot of it
+        monkeypatch.setattr(adversarial, "ASCENT_CHUNK", self.CHUNK)
+        model, (xs, ids), cfg = Classifier(1, 3, seed=14), self.origins(), toy_cfg(**kw)
+        arrays = dict(model.weights)
+        saved = {name: w.tobytes() for name, w in arrays.items()}
+        forked = force_workers(monkeypatch, workers)
+        with deadline(60):
+            maximize_many(model, xs, cfg, ids)
+            training.maximize_phase(model, training.Dataset(xs, 3), cfg)
+        assert forked == [workers] * 2
+        assert list(model.weights) == list(arrays)
+        for name, w in arrays.items():
+            assert model.weights[name] is w and w.tobytes() == saved[name]
+        assert_no_children()
+
     def test_share_larger_than_a_pipe_buffer(self, monkeypatch):
         # the child's 8 samples of 2048 values pickle to over 128 KiB, twice
         # a Linux pipe buffer: joining the child before reading would hang

@@ -497,6 +497,17 @@ class TestEvalCommand:
         assert (out / "embeddings.csv").read_text() == "".join(parts)
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
+    def test_export_features_writes_the_eval_embeddings(self, workspace, default_targets,
+                                                        tmp_path):
+        # one writer of feature rows: for one target, the function's file is
+        # the command's embeddings.csv, byte for byte
+        out, features = tmp_path / "ev", tmp_path / "features.csv"
+        assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out", str(out),
+                     default_targets[0]]) == 0
+        training.export_features(load_checkpoint(workspace["checkpoint"]),
+                                 load_manifest(default_targets[0]), features)
+        assert features.read_bytes() == (out / "embeddings.csv").read_bytes()
+
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
         # with the inference worker forced on, every series is forwarded
         # exactly once, in whichever process, in the serial run's chunks,

@@ -249,7 +249,7 @@ class TestBatchedStep:
                 total = ce if total is None else total + ce
             tape.backward(total * (1.0 / len(batch)))
         lr = 0.05
-        stepped = model.frozen_copy()
+        stepped = Classifier(1, 2, seed=4)  # the same weights as model
         training._sgd_step(stepped, batch, lr)
         for name, p in params.items():
             # the step is w - lr * grad; recover the batched gradient from it
