@@ -274,8 +274,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
             z, logits = _inference(model, domain.samples)
             first = entries.start or 0
             part_file = os.path.join(parts_dir, f"{m}-{first}.csv")
-            export_features(model, domain, part_file, header=m == first == 0, features=z,
-                            first=first)
+            export_features(domain, part_file, z, header=m == first == 0, first=first)
             return part_file, logits
 
         done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
@@ -296,17 +295,6 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     print(table)
     with open(os.path.join(cfg.out_dir, "f1.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
-    return 0
-
-
-def cmd_export_features(cfg: RunConfig, checkpoint: str, manifest: str,
-                        output: str | None) -> int:
-    model = load_checkpoint(checkpoint)
-    dataset = load_manifest(manifest)
-    _check_fits(model, checkpoint, dataset, manifest)
-    out_path = output or os.path.join(cfg.out_dir, "features.csv")
-    export_features(model, dataset, out_path)
-    print(out_path)
     return 0
 
 
@@ -354,15 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True, metavar="FILE")
     sp.add_argument("manifests", nargs="+", metavar="MANIFEST")
     sp.set_defaults(run=lambda cfg, args: cmd_eval(cfg, args.checkpoint, args.manifests))
-
-    sp = sub.add_parser("export-features",
-                        help="write pooled features for every sample")
-    common(sp)
-    sp.add_argument("--checkpoint", required=True, metavar="FILE")
-    sp.add_argument("--manifest", required=True, metavar="FILE")
-    sp.add_argument("--output", default=None, metavar="FILE")
-    sp.set_defaults(run=lambda cfg, args: cmd_export_features(cfg, args.checkpoint,
-                                                              args.manifest, args.output))
 
     return parser
 

@@ -10,9 +10,10 @@ Each SGD step is the sum of two half-batch gradients (_sgd_step).  A
 minimize_phase call of PARTNER_MIN_STEPS steps or more may fork one partner
 process that computes each step's second half while this process computes
 the first (_Partner): one partner per round's fit, one for the whole final
-stretch.  Inference over held-out domains (evaluate, export_features and
-the eval command, through _share_domains) may fork one worker that runs
-every second half-domain, for INFERENCE_MIN_CHUNKS forwards or more.
+stretch.  Inference over held-out domains (evaluate and the eval command,
+through _share_domains) may fork one worker that runs every second
+half-domain, for INFERENCE_MIN_CHUNKS forwards or more; export_features
+only formats the features it is given.
 Whether they do is procs.workers' decision.  Either way the weights,
 losses and outputs are bitwise those of one process, as the ascent's
 forked shares give bitwise the serial samples.
@@ -385,7 +386,8 @@ def _inference(model: Classifier, samples: list[TimeSeries],
 
 def _share_domains(run_part, sizes: list[int], what: str) -> list[list]:
     """[[run_part(d, entries) for each part of domain d] for each domain d],
-    ``entries`` a slice of its sizes[d] series.  With two processes from
+    ``entries`` a slice of its sizes[d] series: the one inference site, for
+    evaluate and the eval command.  With two processes from
     procs.workers (INFERENCE_MIN_CHUNKS forwards or more over all domains),
     a domain of more than EVAL_CHUNK series is two contiguous halves cut at
     a multiple of EVAL_CHUNK, so every forward holds a serial forward's
@@ -458,21 +460,21 @@ def evaluate(model: Classifier, domains: list[Dataset | tuple[str, list[int]]],
 _FEATURE_ROW = "%d,%s,%d," + ",".join(["%.12g"] * FEATURE_DIM) + "\n"
 
 
-def export_features(model: Classifier, dataset: Dataset, path, header: bool = True,
-                    features: np.ndarray | None = None, first: int = 0) -> None:
-    """Write ``path``, a CSV of pooled features: origin_id, domain_tag,
-    label, then 64 values per sample, after a header line unless ``header``
-    is False.  ``features`` holds the dataset's features (``_inference``'s
-    first output) when the caller has already run the forward.  Origin ids
-    count from ``first``, the first sample's place in its manifest.
+def export_features(dataset: Dataset, path, features: np.ndarray, header: bool = True,
+                    first: int = 0) -> None:
+    """Write ``path``, a CSV of the given pooled features: origin_id,
+    domain_tag, label, then 64 values per sample, after a header line
+    unless ``header`` is False.  ``features`` holds one row per sample, in
+    order (``_inference``'s first output); any other shape raises
+    ValueError before ``path`` is opened.  Origin ids count from
+    ``first``, the first sample's place in its manifest.
     """
+    if np.shape(features) != (len(dataset), FEATURE_DIM):
+        raise ValueError(f"{path}: features of shape {np.shape(features)} given for "
+                         f"{len(dataset)} samples, expected {(len(dataset), FEATURE_DIM)}")
     with open(path, "w", encoding="utf-8") as out:
         if header:
             out.write("origin_id,domain_tag,label,"
                       + ",".join(f"f{i}" for i in range(FEATURE_DIM)) + "\n")
-        if features is None:
-            features = np.concatenate(_share_domains(
-                lambda _, entries: _inference(model, dataset.samples[entries])[0],
-                [len(dataset)], "features")[0])
         for i, (sample, z) in enumerate(zip(dataset.samples, features), start=first):
             out.write(_FEATURE_ROW % (i, sample.domain_tag, sample.label, *z.tolist()))

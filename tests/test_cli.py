@@ -187,9 +187,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("argv", [["synth"], ["gradcheck"], ["train"],
                                       ["augment", "--checkpoint", "c.bin", "--manifest", "m"],
-                                      ["eval", "--checkpoint", "c.bin", "m"],
-                                      ["export-features", "--checkpoint", "c.bin",
-                                       "--manifest", "m"]],
+                                      ["eval", "--checkpoint", "c.bin", "m"]],
                              ids=lambda argv: argv[0])
     def test_invalid_values_rejected_on_load(self, tmp_path, capsys, argv):
         p = tmp_path / "c.yaml"
@@ -488,24 +486,26 @@ class TestEvalCommand:
         out = tmp_path / "ev"
         assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out", str(out),
                      workspace["source"], workspace["amp"]]) == 0
-        parts = []
+        model, parts = load_checkpoint(workspace["checkpoint"]), []
         for name in ("source", "amp"):
-            assert main(["export-features", "--checkpoint", workspace["checkpoint"],
-                         "--manifest", workspace[name], "--out", str(tmp_path / name)]) == 0
-            lines = (tmp_path / name / "features.csv").read_text().splitlines(keepends=True)
+            domain = load_manifest(workspace[name])
+            training.export_features(domain, tmp_path / f"{name}.csv",
+                                     training._inference(model, domain.samples)[0])
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines(keepends=True)
             parts.extend(lines if not parts else lines[1:])
         assert (out / "embeddings.csv").read_text() == "".join(parts)
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
     def test_export_features_writes_the_eval_embeddings(self, workspace, default_targets,
                                                         tmp_path):
-        # one writer of feature rows: for one target, the function's file is
-        # the command's embeddings.csv, byte for byte
+        # one writer of feature rows: for one target, the function's file of
+        # _inference's features is the command's embeddings.csv, byte for byte
         out, features = tmp_path / "ev", tmp_path / "features.csv"
         assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out", str(out),
                      default_targets[0]]) == 0
-        training.export_features(load_checkpoint(workspace["checkpoint"]),
-                                 load_manifest(default_targets[0]), features)
+        domain = load_manifest(default_targets[0])
+        z, _ = training._inference(load_checkpoint(workspace["checkpoint"]), domain.samples)
+        training.export_features(domain, features, z)
         assert features.read_bytes() == (out / "embeddings.csv").read_bytes()
 
     def test_one_forward_per_domain(self, workspace, tmp_path, monkeypatch):
@@ -966,15 +966,14 @@ class TestEvalWorkingSet:
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 4)], ids=["channels", "classes"])
-@pytest.mark.parametrize("command", ["eval", "augment", "export-features"])
+@pytest.mark.parametrize("command", ["eval", "augment"])
 def test_checkpoint_not_fitting_manifest_exits_2_naming_both(workspace, tmp_path, capsys,
                                                              command, shape):
     # the manifest holds 1-channel series of 3 classes
     ckpt = tmp_path / "other.bin"
     save_checkpoint(Classifier(*shape), str(ckpt))
     argv = {"eval": ["eval", workspace["source"]],
-            "augment": ["augment", "--manifest", workspace["source"]],
-            "export-features": ["export-features", "--manifest", workspace["source"]]}[command]
+            "augment": ["augment", "--manifest", workspace["source"]]}[command]
     assert main(argv + ["--config", workspace["config"], "--checkpoint", str(ckpt),
                         "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -993,23 +992,3 @@ def test_train_on_one_class_manifest_exits_2_naming_line(tmp_path, capsys):
     assert main(["train", "--config", write_config(tmp_path / "c.yaml"), "--manifest", manifest,
                  "--out", str(tmp_path / "o")]) == 2
     assert f"{manifest}:4: classes must be two or more distinct names" in capsys.readouterr().err
-
-
-class TestExportFeaturesCommand:
-    def test_writes_schema(self, workspace, tmp_path):
-        out = tmp_path / "feats"
-        assert main(["export-features", "--checkpoint", workspace["checkpoint"],
-                     "--manifest", workspace["amp"], "--out", str(out)]) == 0
-        lines = (out / "features.csv").read_text().strip().split("\n")
-        assert lines[0].split(",")[:3] == ["origin_id", "domain_tag", "label"]
-        assert len(lines[0].split(",")) == 67
-        assert len(lines) == 19
-
-    def test_explicit_output_path(self, workspace, tmp_path):
-        target = tmp_path / "deep" / "f.csv"
-        os.makedirs(target.parent)
-        assert main(["export-features", "--checkpoint", workspace["checkpoint"],
-                     "--manifest", workspace["amp"],
-                     "--out", str(tmp_path / "deep"),
-                     "--output", str(target)]) == 0
-        assert target.exists()

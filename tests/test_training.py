@@ -750,33 +750,29 @@ class TestInferenceWorker:
                 toy_dataset(n_per_class=5, length=40, seed=2, domain_tag="b")]
 
     @staticmethod
-    def outputs(model, domains, tmp_path):
-        features = []
-        for domain in domains:
-            export_features(model, domain, str(tmp_path / "features.csv"))
-            features.append((tmp_path / "features.csv").read_bytes())
+    def outputs(model, domains):
         rows = [r.tobytes() for d in domains for r in training._inference(model, d.samples)]
-        return evaluate(model, domains), features, rows
+        return evaluate(model, domains), rows
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
-    def test_bitwise_equal_to_serial(self, monkeypatch, tmp_path, on):
+    def test_bitwise_equal_to_serial(self, monkeypatch, on):
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         model, domains = Classifier(1, 2, seed=3), self.domains()
         with monkeypatch.context() as serial:
             forced_inference(serial, False)
-            want = self.outputs(model, domains, tmp_path)
+            want = self.outputs(model, domains)
         workers = forced_inference(monkeypatch, on)
         with deadline(60):
-            got = self.outputs(model, domains, tmp_path)
-        assert workers == [2 if on else 1] * 3  # evaluate and two exports; _inference is serial
+            got = self.outputs(model, domains)
+        assert workers == [2 if on else 1]  # evaluate; _inference is serial
         assert_no_children()
         assert got == want
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
-    def test_one_domain_shares_its_halves(self, monkeypatch, tmp_path, on):
+    def test_one_domain_shares_its_halves(self, monkeypatch, on):
         # one domain of 2 * EVAL_CHUNK + 6 series (three forwards): evaluate
-        # and export_features each fork once, the worker forwarding the
-        # second half, and give the serial outputs bitwise
+        # forks once, the worker forwarding the second half, and gives the
+        # serial scores bitwise
         model = Classifier(1, 2, seed=3)
         domain = toy_dataset(n_per_class=training.EVAL_CHUNK + 3, seed=4, domain_tag="a")
         real, forks = os.fork, []
@@ -785,19 +781,15 @@ class TestInferenceWorker:
             forks.append(1)
             return real()
 
-        def outputs():
-            export_features(model, domain, str(tmp_path / "features.csv"))
-            return evaluate(model, [domain]), (tmp_path / "features.csv").read_bytes()
-
         with monkeypatch.context() as serial:
             forced_inference(serial, False)
-            want = outputs()
+            want = evaluate(model, [domain])
         workers = forced_inference(monkeypatch, on)
         monkeypatch.setattr(os, "fork", counted)
         with deadline(60):
-            got = outputs()
-        assert workers == [2 if on else 1] * 2
-        assert len(forks) == (2 if on else 0)  # one per call
+            got = evaluate(model, [domain])
+        assert workers == [2 if on else 1]
+        assert len(forks) == (1 if on else 0)
         assert_no_children()
         assert got == want
 
@@ -920,7 +912,7 @@ class TestExportFeatures:
         model = Classifier(1, 2, seed=0)
         ds = toy_dataset(n_per_class=2)
         out = tmp_path / "features.csv"
-        export_features(model, ds, str(out))
+        export_features(ds, str(out), training._inference(model, ds.samples)[0])
         lines = out.read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header[:3] == ["origin_id", "domain_tag", "label"]
@@ -933,7 +925,7 @@ class TestExportFeatures:
         model = Classifier(1, 2, seed=0)
         ds = toy_dataset(n_per_class=1)
         out = tmp_path / "features.csv"
-        export_features(model, ds, str(out))
+        export_features(ds, str(out), training._inference(model, ds.samples)[0])
         row = out.read_text().strip().split("\n")[1].split(",")
         z, _ = forward(model, ds.samples[0].values)
         np.testing.assert_allclose([float(v) for v in row[3:]],
@@ -947,19 +939,24 @@ class TestExportFeatures:
                    for k, tag in zip(range(-6, 7), ["a", "b b", "%s", "c"] * 4)]
         ds = Dataset(samples, n_classes=3)
         out = tmp_path / "features.csv"
-        export_features(model, ds, str(out))
         z, _ = training._inference(model, ds.samples)
+        export_features(ds, str(out), z)
         want = ["origin_id,domain_tag,label," + ",".join(f"f{i}" for i in range(64)) + "\n"]
         for i, sample in enumerate(ds.samples):
             feats = ",".join(f"{v:.12g}" for v in z[i])
             want.append(f"{i},{sample.domain_tag},{sample.label},{feats}\n")
         assert out.read_text(encoding="utf-8") == "".join(want)
 
-    def test_given_features_skip_the_forward(self, tmp_path, monkeypatch):
-        model = Classifier(1, 2, seed=0)
+    @pytest.mark.parametrize("rows", [5, 7], ids=["short", "long"])
+    def test_features_not_one_per_sample_raise_before_opening(self, tmp_path, rows):
+        # six samples: rows paired by zip would cut the file short or drop
+        # the extra rows, so neither count writes anything
         ds = toy_dataset(n_per_class=3)
-        export_features(model, ds, str(tmp_path / "a.csv"))
-        z, _ = training._inference(model, ds.samples)
-        monkeypatch.setattr(training, "_inference", None)
-        export_features(model, ds, str(tmp_path / "b.csv"), features=z)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        features = np.resize(training._inference(Classifier(1, 2, seed=0), ds.samples)[0],
+                             (rows, 64))
+        out = tmp_path / "features.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{out}: features of shape ({rows}, 64) given for 6 samples, "
+                f"expected (6, 64)")):
+            export_features(ds, str(out), features)
+        assert not out.exists()
