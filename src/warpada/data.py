@@ -227,8 +227,9 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     The series go, in order, to <out_dir>/<name>.csv; the manifest is
     <out_dir>/<name>.manifest, one row per series naming that file
     relatively.  Class c is named class<c>.  A name that is not one plain
-    path component, or a name or domain tag that a manifest could not hold
-    unchanged, raises ValueError before any file is made.
+    path component, a name or domain tag that a manifest could not hold
+    unchanged, or a series holding nan or inf raises ValueError naming it
+    before any file is made.
     """
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValueError(f"dataset name {name!r} is not a single plain path component")
@@ -239,6 +240,8 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
         problem = _cell_problem(sample.domain_tag)
         if problem:
             raise ValueError(f"sample {i}: domain_tag {sample.domain_tag!r} {problem}")
+        if not np.isfinite(sample.values.data).all():
+            raise ValueError(f"dataset {name!r} not written: sample {i} holds non-finite values")
     class_names = [f"class{c}" for c in range(dataset.n_classes)]
     os.makedirs(out_dir or os.curdir, exist_ok=True)
     series_file = f"{name}.csv"
@@ -458,7 +461,11 @@ def read_manifest(path: str) -> Manifest:
             continue
         if ":" in line and "," not in line:
             key, _, value = line.partition(":")
-            meta[key.strip()] = (line_no, value.strip())
+            key = key.strip()
+            if key in meta:
+                raise _manifest_error(path, line_no, f"field {key!r} given twice, on lines "
+                                                     f"{meta[key][0]} and {line_no}")
+            meta[key] = (line_no, value.strip())
         else:
             entries.append((line_no, line))
     for key in ("channels", "length", "classes"):

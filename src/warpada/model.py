@@ -131,7 +131,7 @@ def _pool(h: Tensor) -> Tensor:
     and in gradient, which rounds differently from a sum scaled by 1/T.
     """
     batch, dim, t = h.data.shape
-    p = np.full((t, 1), 1.0 / t)
+    p = np.full((t, 1), 1.0 / t, dtype=h.data.dtype)
     return _record((h.data.reshape(batch * dim, t) @ p).reshape(batch, dim),
                    (h, lambda g: (g.reshape(batch * dim, 1) @ p.T).reshape(batch, dim, t)))
 

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode differentiation on a dynamic tape.
+"""Dense float64 and float32 tensors with reverse-mode differentiation on a dynamic tape.
 
 Every operation here computes its result eagerly with numpy and hands it,
 with one backward rule per input, to ``_record``, which applies the one
@@ -21,7 +21,10 @@ is read is the ``grad`` of the leaf it belongs to.
 Elementwise binary ops take operands of equal shape, or one rank-0
 operand against any shape; there is no other broadcasting.  conv1d takes
 batches only, and the last-axis sum keeps a leading batch axis, so a whole
-minibatch is one node per op.  All data is float64.  Fused terms outside
+minibatch is one node per op.  Data is float64, except that a float32
+array stays float32, and the ops keep it so: inference forwards in float32
+(``training._inference``), while training, the ascent and the gradient
+audit compute in float64.  Fused terms outside
 this module (``make_path``, ``warp_apply``, ``loss_ce``, ``entropy``, the
 classifier's pool and head) compute in numpy and build their outputs
 through ``_record`` too.
@@ -59,7 +62,8 @@ _handles = itertools.count()  # a tensor's handle is drawn once, when it first e
 
 
 class Tensor:
-    """A contiguous float64 array plus gradient bookkeeping.
+    """A contiguous float64 array, or float32 when given float32 data,
+    plus gradient bookkeeping.
 
     ``grad`` is where ``Tape.backward`` leaves the gradient of a
     requires_grad leaf that the root's gradient reaches; it is overwritten
@@ -72,7 +76,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "handle")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -333,7 +339,8 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
     # zero where that index falls in the padding.  The columns that read
     # padding at any tap are zeroed first, then each tap copies its span.
     front, back, taps = _conv_taps(n, width, stride)
-    cols = np.empty((batch, c_in, width, n_out))
+    dtype = x.data.dtype  # read here: a rule that held x would keep its array alive
+    cols = np.empty((batch, c_in, width, n_out), dtype=dtype)
     cols[..., :front] = 0.0
     cols[..., back:] = 0.0
     for w, (lo, hi, sl) in enumerate(taps):
@@ -352,7 +359,7 @@ def op_conv1d(x, kernels, stride: int = 1, bias=None) -> Tensor:
 
     def _dx(g):
         dcols = np.matmul(kmat.T, g).reshape(batch, c_in, width, n_out)
-        dx = np.zeros((batch, c_in, n))
+        dx = np.zeros((batch, c_in, n), dtype=dtype)
         for w, (lo, hi, sl) in enumerate(taps):  # col2im, the adjoint, in tap order
             dx[:, :, sl] += dcols[:, :, w, lo:hi]
         return dx

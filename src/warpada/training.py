@@ -13,7 +13,9 @@ the first (_Partner): one partner per round's fit, one for the whole final
 stretch.  Inference over held-out domains (evaluate and the eval command,
 through _share_domains) may fork one worker that runs every second
 half-domain, for INFERENCE_MIN_CHUNKS forwards or more; export_features
-only formats the features it is given.
+only formats the features it is given.  Inference (evaluate, the eval
+command and predict, all through _inference) forwards in float32
+(INFERENCE_DTYPE); training and the ascent compute in float64.
 Whether they do is procs.workers' decision.  Either way the weights,
 losses and outputs are bitwise those of one process, as the ascent's
 forked shares give bitwise the serial samples.
@@ -119,15 +121,28 @@ class TrainReport:
 
 # Series per batched forward in inference, so memory stays flat in the
 # dataset size.  One process forwarded the three default targets (1,800
-# series; 2-core x86 sandbox, one BLAS thread) in 57 ms in chunks of 8, 46 in
-# 16, 45 in 32, 48 in 64 and 58 in 128 (medians of 15), all bitwise equal.
+# series; 2-core x86 KVM host, one pinned CPU, one BLAS thread) in float32 in
+# 36 ms in chunks of 8, 28 in 16, 24 in 32, 24 in 64 and 26 in 128 (medians
+# of 15; 45, 38, 36, 39 and 76 ms in float64).  The features were bitwise
+# equal at every size and the logits from 16 up; in chunks of 8 OpenBLAS's
+# float32 head product rounded 1,781 of the 1,800 logit rows differently in
+# the last bit, changing no prediction.
 EVAL_CHUNK = 32
 # Inference of fewer forwards over all of a call's domains stays in one
-# process (_share_domains).  On the same host, measured when the worker took
-# every second forward, over 21 alternating calls each, it was slower at 8
-# and 12 forwards (faster in 0 and 5-9 calls), even at 16 (11), and faster from
-# 20 (15-16; 19-21 at the 57 forwards of the three targets, 61 -> 40-43 ms).
+# process (_share_domains).  On the same host, evaluate() of one domain with
+# the worker taking its second half against serial, over 21 alternating
+# calls per count in five rounds, the worker was faster in 0-7 calls at 12
+# forwards, 0-16 at 16, 3-20 at 20 and 3-21 at 24.  In the three rounds
+# where it was faster in 20 or more at 24, it was faster in 3, 18 and 20 at
+# 20.  So 20 stays.
 INFERENCE_MIN_CHUNKS = 20
+# The precision of inference's forwards (_inference); training, the ascent
+# and the gradient audit compute in float64.  On the same host the three
+# default targets took 24 ms against 36 in float64 (one pinned CPU, chunks
+# of 32, medians of 15).  Against float64, on erm and tada models at seeds
+# 0-4, no prediction changed and no feature moved by more than 2.0e-7 of
+# its file's largest feature value.
+INFERENCE_DTYPE = np.float32
 
 
 def _stack(samples: list[TimeSeries]) -> Tensor:
@@ -364,20 +379,22 @@ def run(d0: Dataset, cfg: AdvConfig,
 
 
 def predict(model: Classifier, x: TimeSeries) -> int:
-    _, logits = forward(model, x)
-    return int(np.argmax(logits.data))
+    """The class of ``x``: the first maximum of its _inference logits."""
+    return int(np.argmax(_inference(model, [x], features=False)[1]))
 
 
 def _inference(model: Classifier, samples: list[TimeSeries],
                features: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Features (S, 64) and logits (S, n_classes) of the samples, in order,
-    from batched forwards of at most EVAL_CHUNK series, each writing its
-    rows straight into the outputs.  With ``features`` False the features
-    are None, and not kept."""
+    from batched INFERENCE_DTYPE forwards of at most EVAL_CHUNK series, each
+    writing its rows straight into the float64 outputs.  With ``features``
+    False the features are None, and not kept."""
+    params = {name: Tensor(w.astype(INFERENCE_DTYPE)) for name, w in model.weights.items()}
     z = np.empty((len(samples), FEATURE_DIM)) if features else None
     logits = np.empty((len(samples), model.n_classes))
     for lo in range(0, len(samples), EVAL_CHUNK):
-        z_t, logits_t = forward(model, _stack(samples[lo:lo + EVAL_CHUNK]))
+        batch = _stack(samples[lo:lo + EVAL_CHUNK]).data.astype(INFERENCE_DTYPE)
+        z_t, logits_t = forward(model, Tensor(batch), params)
         logits[lo:lo + EVAL_CHUNK] = logits_t.data
         if z is not None:
             z[lo:lo + EVAL_CHUNK] = z_t.data

@@ -210,6 +210,18 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=f"{p}: .*{problem}"):
                 load_config(str(p))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_synth_refuses_non_finite_series(self, tmp_path, capsys):
+        # amplitude 1e308 overflows the amp target's values to inf; the
+        # command exits 2 before writing a file of that dataset
+        out = tmp_path / "o"
+        p = write_config(tmp_path / "c.yaml", {"synth_amp_scale": 1.0e308})
+        assert main(["synth", "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'amp' not written: sample ")
+        assert "holds non-finite values" in err
+        assert not list(out.glob("amp.*"))
+
     def test_synth_defaults_are_default_spec(self):
         assert RunConfig().synth_spec() == default_spec(0)
         spec = RunConfig(seed=4, synth_amp_scale=2.0, synth_warp_d=3.0).synth_spec()
@@ -946,9 +958,10 @@ class TestEvalWorkingSet:
         assert int(log.read_text()) < 64 * 1024
 
     # Bounds measured with numpy 2.4.6, a few percent above the peaks of one
-    # command after a warm one: 2.69 MiB serial and 2.18 forked (this
-    # process's peak only), against 3.74 and 2.73 when each part returned
-    # its rows as text.
+    # command after a warm one when inference forwarded in float64: 2.69 MiB
+    # serial and 2.18 forked (this process's peak only), against 3.74 and
+    # 2.73 when each part returned its rows as text.  With float32 forwards
+    # the peaks are 2.11 and 1.60 MiB.
     @measured_numpy
     @pytest.mark.parametrize("on, bound", [(False, 2.8), (True, 2.3)], ids=["serial", "forked"])
     def test_command_peak(self, workspace, default_targets, tmp_path, monkeypatch, on, bound):

@@ -505,6 +505,33 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(want)):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("again, first", [("channels: 1", 2), ("length: 8", 3),
+                                               ("classes: class1 class0", 4)],
+                             ids=["channels", "length", "classes"])
+    def test_field_given_twice_names_both_lines(self, tmp_path, again, first):
+        # a second classes line with the names reordered would relabel every
+        # series if the last line won
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "twice")
+        lines = (tmp_path / "twice.manifest").read_text().splitlines()
+        lines.insert(4, again)
+        (tmp_path / "twice.manifest").write_text("\n".join(lines) + "\n")
+        field = again.split(":")[0]
+        want = f"{manifest}:5: field '{field}' given twice, on lines {first} and 5"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_manifest(manifest)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_series_not_written(self, tmp_path, value):
+        bad = np.arange(8.0)
+        bad[3] = value
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0),
+                      TimeSeries(Tensor(bad), label=1)], n_classes=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "dataset 'nf' not written: sample 1 holds non-finite values")):
+            save_dataset(ds, str(tmp_path / "out"), "nf")
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_manifest_names_file(self, tmp_path):
         ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
         manifest = save_dataset(ds, str(tmp_path), "utf")

@@ -688,6 +688,16 @@ class TestPredictAndF1:
         assert len(preds) == len(ds)
         assert set(preds) <= {0, 1}
 
+    def test_predict_is_the_inference_argmax(self):
+        # predict forwards its one series through _inference, in float32
+        source, targets = synth_generate(default_spec(0))
+        model, _ = minimize_phase(Classifier(1, 3, seed=0), source, t_min=20, lr=0.05,
+                                  batch=32, rng=np.random.default_rng(0))
+        preds = [predict(model, x) for target in targets for x in target.samples]
+        want = [int(np.argmax(training._inference(model, [x])[1]))
+                for target in targets for x in target.samples]
+        assert preds == want and len(set(preds)) == 3
+
     def test_macro_f1_perfect(self):
         y = np.array([0, 1, 2, 0, 1, 2])
         assert macro_f1(y, y, 3) == pytest.approx(1.0)
@@ -799,9 +809,9 @@ class TestInferenceWorker:
         # process's) fail: a's error is raised, as a serial run raises it
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         model, domains = Classifier(1, 2, seed=3), self.domains()
-        # each series is told by its first value
-        bad = {domains[d].samples[k].values.data.flat[0]: f"{'ab'[d]}{k}"
-               for d, k in ((0, 9), (1, 2))}
+        # each series is told by its first value, as the forward sees it
+        bad = {training.INFERENCE_DTYPE(domains[d].samples[k].values.data.flat[0]):
+               f"{'ab'[d]}{k}" for d, k in ((0, 9), (1, 2))}
         real = training.forward
 
         def forward(model, batch, *args):
@@ -927,7 +937,9 @@ class TestExportFeatures:
         out = tmp_path / "features.csv"
         export_features(ds, str(out), training._inference(model, ds.samples)[0])
         row = out.read_text().strip().split("\n")[1].split(",")
-        z, _ = forward(model, ds.samples[0].values)
+        # the oracle is the float32 forward of the one series
+        params = {name: Tensor(w.astype(np.float32)) for name, w in model.weights.items()}
+        z, _ = forward(model, Tensor(ds.samples[0].values.data.astype(np.float32)), params)
         np.testing.assert_allclose([float(v) for v in row[3:]],
                                    z.data.ravel(), rtol=1e-10)
 
