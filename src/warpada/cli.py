@@ -23,7 +23,8 @@ import numpy as np
 import yaml
 
 from .adversarial import MODES, AdvConfig, AdvSample
-from .data import default_spec, load_manifest, read_manifest, save_dataset, synth_generate
+from .data import (check_savable, default_spec, load_manifest, read_manifest, save_dataset,
+                   synth_generate)
 from .gradcheck import format_table, run_checks
 from .model import Classifier, load_checkpoint, save_checkpoint
 from .training import (Dataset, _inference, _share_domains, evaluate, export_features,
@@ -174,11 +175,11 @@ def _check_fits(model: Classifier, checkpoint: str, dataset: Dataset, manifest: 
 def cmd_synth(cfg: RunConfig) -> int:
     spec = cfg.synth_spec()
     source, targets = synth_generate(spec)
-    written = [save_dataset(source, cfg.out_dir, "source")]
-    for shift, domain in zip(spec.targets, targets):
-        written.append(save_dataset(domain, cfg.out_dir, shift.tag))
-    for path in written:
-        print(path)
+    named = [("source", source)] + [(s.tag, d) for s, d in zip(spec.targets, targets)]
+    for name, domain in named:  # a refused dataset leaves none written
+        check_savable(domain, name)
+    for name, domain in named:
+        print(save_dataset(domain, cfg.out_dir, name))
     return 0
 
 

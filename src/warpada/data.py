@@ -11,11 +11,12 @@ Datasets round-trip through a versioned manifest plus one CSV per dataset:
 the series one after another, each as `length` rows of one column per
 channel.  A series is written by one ``%`` over a whole-series template,
 with the bytes ``np.savetxt(fmt=CSV_FORMAT, delimiter=",")`` gives, and
-each distinct file a manifest names is read by one ``np.loadtxt`` call: all
-of it, or for some of the entries (load_manifest's ``entries``) only their
-rows.  Only a file holding a carriage return or an ASCII separator, or one
-that call cannot read, is read whole and walked line by line, to read it or
-name the first line it cannot.
+each distinct file a manifest names is read by one ``np.loadtxt`` call on
+its path, which numpy parses in C: all of it, or for some of the entries
+(load_manifest's ``entries``) only their rows, past ``skiprows`` lines.
+Only a file holding a carriage return or an ASCII separator, or one that
+call cannot read, is read whole and walked line by line, to read it or name
+the first line it cannot.
 The reader accepts what ``float()`` reads cell by cell, except digit-group
 underscores (``1_0``) and non-ASCII digits, which numpy's parser does not
 read.
@@ -23,7 +24,6 @@ read.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ from .training import Dataset
 from .warp import make_path
 
 __all__ = ["Component", "DomainShift", "SynthSpec", "default_spec",
-           "synth_generate", "save_dataset", "Manifest", "read_manifest",
+           "synth_generate", "check_savable", "save_dataset", "Manifest", "read_manifest",
            "load_manifest", "MANIFEST_HEADER"]
 
 MANIFEST_HEADER = "WARPADA-MANIFEST v2"
@@ -178,9 +178,10 @@ def _domain(spec: SynthSpec, protos: np.ndarray, rng: np.random.Generator,
             noise[i] = rng.normal(size=(spec.channels, n))
             if warps:
                 phi[i] = rng.normal(size=n)
-        values = protos[chunk][:, None, :] + sigma * noise
-        if shift is not None and shift.kind in ("amplitude", "both"):
-            values = shift.scale * values + shift.offset
+        with np.errstate(over="ignore", invalid="ignore"):  # save_dataset names the sample
+            values = protos[chunk][:, None, :] + sigma * noise
+            if shift is not None and shift.kind in ("amplitude", "both"):
+                values = shift.scale * values + shift.offset
         if warps:
             paths = np.round(make_path(Tensor(phi), float(shift.warp_d)).data)
             index = np.clip(np.arange(n) + paths.astype(np.int64), 0, n - 1)
@@ -220,17 +221,9 @@ def _write_series_csv(path: str, series: list[np.ndarray]) -> None:
             fh.write((row * length) % tuple(values.T.ravel().tolist()))
 
 
-def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
-    """Write every series to one CSV plus a manifest; returns the manifest
-    path.
-
-    The series go, in order, to <out_dir>/<name>.csv; the manifest is
-    <out_dir>/<name>.manifest, one row per series naming that file
-    relatively.  Class c is named class<c>.  A name that is not one plain
-    path component, a name or domain tag that a manifest could not hold
-    unchanged, or a series holding nan or inf raises ValueError naming it
-    before any file is made.
-    """
+def check_savable(dataset: Dataset, name: str) -> None:
+    """Raise ValueError naming what save_dataset refuses: a name that is not one plain
+    path component, a name or tag a manifest cell would change, or nan or inf in a series."""
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValueError(f"dataset name {name!r} is not a single plain path component")
     problem = _cell_problem(name)
@@ -242,6 +235,17 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
             raise ValueError(f"sample {i}: domain_tag {sample.domain_tag!r} {problem}")
         if not np.isfinite(sample.values.data).all():
             raise ValueError(f"dataset {name!r} not written: sample {i} holds non-finite values")
+
+
+def save_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
+    """Write every series to one CSV plus a manifest; returns the manifest path.
+
+    The series go, in order, to <out_dir>/<name>.csv; the manifest is
+    <out_dir>/<name>.manifest, one row per series naming that file
+    relatively.  Class c is named class<c>.  What check_savable refuses
+    raises its ValueError before any file is made.
+    """
+    check_savable(dataset, name)
     class_names = [f"class{c}" for c in range(dataset.n_classes)]
     os.makedirs(out_dir or os.curdir, exist_ok=True)
     series_file = f"{name}.csv"
@@ -350,53 +354,48 @@ def _read_rows(path: str, skip: int = 0, rows: int | None = None) -> np.ndarray:
     ``rows`` is None, so all of them by default) as a (rows, columns) array.
 
     A file without the bytes in _BY_LINE is parsed by one np.loadtxt call
-    on the open file, past an optional header line, once a scan block by
-    block has found none, so no more than a block of the file is held
-    beside the rows (holding a 600-series file's bytes through the parse
-    raised the eval command's peak RSS by ~0.8 MB).  A range is found by
-    counting lines, so the lines before it, and a range's own lines where it
-    stops short of the end (max_rows warns at a blank line), must each be a
-    line that every reading path counts as one data row: bytes 0x21 to 0x7E
-    only, so no blank, no whitespace, nothing that is not ASCII.  The scan
-    of such a range ends at its last line.  Other files, and rows that call
-    cannot read (a whitespace-only line, a bad cell, bytes that are not
-    UTF-8), go through _read_rows_by_line, which reads the whole file, the
-    range then sliced from it, or names the line it cannot read.
+    given its path, which numpy reads in chunks in C (an open file it reads
+    line by line in Python, ~1.5x slower), once a scan block by block has
+    found none, so no more than a block of the file is held beside the rows
+    (holding a 600-series file's bytes raised the eval command's peak RSS by
+    ~0.8 MB).  skiprows passes an optional header and the ``skip`` rows, and
+    max_rows ends the range: both count lines, so each line before the
+    range, and in it where it stops short of the end (max_rows warns at a
+    blank line), must be bytes 0x21 to 0x7E only, one data row to every
+    reading path; the scan of such a range ends at its last line.  Other
+    files, a path numpy would decompress, and rows that call cannot read (a
+    whitespace-only line, a bad cell, bytes that are not UTF-8), go through
+    _read_rows_by_line, which reads the whole file, the range then sliced
+    from it, or names the line it cannot read.
     """
     counted = skip + (rows or (skip > 0))  # the lines that must each be one data row
     with open(path, "rb") as fh:
         head = fh.read(_SCAN_BYTES)
-        text = io.BytesIO(head)
+        line = head[:head.find(b"\n") + 1 or len(head)]
         try:
-            line = text.readline()
             header = not _floats(line.decode("utf-8").strip().split(","))
-            start = text.tell() if header else 0
+            start = len(line) if header else 0
             plain = _plain(line) and (counted or _NON_BLANK.search(head, start) is not None)
-            seen, offset, pos, fresh, block = 0, start, start, True, head[start:]
+            seen, fresh, block = 0, True, head[start:]
             while plain and block and (seen < counted or rows is None):
                 plain = rows is not None or _plain(block)
                 if seen < counted:
                     codes = np.frombuffer(block, np.uint8)
                     ends = codes == 10
                     lines = int(np.count_nonzero(ends))
-                    if seen < skip <= seen + lines or seen + lines >= counted:
-                        at = np.flatnonzero(ends)
-                        if seen < skip <= seen + lines:
-                            offset = pos + int(at[skip - seen - 1]) + 1
-                        if seen + lines >= counted:
-                            lines = counted - seen
-                            codes, ends = codes[:at[lines - 1] + 1], ends[:at[lines - 1] + 1]
+                    if seen + lines >= counted:
+                        lines = counted - seen
+                        last = int(np.flatnonzero(ends)[lines - 1]) + 1
+                        codes, ends = codes[:last], ends[:last]
                     # in uint8, a byte below 0x21 wraps past 0x7E - 0x21
                     plain = (plain and not (((codes - 0x21) > 0x7E - 0x21) & ~ends).any()
                              and not (ends[1:] & ends[:-1]).any() and not (fresh and ends[0]))
                     seen, fresh = seen + lines, bool(ends[-1])
-                pos += len(block)
                 block = fh.read(_SCAN_BYTES)
-            if plain and seen >= counted:
-                fh.seek(offset)
-                with io.TextIOWrapper(fh, encoding="utf-8") as text:  # closes fh
-                    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
-                                      max_rows=rows)
+            # np.loadtxt opens a path with one of these suffixes through a decompressor
+            if plain and seen >= counted and not path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+                return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8",
+                                  skiprows=int(header) + skip, max_rows=rows)
         except ValueError:  # not UTF-8, or a row np.loadtxt cannot read
             pass
     return _read_rows_by_line(path)[skip:None if rows is None else skip + rows]

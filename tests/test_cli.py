@@ -210,17 +210,27 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=f"{p}: .*{problem}"):
                 load_config(str(p))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_synth_refuses_non_finite_series(self, tmp_path, capsys):
-        # amplitude 1e308 overflows the amp target's values to inf; the
-        # command exits 2 before writing a file of that dataset
+        # amplitude 1e308 overflows the amp target's values to inf, with no
+        # RuntimeWarning; the command exits 2 before writing any dataset,
+        # the source included, and its one error line is all a terminal sees
         out = tmp_path / "o"
         p = write_config(tmp_path / "c.yaml", {"synth_amp_scale": 1.0e308})
         assert main(["synth", "--config", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dataset 'amp' not written: sample ")
         assert "holds non-finite values" in err
-        assert not list(out.glob("amp.*"))
+        assert sorted(f.name for f in out.iterdir()) == ["config_echo.yaml"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(warpada.__file__)))
+        run = subprocess.run([sys.executable, "-m", "warpada", "synth", "--config", p,
+                              "--out", str(tmp_path / "fresh")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", err)
+        # an overflowed noise times a zero scale is nan, also without a warning
+        p = write_config(tmp_path / "z.yaml", {"synth_amp_scale": 0.0,
+                                               "synth_noise_sigma": 1.0e308})
+        assert main(["synth", "--config", p, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err.startswith("error: dataset 'source' not written: ")
 
     def test_synth_defaults_are_default_spec(self):
         assert RunConfig().synth_spec() == default_spec(0)

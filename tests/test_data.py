@@ -782,6 +782,40 @@ class TestManifestParts:
         assert shapes == [(22 * _PART_LENGTH, 2), (23 * _PART_LENGTH, 2)]
         assert_same_dataset(Dataset(first.samples + second.samples, 2), whole)
 
+    @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+    def test_loads_take_the_c_reader(self, shared, monkeypatch, header):
+        # np.loadtxt parses a str path in chunks in C, but iterates any other
+        # object line by line in Python: a whole load and each half hand it
+        # the series file's path, the lines before the rows as skiprows
+        manifest, csv = shared
+        if header:
+            csv.write_bytes(b"ch0,ch1\n" + csv.read_bytes())
+        calls, loadtxt = [], np.loadtxt
+
+        def logged(fname, **kwargs):
+            calls.append((fname, kwargs["skiprows"], kwargs["max_rows"]))
+            return loadtxt(fname, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", logged)
+        for entries in (slice(None), slice(22), slice(22, None)):
+            load_manifest(manifest, entries)
+        rows, skip = 22 * _PART_LENGTH, int(header)
+        assert calls == [(str(csv), skip, None), (str(csv), skip, rows),
+                         (str(csv), skip + rows, None)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, shared, suffix):
+        # np.loadtxt would open such a path through a decompressor, so a
+        # plain series file named so is read line by line instead
+        manifest, csv = shared
+        whole = load_manifest(manifest)
+        csv.rename(csv.with_name("sh" + suffix))
+        text = open(manifest, encoding="utf-8").read()
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("sh.csv,", f"sh{suffix},"))
+        assert_same_dataset(load_manifest(manifest), whole)
+        assert_parts_load_as_whole(manifest, 2)
+
     @pytest.mark.parametrize("parts", [2, 3])
     def test_blank_line_opening_a_scan_block(self, tmp_path, monkeypatch, parts):
         # rows of 8 bytes fill the 64-byte scan blocks exactly, and the blank
