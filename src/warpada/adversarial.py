@@ -230,6 +230,10 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         origin_ids = list(range(len(xs)))
     if len(origin_ids) != len(xs):
         raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
+    window = 2 * cfg.m_window + 1
+    if cfg.mode != "ada" and xs and xs[0].length < window:
+        raise ValueError(f"m_window {cfg.m_window} needs series of at least {window} samples "
+                         f"(2 * m_window + 1), but the series have {xs[0].length}")
 
     def ascend(lo):
         chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]

@@ -238,53 +238,43 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, manifests: list[str]) -> int:
     """f1.txt and embeddings.csv of the target datasets, in command-line
-    order.  Each manifest is checked first (read_manifest, which reads no
-    series), its error kept for its own parts.  _share_domains then runs
-    the parts, whole manifests or halves of them, in one process or two: a
-    part loads its entries, checks them against the checkpoint, runs them
-    through the model and writes their rows to a file of its own in a
-    temporary directory inside the output directory, returning only the
-    file's path and the logits.  This process appends the part files to
-    embeddings.csv in part order and scores each manifest over its parts'
-    logits, with the domain tag of its first entry and the labels of its
-    entries as the checked manifest gives them; leaving the directory
-    removes it, on success or error.  An error is the first manifest's in
-    command-line order, and the files are the bytes of a serial run."""
+    order.  Every manifest is read first (read_manifest, which reads no
+    series).  _share_domains then runs the parts, whole manifests or halves
+    of them, in one process or two: a part loads its entries, checks their
+    fit, runs them through the model and writes their rows to a file of
+    its own in a temporary directory inside the output directory, returning
+    the file's path and the logits.  This process joins the part files into
+    embeddings.csv and scores each manifest over its parts' logits; leaving
+    the directory removes it.  A ValueError or OSError on the way replays a
+    serial run's checks here (each manifest loaded whole, then fitted, in
+    command-line order) and raises the first that fails, else the error
+    itself.  The files are the bytes of a serial run."""
     model = load_checkpoint(checkpoint)
-    sources: list = []  # each read_manifest's result or its error
-    for path in manifests:
-        try:
-            sources.append(read_manifest(path))
-        except (ValueError, OSError) as exc:  # raised by its part, in command-line order
-            sources.append(exc)
-
-    with tempfile.TemporaryDirectory(dir=cfg.out_dir) as parts_dir:
-        def part(m, entries):
-            """Manifest m's entries: the path of the file holding their
-            embedding rows (after the header, for the first part) and their
-            logits."""
-            if isinstance(sources[m], Exception):
-                raise sources[m]
-            try:
+    try:
+        sources = [read_manifest(path) for path in manifests]
+        with tempfile.TemporaryDirectory(dir=cfg.out_dir) as parts_dir:
+            def part(m, entries):
+                """Manifest m's entries: the path of the file holding their
+                embedding rows (after the header, for the first part) and
+                their logits."""
                 domain = load_manifest(sources[m], entries)
                 _check_fits(model, checkpoint, domain, manifests[m])
-            except ValueError:  # a serial run's error: the whole load's, then its fit's
-                if entries != slice(None):
-                    _check_fits(model, checkpoint, load_manifest(sources[m]), manifests[m])
-                raise
-            z, logits = _inference(model, domain.samples)
-            first = entries.start or 0
-            part_file = os.path.join(parts_dir, f"{m}-{first}.csv")
-            export_features(domain, part_file, z, header=m == first == 0, first=first)
-            return part_file, logits
+                z, logits = _inference(model, domain.samples)
+                first = entries.start or 0
+                part_file = os.path.join(parts_dir, f"{m}-{first}.csv")
+                export_features(domain, part_file, z, header=m == first == 0, first=first)
+                return part_file, logits
 
-        done = _share_domains(part, [0 if isinstance(s, Exception) else len(s.entries)
-                                     for s in sources], "rows")
-        with open(os.path.join(cfg.out_dir, "embeddings.csv"), "wb") as fh:
-            for parts in done:
-                for part_file, _ in parts:
-                    with open(part_file, "rb") as rows:
-                        shutil.copyfileobj(rows, fh)
+            done = _share_domains(part, [len(s.entries) for s in sources], "rows")
+            with open(os.path.join(cfg.out_dir, "embeddings.csv"), "wb") as fh:
+                for parts in done:
+                    for part_file, _ in parts:
+                        with open(part_file, "rb") as rows:
+                            shutil.copyfileobj(rows, fh)
+    except (ValueError, OSError):  # reported as a serial run meets it
+        for path in manifests:
+            _check_fits(model, checkpoint, load_manifest(path), path)
+        raise
     domains = [(source.entries[0][3], [label for _, _, label, _ in source.entries])
                for source in sources]
     logits = [np.concatenate([part_logits for _, part_logits in parts]) for parts in done]

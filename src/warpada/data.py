@@ -172,12 +172,9 @@ def _domain(spec: SynthSpec, protos: np.ndarray, rng: np.random.Generator,
     samples = []
     for lo in range(0, len(labels), SYNTH_CHUNK):
         chunk = labels[lo:lo + SYNTH_CHUNK]
-        noise = np.empty((len(chunk), spec.channels, n))
-        phi = np.empty((len(chunk), n))
-        for i in range(len(chunk)):
-            noise[i] = rng.normal(size=(spec.channels, n))
-            if warps:
-                phi[i] = rng.normal(size=n)
+        draws = rng.normal(size=(len(chunk), (spec.channels + warps) * n))
+        noise = draws[:, :spec.channels * n].reshape(len(chunk), spec.channels, n)
+        phi = draws[:, spec.channels * n:]
         with np.errstate(over="ignore", invalid="ignore"):  # save_dataset names the sample
             values = protos[chunk][:, None, :] + sigma * noise
             if shift is not None and shift.kind in ("amplitude", "both"):
@@ -469,6 +466,11 @@ def read_manifest(path: str) -> Manifest:
             entries.append((line_no, line))
     for key in ("channels", "length", "classes"):
         if key not in meta:
+            for line_no, line in entries:  # a comma sends a field's line to the entries
+                if line.partition(":")[0].strip() == key:
+                    raise _manifest_error(path, line_no, f"field {key!r} holds a comma, which "
+                                          "only entries hold (class names are separated by "
+                                          "spaces)")
             raise ValueError(f"{path}: manifest is missing the {key!r} field")
 
     def positive_int(key: str) -> int:

@@ -635,24 +635,33 @@ class TestEvalCommand:
             assert ((tmp_path / "run" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
 
-    @pytest.mark.parametrize("manifests, forks", [(3, 1), (1, 1), (1, 0)],
-                             ids=["three-targets", "one-target", "one-target-few-forwards"])
-    def test_one_fork_per_eval_command(self, workspace, tmp_path, monkeypatch, fork_count,
-                                       manifests, forks):
+    @pytest.mark.parametrize("manifests, forks, bad",
+                             [(3, 1, False), (1, 1, False), (1, 0, False), (1, 1, True)],
+                             ids=["three-targets", "one-target", "one-target-few-forwards",
+                                  "bad-row-in-worker-half"])
+    def test_one_fork_per_eval_command(self, workspace, tmp_path, monkeypatch, capsys,
+                                       fork_count, manifests, forks, bad):
         # with every inference call of two forwards or more shared, one eval
         # command forks once, its inference worker, whatever its target
         # count; a part's inference runs in its own process.  Targets of
-        # fewer than INFERENCE_MIN_CHUNKS forwards fork none.
+        # fewer than INFERENCE_MIN_CHUNKS forwards fork none.  A bad row in
+        # the worker's half (series 13 of 18: halves of 12 and 6) fails the
+        # command after that one fork: the checks it replays start no process
+        targets = [workspace["source"], workspace["amp"], workspace["amp"]][:manifests]
+        if bad:
+            targets[0], problem = self.bad_csv(workspace, tmp_path, 13)
         argv = ["eval", "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev"),
-                workspace["source"], workspace["amp"], workspace["amp"]][:5 + manifests]
+                *targets]
         forced_eval(monkeypatch, True)
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)  # 5 forwards per target
         if not forks:
             monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 6)
         with deadline(60):
-            assert main(argv) == 0
+            assert main(argv) == (2 if bad else 0)
         assert fork_count() == forks
         assert_no_children()
+        if bad:
+            assert capsys.readouterr().err == f"error: {problem}\n"
 
     def test_default_environment_starts_no_process(self, workspace, tmp_path, monkeypatch):
         # no BLAS variable: OpenBLAS runs its thread pool, and the eval
@@ -692,6 +701,29 @@ class TestEvalCommand:
         assert_no_children()
         assert capsys.readouterr().err == f"error: {problem}\n"
         assert os.listdir(tmp_path / "ev") == ["config_echo.yaml"]  # no part file is left
+
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
+    def test_unwritable_part_reports_its_own_error(self, workspace, tmp_path, monkeypatch,
+                                                   capsys, on):
+        # the second target's part (18 series: one whole part, the worker's)
+        # cannot write its rows file; every manifest loads and fits when the
+        # command replays the serial checks, so the part's error is raised
+        real = cli.export_features
+
+        def full(dataset, path, *args, **kwargs):
+            if os.path.basename(path).startswith("1-"):
+                raise OSError("disk full")
+            return real(dataset, path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "export_features", full)
+        workers = forced_eval(monkeypatch, on)
+        with deadline(60):
+            assert main(["eval", "--checkpoint", workspace["checkpoint"], "--out",
+                         str(tmp_path / "ev"), workspace["source"], workspace["amp"]]) == 2
+        assert workers == [2 if on else 1]
+        assert_no_children()
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert os.listdir(tmp_path / "ev") == ["config_echo.yaml"]
 
     @pytest.mark.parametrize("on", [False, True], ids=["serial", "forked"])
     @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad-in-parent-share"])
@@ -1002,6 +1034,18 @@ def test_checkpoint_not_fitting_manifest_exits_2_naming_both(workspace, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ckpt) in err and workspace["source"] in err
     assert "1-channel series of 3 classes" in err
+
+
+@pytest.mark.parametrize("command", ["train", "augment"])
+def test_window_longer_than_the_series_names_m_window(workspace, tmp_path, capsys, command):
+    # m_window 100 needs 201 samples, and the series hold 64
+    argv = {"train": ["train"],
+            "augment": ["augment", "--checkpoint", workspace["checkpoint"],
+                        "--manifest", workspace["source"]]}[command]
+    config = write_config(tmp_path / "wide.yaml", {"m_window": 100, "phi_max": 5.0})
+    assert main(argv + ["--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: m_window 100 needs series of at least 201 "
+                                       "samples (2 * m_window + 1), but the series have 64\n")
 
 
 def test_train_on_one_class_manifest_exits_2_naming_line(tmp_path, capsys):

@@ -521,6 +521,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(want)):
             read_manifest(manifest)
 
+    @pytest.mark.parametrize("line_no, line", [(3, "length: 1,024"),
+                                                (4, "classes: class0, class1")],
+                             ids=["length", "classes"])
+    def test_field_holding_a_comma_names_its_line(self, tmp_path, line_no, line):
+        # a comma sends the line to the entries, so its field is not found
+        ds = Dataset([TimeSeries(Tensor(np.arange(8.0)), label=0)], n_classes=2)
+        manifest = save_dataset(ds, str(tmp_path), "comma")
+        lines = (tmp_path / "comma.manifest").read_text().splitlines()
+        lines[line_no - 1] = line
+        (tmp_path / "comma.manifest").write_text("\n".join(lines) + "\n")
+        field = line.split(":")[0]
+        want = f"{manifest}:{line_no}: field '{field}' holds a comma"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_manifest(manifest)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_series_not_written(self, tmp_path, value):
         bad = np.arange(8.0)
