@@ -106,6 +106,14 @@ class AdvConfig:
             raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
+def _check_window(cfg: AdvConfig, xs: list[TimeSeries]) -> None:
+    """Raise ValueError when cfg warps and its window is longer than the series xs."""
+    window = 2 * cfg.m_window + 1
+    if cfg.mode in ("tada", "tada_plus") and xs and xs[0].length < window:
+        raise ValueError(f"m_window {cfg.m_window} needs series of at least {window} samples "
+                         f"(2 * m_window + 1), but the series have {xs[0].length}")
+
+
 @dataclass
 class AdvSample:
     """One generated sample plus provenance for logging."""
@@ -230,10 +238,7 @@ def maximize_many(model, xs: list[TimeSeries], cfg: AdvConfig,
         origin_ids = list(range(len(xs)))
     if len(origin_ids) != len(xs):
         raise ValueError(f"{len(origin_ids)} origin_ids for {len(xs)} series in xs")
-    window = 2 * cfg.m_window + 1
-    if cfg.mode != "ada" and xs and xs[0].length < window:
-        raise ValueError(f"m_window {cfg.m_window} needs series of at least {window} samples "
-                         f"(2 * m_window + 1), but the series have {xs[0].length}")
+    _check_window(cfg, xs)
 
     def ascend(lo):
         chunk, ids = xs[lo:lo + ASCENT_CHUNK], origin_ids[lo:lo + ASCENT_CHUNK]

@@ -106,6 +106,21 @@ def _coerce(name: str, value, default):
     raise ConfigError(f"config key {name!r} has unsupported type")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a mapping key given twice, where PyYAML keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    raise ConfigError(f"{self.name}:{line}: config key {key!r} given twice, "
+                                      f"on lines {lines[key]} and {line}")
+                lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read a YAML mapping, reject unknown keys, apply the WARPADA_SEED
     environment variable and then any non-None flag overrides, and check the
@@ -114,11 +129,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=_ConfigLoader)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+        except ConfigError:
+            raise
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int too long to parse
             raise ConfigError(f"{path}: not valid YAML ({exc})")
         if loaded is None:
@@ -224,7 +241,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.train_manifest:
         d0 = load_manifest(cfg.train_manifest)
     else:
-        d0, _ = synth_generate(cfg.synth_spec())
+        d0, _ = synth_generate(replace(cfg.synth_spec(), targets=()))
     model, report = run(d0, cfg.adv_config())
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.bin")
     save_checkpoint(model, ckpt_path)

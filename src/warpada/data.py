@@ -2,7 +2,7 @@
 
 The generator builds one source domain (sum-of-sinusoid class prototypes
 plus Gaussian noise) and shifted target domains along two axes: amplitude
-(scale/offset/noise change) and time (smooth random admissible warps
+(scale/offset/noise change) and time (smooth random monotone warps
 applied by integer index remapping).  The random draws are taken per
 sample, in a fixed order; the arithmetic, the paths and the remap run on
 batches of SYNTH_CHUNK samples.
@@ -99,15 +99,11 @@ class SynthSpec:
     noise_sigma: float = 0.3
     n_per_class: int = 200
     targets: tuple[DomainShift, ...] = ()
-    m_window: int = 10  # analysis half-width the warps must respect
     seed: int = 0
 
     def __post_init__(self):
         if len(self.classes) < 2:
             raise ValueError("need at least 2 classes")
-        if self.length < 2 * self.m_window + 1:
-            raise ValueError(f"length {self.length} too short for window "
-                             f"half-width {self.m_window}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for name in ("n_per_class", "channels"):
@@ -118,10 +114,6 @@ class SynthSpec:
                 if not comp.frequency < self.length / 4:
                     raise ValueError(f"component frequency {comp.frequency} is not "
                                      f"band-limited (< length/4 = {self.length / 4})")
-        for t in self.targets:
-            if t.kind in ("warp", "both") and t.warp_d > self.m_window - 1:
-                raise ValueError(f"target {t.tag!r}: warp_d {t.warp_d} exceeds "
-                                 f"m_window-1 = {self.m_window - 1}")
 
 
 def default_spec(seed: int = 0) -> SynthSpec:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import procs
-from .adversarial import AdvConfig, AdvSample, maximize_many
+from .adversarial import AdvConfig, AdvSample, _check_window, maximize_many
 from .model import FEATURE_DIM, Classifier, forward, loss_ce
 from .signal import TimeSeries
 from .tensor import Tape, Tensor, op_sum
@@ -358,6 +358,8 @@ def run(d0: Dataset, cfg: AdvConfig,
 
     current = d0
     rounds = 0 if cfg.mode == "erm" else cfg.k_rounds
+    if rounds:  # a window the series cannot hold fails before the first fit, not after it
+        _check_window(cfg, d0.samples)
     clock = time.perf_counter()
     for k in range(1, rounds + 1):
         report.round_losses.append(fit(current, cfg.t_min, lambda step: (f"round {k}", step)))

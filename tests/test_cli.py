@@ -149,6 +149,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="WARPADA_SEED"):
             load_config(None)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys):
+        # PyYAML keeps the last of a repeated key; the config loader refuses it
+        p = tmp_path / "c.yaml"
+        p.write_text("seed: 1\nseed: 2\n")
+        want = f"{p}:2: config key 'seed' given twice, on lines 1 and 2"
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        assert str(info.value) == want
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
     def test_manifest_list_and_scalar(self, tmp_path):
         # eval takes its manifests as arguments; the old eval_manifests key,
         # as a list or a scalar, is an unknown key
@@ -200,15 +213,22 @@ class TestLoadConfig:
     def test_invalid_synth_keys_rejected_on_load(self, tmp_path):
         p = tmp_path / "c.yaml"
         # each message names the config key, not the spec field it sets
-        for body, problem in (("synth_length: 12\n", "synth_length 12 too short"),
+        for body, problem in (("synth_length: 12\n", r"not band-limited \(< synth_length/4"),
                               ("synth_n_per_class: 0\n", "synth_n_per_class must be >= 1"),
                               ("synth_noise_sigma: -0.5\n", "synth_noise_sigma must be >= 0"),
-                              ("synth_warp_d: 12.0\n", "synth_warp_d 12.0 exceeds"),
-                              ("synth_warp_d: 9.5\n", "synth_warp_d 9.5 exceeds"),
                               ("synth_warp_d: -1\n", "synth_warp_d must be nonnegative")):
             p.write_text(body)
             with pytest.raises(ConfigError, match=f"{p}: .*{problem}"):
                 load_config(str(p))
+
+    def test_synth_warp_beyond_the_training_window(self, tmp_path):
+        # synth_warp_d is bound by no window; m_window is the adversary's
+        out = tmp_path / "o"
+        p = write_config(tmp_path / "c.yaml", {"m_window": 20, "phi_max": 15.0,
+                                               "synth_warp_d": 12.0})
+        assert main(["synth", "--config", p, "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.glob("*.manifest")) == [
+            "amp.manifest", "both.manifest", "source.manifest", "warp.manifest"]
 
     def test_synth_refuses_non_finite_series(self, tmp_path, capsys):
         # amplitude 1e308 overflows the amp target's values to inf, with no
@@ -1046,6 +1066,37 @@ def test_window_longer_than_the_series_names_m_window(workspace, tmp_path, capsy
     assert main(argv + ["--config", config, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == ("error: m_window 100 needs series of at least 201 "
                                        "samples (2 * m_window + 1), but the series have 64\n")
+
+
+@pytest.mark.parametrize("mode, extra, refused", [("tada", {}, True), ("tada_plus", {}, True),
+                                                  ("erm", {}, False),
+                                                  ("tada", {"k_rounds": 0}, False)],
+                         ids=["tada", "tada_plus", "erm", "no_rounds"])
+def test_window_longer_than_the_series_refused_before_any_step(tmp_path, capsys, monkeypatch,
+                                                               mode, extra, refused):
+    # forced, the SGD partner would fork for the first fit's 8 steps; a run
+    # that generates samples refuses the window before it, and one that
+    # generates none never warps and trains
+    monkeypatch.setattr(procs, "fork_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "_one_blas_thread", lambda: True)
+    if refused:
+        monkeypatch.setattr(procs.Child, "__enter__", no_process)
+    steps, real = [], training._sgd_step
+    monkeypatch.setattr(training, "_sgd_step", lambda *args: steps.append(1) or real(*args))
+    config = write_config(tmp_path / "wide.yaml", {"m_window": 100, "phi_max": 5.0, "t_min": 8,
+                                                   **extra})
+    out = tmp_path / "o"
+    with deadline(120):
+        code = main(["train", "--mode", mode, "--config", config, "--out", str(out)])
+    assert_no_children()
+    if refused:
+        assert code == 2 and steps == []
+        assert capsys.readouterr().err == ("error: m_window 100 needs series of at least 201 "
+                                           "samples (2 * m_window + 1), but the series have 64\n")
+        assert sorted(f.name for f in out.iterdir()) == ["config_echo.yaml"]
+    else:
+        assert code == 0 and steps
+        assert (out / "checkpoint.bin").exists()
 
 
 def test_train_on_one_class_manifest_exits_2_naming_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -55,10 +56,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="band-limited"):
             tiny_spec(classes=((Component(1.0, 40.0),), (Component(1.0, 3.0),)))
 
-    def test_warp_d_headroom(self):
-        with pytest.raises(ValueError, match="warp_d"):
-            tiny_spec(targets=(DomainShift(kind="warp", tag="w", warp_d=10.0),))
-
     def test_unknown_shift_kind(self):
         with pytest.raises(ValueError, match="kind"):
             DomainShift(kind="rotate", tag="r")
@@ -72,6 +69,16 @@ class TestGenerate:
         assert len(targets) == 1 and len(targets[0]) == 20
         assert all(s.domain_tag == "source" for s in source.samples)
         assert all(s.domain_tag == "w" for s in targets[0].samples)
+
+    def test_source_alone_is_the_full_specs_source(self):
+        # the source is drawn first, so a spec without targets gives its bytes
+        spec = default_spec(3)
+        alone, targets = synth_generate(dataclasses.replace(spec, targets=()))
+        full, _ = synth_generate(spec)
+        assert targets == [] and len(alone) == len(full) == 600
+        for a, b in zip(alone.samples, full.samples):
+            assert (a.label, a.domain_tag) == (b.label, b.domain_tag)
+            assert a.values.data.tobytes() == b.values.data.tobytes()
 
     def test_deterministic(self):
         spec = tiny_spec(targets=(DomainShift(kind="both", tag="b", scale=2.0, warp_d=3.0),))
@@ -162,7 +169,7 @@ def per_sample_synth(spec):
 class TestBatchedGenerate:
     @pytest.mark.parametrize("spec", [
         default_spec(0),
-        tiny_spec(channels=3, m_window=8, targets=(
+        tiny_spec(channels=3, targets=(
             DomainShift(kind="warp", tag="w", warp_d=0.3),
             DomainShift(kind="both", tag="b", scale=2.0, offset=-1.0, warp_d=5.0,
                         noise_sigma=0.1),
