@@ -325,8 +325,11 @@ def _read_rows_by_line(path: str) -> np.ndarray:
         raise _locate(path, numbered) or ValueError(f"{path}: {exc}") from None
 
 
-# Bytes that send a file to _read_rows_by_line: a "\r" (universal newlines
-# end a line there, numpy's parser does not) and the separators.
+# Bytes that send a file to _read_rows_by_line: a "\r" and the separators.
+# numpy 2.4.6's parser, given a path, ends a line at "\r" as universal
+# newlines do: it reads "1,2\n3,4\r5,6\n7,8\r\n9,10\n" as five rows, and with
+# skiprows=2, max_rows=2 as the rows 5,6 and 7,8.  Older numpy, which pip
+# may resolve on Python 3.10, has not been measured, so "\r" still goes by line.
 _BY_LINE = (b"\r",) + tuple(ch.encode() for ch in _SEPARATORS)
 _NON_BLANK = re.compile(rb"\S")
 # A file is scanned for _BY_LINE in blocks of this many bytes, so no more

@@ -69,7 +69,9 @@ class Child:
     returning into the caller's frames: code 0 if the target returns, else 1
     after printing the traceback.  The context forks on entry; on exit it
     closes this side's ends, kills the child if an error cut the block short
-    before it was reaped, and reaps it."""
+    before it was reaped, and reaps it.  Where ``os.fork`` raises OSError (a
+    process limit, say) the context is None and starts nothing: the caller
+    does the child's work itself."""
 
     def __init__(self, target, name: str, what: str):
         self._target, self._name, self._what = target, name, what
@@ -78,10 +80,13 @@ class Child:
         down, up = os.pipe(), os.pipe()  # to the child, from the child
         try:
             self.pid = os.fork()
-        except BaseException:
+        except BaseException as exc:
             for fd in down + up:
                 os.close(fd)
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            self.pid = None
+            return None
         if self.pid == 0:
             code = 1
             try:
@@ -101,6 +106,8 @@ class Child:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if self.pid is None:
+            return
         os.close(self.tx)
         os.close(self.rx)
         if exc_type is not None and self._code is None:
@@ -129,8 +136,9 @@ def map_chunks(run_chunk, chunks: list, processes: int, name: str, what: str) ->
     and is reaped before child k + 1's pipe is read, so a child that died
     raises at once and the others are killed.  A call made while the shares
     of another run, in this process or in a child, runs all its chunks in
-    the process it is made in.  An error is the serial one: the exception
-    of the earliest failing chunk, which also ends its share."""
+    the process it is made in, and so does a share whose child could not be
+    forked.  An error is the serial one: the exception of the earliest
+    failing chunk, which also ends its share."""
     global _in_share
     if _in_share:
         processes = 1
@@ -159,7 +167,10 @@ def map_chunks(run_chunk, chunks: list, processes: int, name: str, what: str) ->
                 children = [stack.enter_context(Child(sender(w), name, what))
                             for w in range(1, processes)]
                 shares = [run_share(0)]
-                for child in children:
+                for w, child in enumerate(children, start=1):
+                    if child is None:  # not forked
+                        shares.append(run_share(w))
+                        continue
                     try:
                         with open(child.rx, "rb", closefd=False) as reader:
                             shares.append(pickle.load(reader))

@@ -215,8 +215,10 @@ class _Partner(procs.Child):
     """A forked process that computes the second half of every minibatch
     gradient of one minimize_phase call, from the dataset it inherited.
 
-    Both processes map one anonymous shared mmap.  Before each step this
-    process writes the weights and the second half's dataset indices into
+    Both processes map one anonymous shared mmap, holding one record: the
+    weights and their gradients, each a sub-record of the model's named
+    layers, then the second half's per-row losses and dataset indices.
+    Before each step this process writes the weights and the indices into
     it and sends one byte down a pipe; the partner writes that half's weight
     gradients and per-row losses back and answers with one byte."""
 
@@ -225,16 +227,14 @@ class _Partner(procs.Child):
         self._scale = 1.0 / batch
         self._first = _first_half(batch)
         n_second = batch - self._first
-        n_weights = sum(w.size for w in model.weights.values())
-        self._shm = mmap.mmap(-1, 8 * (2 * n_weights + 2 * n_second))
-        floats = np.frombuffer(self._shm, np.float64, 2 * n_weights + n_second)
-        self._ids = np.frombuffer(self._shm, np.int64, n_second, 8 * floats.size)
-        self._rows = floats[2 * n_weights:].reshape(n_second, 1)
-        self._weights, self._grads, offset = {}, {}, 0
-        for name, w in model.weights.items():
-            for views, base in ((self._weights, offset), (self._grads, n_weights + offset)):
-                views[name] = floats[base:base + w.size].reshape(w.shape)
-            offset += w.size
+        layers = [(name, np.float64, w.shape) for name, w in model.weights.items()]
+        record = np.dtype([("weights", layers), ("grads", layers),
+                           ("rows", np.float64, (n_second, 1)), ("ids", np.int64, n_second)])
+        self._shm = mmap.mmap(-1, record.itemsize)
+        shared = np.ndarray((), record, self._shm)
+        self._weights, self._grads = ({name: shared[part][name] for name in model.weights}
+                                      for part in ("weights", "grads"))
+        self._rows, self._ids = shared["rows"], shared["ids"]
         self._model, self._samples = model, samples
 
     def _serve(self, rx: int, tx: int) -> None:
@@ -285,10 +285,10 @@ def minimize_phase(model: Classifier, dataset: Dataset, t_min: int, lr: float,
     With minibatches of two series or more and two processes from
     procs.workers (PARTNER_MIN_STEPS steps or more), one forked partner
     process computes each step's second half while this process computes
-    the first (_Partner); otherwise this process computes both.  The two
-    halves are the same computations either way, so weights and losses are
-    bitwise those of the serial call.  A partner that dies raises
-    RuntimeError naming its pid and exit code.
+    the first (_Partner); otherwise, or where the partner cannot be forked,
+    this process computes both.  The two halves are the same computations
+    either way, so weights and losses are bitwise those of the serial call.
+    A partner that dies raises RuntimeError naming its pid and exit code.
     """
     if len(dataset) == 0:
         raise ValueError("cannot minimize on an empty dataset")

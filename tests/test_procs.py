@@ -1,9 +1,10 @@
 import collections
+import errno
 import os
 
 import pytest
 
-from warpada import procs
+from warpada import procs, training
 from warpada.adversarial import AdvConfig
 from warpada.cli import main
 from warpada.data import save_dataset
@@ -82,3 +83,78 @@ def test_fork_census(tmp_path, monkeypatch, environment):
     assert_no_children()
     forks = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
     assert collections.Counter(forks) == want
+
+
+def fork_fails_at(monkeypatch, failing) -> list:
+    """Make os.fork raise OSError (EAGAIN, as under a process limit) at the
+    call numbered ``failing`` (from 1), or at every call for "every";
+    returns the list that counts the calls made in this process."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(None)
+        if failing == "every" or len(calls) == failing:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("failing", [1, 2, "every"])
+def test_map_chunks_runs_an_unforked_share_here(monkeypatch, failing):
+    calls = fork_fails_at(monkeypatch, failing)
+    with deadline(30):
+        done = procs.map_chunks(lambda k: (k, os.getpid()), list(range(8)), 3, "test share",
+                                "pids")
+    assert_no_children()
+    assert len(calls) == 2
+    assert [k for k, _ in done] == list(range(8))
+    here = {k for k, pid in done if pid == os.getpid()}
+    assert here == {k for k in range(8) if k % 3 == 0 or failing in ("every", k % 3)}
+
+
+# a fork for every site: an erm run() forks its final partner, a tada and a
+# union run() a round's partner, an ascent worker and the final partner,
+# and the eval command an inference worker
+FALLBACK_FORKS = 8
+
+
+def fallback_work(root) -> list[bytes]:
+    """Checkpoints and reports (timing lines aside) of an erm, a tada and a
+    union run(), then f1.txt and embeddings.csv of the eval command on the
+    union checkpoint."""
+    ds = toy_dataset(n_per_class=20)  # 40 origins: two ascent chunks, two forwards
+    root.mkdir()
+    outputs = []
+    for mode in ("erm", "tada", "tada_plus"):
+        cfg = AdvConfig(mode=mode, t_max=1, t_min=8, k_rounds=1, t_final=2, m_window=6,
+                        phi_max=4.0, batch=8, seed=0)
+        model, report = run(ds, cfg)
+        save_checkpoint(model, str(root / "checkpoint.bin"))
+        outputs.append((root / "checkpoint.bin").read_bytes())
+        outputs.append("".join(line for line in report.to_text().splitlines(keepends=True)
+                               if not line.startswith(("wall_clock_s:", "phase_wall_s:"))))
+    manifest = save_dataset(ds, str(root / "data"), "target")
+    assert main(["eval", "--checkpoint", str(root / "checkpoint.bin"), "--out",
+                 str(root / "eval"), manifest]) == 0
+    assert sorted(os.listdir(root / "eval")) == ["config_echo.yaml", "embeddings.csv", "f1.txt"]
+    return outputs + [(root / "eval" / name).read_bytes() for name in ("f1.txt", "embeddings.csv")]
+
+
+@pytest.mark.parametrize("failing", [*range(1, FALLBACK_FORKS + 1), "every"])
+def test_a_fork_that_fails_runs_its_work_here(tmp_path, monkeypatch, failing):
+    # every site forks, whatever the host: two usable CPUs, one BLAS
+    # thread, and inference shared from two forwards
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(procs, "_one_blas_thread", lambda: True)
+    monkeypatch.setattr(training, "INFERENCE_MIN_CHUNKS", 2)
+    with monkeypatch.context() as serial:
+        serial.setattr(procs, "fork_cpus", lambda: 1)
+        want = fallback_work(tmp_path / "serial")
+    calls = fork_fails_at(monkeypatch, failing)
+    with deadline(120):
+        got = fallback_work(tmp_path / "forked")
+    assert_no_children()
+    assert len(calls) == FALLBACK_FORKS
+    assert got == want
